@@ -36,7 +36,6 @@ class AdaptiveParams:
     pdas_c: float | None = None
     n0: int = 4
     uniform: bool = False
-    max_pdas_iter: int = 100
 
     def validate(self):
         if self.levels < 1:
@@ -185,8 +184,7 @@ def run_level(problem, mesh, params):
     patches = msh.build_patches(mesh, dofmap)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
     constraints = vi.contact_constraints(dofmap, problem)
-    sol = vi.solve_vi(system, constraints, c=params.pdas_c,
-                      max_iter=params.max_pdas_iter, collect_trace=True)
+    sol = vi.solve_vi(system, constraints, c=params.pdas_c)
     trace_mesh = dens.build_trace_mesh(mesh, dofmap)
     density = dens.compute_density(system, sol.u, trace_mesh, constraints)
     report = est.estimate(mesh, dofmap, patches, problem.material, problem,

@@ -155,8 +155,7 @@ def _edge_trace_values(u, trace, constraints, k):
 def quadratic_range(values):
     """(min, max) over [0, 1] of the quadratic with nodal values (v0, vmid, v1)."""
     v0, vm, v1 = values
-    a = 2 * v0 - 4 * vm + 2 * v1
-    b = -3 * v0 + 4 * vm - v1
+    a, b = fem.trace_coefficients(v0, vm, v1)
     cands = [v0, v1]
     if a != 0.0:
         s = -b / (2 * a)

@@ -75,7 +75,7 @@ def _abs_max(arr, axis=None):
     return np.abs(arr).max(axis=axis) if arr.size else 0.0
 
 
-def estimate(mesh, dofmap, patches, material, problem, u, trace=None, density=None,
+def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
              c0=0.45):
     """Evaluate all estimator contributions for one solved level."""
     nt = mesh.num_triangles
@@ -103,7 +103,7 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace=None, density=No
     pen_e, gap_e = _consistency_per_edge(mesh, dofmap, problem, u, trace)
 
     # active-density region: contact edges of nodes with positive lumped density
-    if density is not None and trace is not None:
+    if density is not None:
         m = density.normal * trace.weight
         tol_active = 1e-12 * max(1.0, _abs_max(m))
         hot = np.flatnonzero(m > tol_active)
@@ -131,11 +131,10 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace=None, density=No
         if con.size:
             eta_p[3, p] = h_p[p] * Tt[con].max()
             eta_p[4, p] = h_p[p] * Tn[con].max()
-            if trace is not None:   # consistency needs the trace mesh
-                cons_p[p] = pen_e[con].max()
-                lam = con[in_lambda[con]]
-                if lam.size:
-                    cons_p[p] += gap_e[lam].max()
+            cons_p[p] = pen_e[con].max()
+            lam = con[in_lambda[con]]
+            if lam.size:
+                cons_p[p] += gap_e[lam].max()
 
     kind = dofmap.kind
     glob = np.empty(5)
@@ -149,7 +148,7 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace=None, density=No
     psi = float(glob.sum())
 
     con_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
-    eta6 = float(pen_e[con_ids].max()) if con_ids.size and trace is not None else 0.0
+    eta6 = float(pen_e[con_ids].max()) if con_ids.size else 0.0
     eta7 = float(gap_e[lambda_edges].max()) if lambda_edges.size else 0.0
 
     h_min = float(mesh.diameters.min())
@@ -183,6 +182,15 @@ def _locate(mesh, tris, vert):
     return np.argmax(mesh.triangles[tris] == vert[:, None], axis=1)
 
 
+def _unit_normals(mesh, ids):
+    """(k, 2) unit normals of the given edges, the edge tangent (second vertex
+    minus first) turned clockwise."""
+    tang = mesh.vertices[mesh.edges[ids, 1]] - mesh.vertices[mesh.edges[ids, 0]]
+    n = np.column_stack([tang[:, 1], -tang[:, 0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    return n
+
+
 def _interior_jumps(mesh, sig):
     """Sup of the traction jump per interior edge (nan on boundary edges)."""
     ne = mesh.edges.shape[0]
@@ -192,10 +200,7 @@ def _interior_jumps(mesh, sig):
         return J
     t0, t1 = mesh.edge_tris[inner, 0], mesh.edge_tris[inner, 1]
     a, b = mesh.edges[inner, 0], mesh.edges[inner, 1]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    tang = pb - pa
-    n = np.column_stack([tang[:, 1], -tang[:, 0]])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n = _unit_normals(mesh, inner)
     vals = []
     for vert in (a, b):
         s0 = sig[t0, _locate(mesh, t0, vert)]
@@ -209,15 +214,13 @@ def _interior_jumps(mesh, sig):
 def _boundary_tractions(mesh, sig, ids):
     """Linear traction profile on tagged boundary edges: endpoint values.
 
-    Returns the outward normals (k, 2) and tractions at both endpoints
-    (k, 2 ends, 2 comps).
+    Returns the outward normals (k, 2), the tractions at both endpoints
+    (k, 2 ends, 2 comps) and the endpoint coordinates (k, 2) each.
     """
     t = mesh.edge_tris[ids, 0]
     a, b = mesh.edges[ids, 0], mesh.edges[ids, 1]
     pa, pb = mesh.vertices[a], mesh.vertices[b]
-    tang = pb - pa
-    n = np.column_stack([tang[:, 1], -tang[:, 0]])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n = _unit_normals(mesh, ids)
     la, lb = _locate(mesh, t, a), _locate(mesh, t, b)
     opp = mesh.triangles[t, (3 - la - lb)]
     flip = np.einsum("ej,ej->e", n, mesh.vertices[opp] - pa) > 0
@@ -285,16 +288,12 @@ def _consistency_per_edge(mesh, dofmap, problem, u, trace):
     ne = mesh.edges.shape[0]
     pen = np.full(ne, np.nan)
     gapv = np.full(ne, np.nan)
-    if trace is None:
-        return pen, gapv
     comp, sgn = problem.normal_comp, problem.normal_sign
     for k, eid in enumerate(trace.edge_ids):
         nodes = trace.edge_nodes[k]
         un = sgn * u[2 * nodes + comp]
         pts_nodes = dofmap.coords[nodes]
-        # quadratic coefficients of u_n(s), s in [0, 1] along the edge
-        A = 2 * un[0] - 4 * un[1] + 2 * un[2]
-        B = -3 * un[0] + 4 * un[1] - un[2]
+        A, B = fem.trace_coefficients(*un)    # u_n(s) = (A s + B) s + C
         C = un[0]
         s = EDGE_SAMPLE
         chi_nodes = problem.chi(pts_nodes)

@@ -88,17 +88,10 @@ def shape_grads_ref(bary):
     return out
 
 
-def shape_eval(mesh, tri, bary):
-    """Basis values and physical gradients on one triangle.
-
-    Returns (npts, 6) values and (npts, 6, 2) gradients, the latter mapped
-    through the inverse-transposed element Jacobian.
-    """
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    vals = shape_values(bary)
-    inv_jac = geometry(mesh).inv_jac[tri]
-    grads = np.einsum("qad,de->qae", shape_grads_ref(bary), inv_jac)
-    return vals, grads
+def trace_coefficients(v0, vm, v1):
+    """(a, b) of the edge trace a s^2 + b s + v0, s in [0, 1], of a P2 field
+    with values v0, vm, v1 at the first vertex, the midpoint and the second."""
+    return 2 * v0 - 4 * vm + 2 * v1, -3 * v0 + 4 * vm - v1
 
 
 def shape_hessians_ref():
@@ -193,27 +186,6 @@ def element_dofs(mesh):
     return dofs
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Per-element affine maps for one mesh."""
-
-    jac: np.ndarray      # (nt, 2, 2), columns are the two edge vectors at vertex 0
-    inv_jac: np.ndarray  # (nt, 2, 2)
-    area: np.ndarray     # (nt,)
-
-
-def geometry(mesh):
-    p = mesh.vertices[mesh.triangles]
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1] / det
-    inv[:, 0, 1] = -jac[:, 0, 1] / det
-    inv[:, 1, 0] = -jac[:, 1, 0] / det
-    inv[:, 1, 1] = jac[:, 0, 0] / det
-    return Geometry(jac, inv, 0.5 * det)
-
-
 def barycentric_to_xy(mesh, bary):
     """Map barycentric sample points to physical coordinates, (nt, npts, 2)."""
     p = mesh.vertices[mesh.triangles]
@@ -251,9 +223,8 @@ def assemble(mesh, dofmap, material, problem):
     g(points) -> (n, 2) plus Dirichlet data; any of them may be None for zero
     data.
     """
-    geo = geometry(mesh)
-    if np.any(geo.area <= 0):
-        bad = int(np.argmin(geo.area))
+    if np.any(mesh.areas <= 0):
+        bad = int(np.argmin(mesh.areas))
         raise ValueError(f"degenerate triangle {bad} in assembly")
     nt = mesh.num_triangles
     mu, lam = material.mu, material.lam
@@ -264,7 +235,7 @@ def assemble(mesh, dofmap, material, problem):
     ])
 
     # physical gradients at quadrature points: (nt, nq, 6, 2)
-    dN = np.einsum("qad,tde->tqae", _GRAD_REF_QP, geo.inv_jac)
+    dN = np.einsum("qad,tde->tqae", _GRAD_REF_QP, mesh.inv_jac)
     B = np.zeros((nt, 6, 3, 12))
     B[:, :, 0, 0::2] = dN[..., 0]
     B[:, :, 1, 1::2] = dN[..., 1]
@@ -274,7 +245,7 @@ def assemble(mesh, dofmap, material, problem):
     for q in range(6):
         DB = np.einsum("ij,tjb->tib", D, B[:, q])
         Ke += TRI_QW[q] * np.einsum("tia,tib->tab", B[:, q], DB)
-    Ke *= geo.area[:, None, None]
+    Ke *= mesh.areas[:, None, None]
 
     dofs = element_dofs(mesh)
     rows = np.repeat(dofs, 12, axis=1).ravel()
@@ -286,7 +257,7 @@ def assemble(mesh, dofmap, material, problem):
         xy = barycentric_to_xy(mesh, TRI_QP)
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
         # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
-        fe = np.einsum("q,qa,tqc->tac", TRI_QW, _VAL_QP, fv) * geo.area[:, None, None]
+        fe = np.einsum("q,qa,tqc->tac", TRI_QW, _VAL_QP, fv) * mesh.areas[:, None, None]
         np.add.at(F, dofs, fe.reshape(nt, 12))
 
     if problem is not None and problem.g is not None:
@@ -327,14 +298,6 @@ def _add_neumann_load(mesh, F, g):
         np.add.at(F, 2 * node + 1, contrib[:, 1])
 
 
-def dump_matrixmarket(system, prefix):
-    """Write K and F in MatrixMarket coordinate format (debug aid)."""
-    from scipy.io import mmwrite
-
-    mmwrite(f"{prefix}_K.mtx", sp.coo_matrix(system.K))
-    mmwrite(f"{prefix}_F.mtx", sp.coo_matrix(system.F.reshape(-1, 1)))
-
-
 # -- pointwise evaluation -----------------------------------------------------
 
 def displacement_at(mesh, dofmap, u, tris, bary):
@@ -347,11 +310,10 @@ def displacement_at(mesh, dofmap, u, tris, bary):
 
 def gradient_at(mesh, dofmap, u, tris, bary):
     """grad u_h (rows: component, cols: direction) at barycentric points."""
-    geo = geometry(mesh)
     nodes = element_nodes(mesh)[tris]
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)
     dref = shape_grads_ref(bary)                                   # (npts, 6, 2)
-    dphys = np.einsum("qad,tde->tqae", dref, geo.inv_jac[tris])
+    dphys = np.einsum("qad,tde->tqae", dref, mesh.inv_jac[tris])
     return np.einsum("tqad,tac->tqcd", dphys, coeff)
 
 
@@ -375,68 +337,17 @@ def corner_stress(mesh, dofmap, material, u):
     return stress_from_grad(grads, material)
 
 
-def outward_normal(mesh, edge_id, tri_id):
-    """Unit normal of the given edge pointing out of the given triangle."""
-    a, b = mesh.edges[edge_id]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    tangent = pb - pa
-    n = np.array([tangent[1], -tangent[0]])
-    n /= np.linalg.norm(n)
-    opposite = [v for v in mesh.triangles[tri_id] if v not in (a, b)][0]
-    if n @ (mesh.vertices[opposite] - pa) > 0:
-        n = -n
-    return n
-
-
-def edge_traction(mesh, dofmap, material, u, edge_id, tri_id, params):
-    """sigma(u_h) n along an edge, seen from one adjacent triangle.
-
-    ``params`` are positions in [0, 1] along the edge from its first stored
-    vertex; the traction is linear in that parameter.  Returns (npts, 2).
-    """
-    a, b = mesh.edges[edge_id]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    pts = pa[None, :] * (1 - params)[:, None] + pb[None, :] * params[:, None]
-    bary = _xy_to_bary(mesh, tri_id, pts)
-    grad = gradient_at(mesh, dofmap, u, np.array([tri_id]), bary)[0]
-    sig = stress_from_grad(grad, material)
-    return sig @ outward_normal(mesh, edge_id, tri_id)
-
-
-def _xy_to_bary(mesh, tri_id, pts):
-    p = mesh.vertices[mesh.triangles[tri_id]]
-    T = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    loc = np.linalg.solve(T, (pts - p[0]).T).T
-    return np.column_stack([1 - loc.sum(axis=1), loc])
-
-
 def divergence_stress(mesh, dofmap, material, u):
     """div sigma(u_h), constant per element: (nt, 2)."""
-    geo = geometry(mesh)
     nodes = element_nodes(mesh)
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
     # physical Hessians: inv_jac^T Href inv_jac per element and basis function
-    H = np.einsum("ted,aef,tfg->tadg", geo.inv_jac, _HESS_REF, geo.inv_jac)
+    H = np.einsum("ted,aef,tfg->tadg", mesh.inv_jac, _HESS_REF, mesh.inv_jac)
     Hu = np.einsum("tac,tadg->tcdg", coeff, H)                     # (nt, 2, 2, 2)
     mu, lam = material.mu, material.lam
     lap = Hu[:, :, 0, 0] + Hu[:, :, 1, 1]
     grad_div = Hu[:, 0, 0, :] + Hu[:, 1, 1, :]
     return mu * lap + (mu + lam) * grad_div
-
-
-def interior_residual(mesh, dofmap, material, u, f, tris, bary):
-    """s(u_h) = f + div sigma(u_h) sampled on elements: (ntris, npts, 2)."""
-    tris = np.asarray(tris)
-    div = divergence_stress(mesh, dofmap, material, u)[tris]
-    xy = np.einsum("qk,tkd->tqd", np.asarray(bary, dtype=float),
-                   mesh.vertices[mesh.triangles[tris]])
-    npts = xy.shape[1]
-    if f is None:
-        fv = np.zeros((tris.size, npts, 2))
-    else:
-        fv = f(xy.reshape(-1, 2)).reshape(tris.size, npts, 2)
-    return fv + div[:, None, :]
 
 
 def interpolate(dofmap, func):

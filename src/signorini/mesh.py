@@ -130,6 +130,20 @@ class Mesh:
         return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
     @cached_property
+    def inv_jac(self):
+        """(nt, 2, 2) inverse of each element Jacobian, whose columns are the
+        edge vectors from the first vertex to the second and the third."""
+        p = self.vertices[self.triangles]
+        a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        det = 2.0 * self.areas
+        inv = np.empty((self.num_triangles, 2, 2))
+        inv[:, 0, 0] = b[:, 1] / det
+        inv[:, 0, 1] = -b[:, 0] / det
+        inv[:, 1, 0] = -a[:, 1] / det
+        inv[:, 1, 1] = a[:, 0] / det
+        return inv
+
+    @cached_property
     def diameters(self):
         p = self.vertices[self.triangles]
         l0 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)

@@ -15,7 +15,7 @@ complementarity point of the quadratic program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -61,9 +61,7 @@ class VISolution:
     active: np.ndarray          # bool per constrained node
     multipliers: np.ndarray     # m_p per constrained node, >= 0 at convergence
     iterations: int
-    active_history: list = field(default_factory=list)
-    trace: list = field(default_factory=list)   # (iteration, |A|, residual norm)
-    degenerate: np.ndarray | None = None        # inactive nodes touching the gap
+    trace: list                 # (iteration, |A|, free residual) per iteration
 
     @property
     def active_nodes(self):
@@ -98,7 +96,7 @@ def residual_functional(system, u):
     return system.F - system.K @ u
 
 
-def solve_vi(system, constraints, c=None, max_iter=100, collect_trace=False):
+def solve_vi(system, constraints, c=None, max_iter=100):
     """Primal-dual active-set iteration, starting from the empty active set.
 
     ``c`` is the complementarity weight; any positive value yields the same
@@ -114,7 +112,6 @@ def solve_vi(system, constraints, c=None, max_iter=100, collect_trace=False):
     finite_gap = np.isfinite(gap)
 
     active = np.zeros(constraints.size, dtype=bool)
-    history = []
     trace = []
     for it in range(max_iter):
         fixed_dofs = np.concatenate([system.dirichlet_dofs, con_dofs[active]])
@@ -123,17 +120,13 @@ def solve_vi(system, constraints, c=None, max_iter=100, collect_trace=False):
         r = residual_functional(system, u)
         m = sign * r[con_dofs]
         un = sign * u[con_dofs]
-        history.append(int(active.sum()))
-        if collect_trace:
-            free_res = np.abs(r[free_idx]).max() if free_idx.size else 0.0
-            trace.append((it, int(active.sum()), float(free_res)))
+        free_res = np.abs(r[free_idx]).max() if free_idx.size else 0.0
+        trace.append((it, int(active.sum()), float(free_res)))
         with np.errstate(invalid="ignore"):
             nxt = finite_gap & (m + c * (un - gap) > 0)
         if np.array_equal(nxt, active):
-            scale = 1.0 + (np.abs(gap[finite_gap]).max() if finite_gap.any() else 0.0) \
-                + (np.abs(un).max() if un.size else 0.0)
-            degenerate = ~active & finite_gap & (np.abs(un - gap) <= 1e-10 * scale)
-            return VISolution(u, active, m, it + 1, history, trace, degenerate)
+            return VISolution(u, active, m, it + 1, trace)
         active = nxt
     raise SolverError(
-        f"active set did not settle in {max_iter} iterations; history={history}")
+        f"active set did not settle in {max_iter} iterations; "
+        f"history={[row[1] for row in trace]}")

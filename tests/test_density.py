@@ -116,7 +116,6 @@ def test_density_against_independent_quadrature():
     def a_direct(node, comp):
         # loop quadrature of sigma(u_h) : eps(phi_node e_comp)
         total = 0.0
-        geo = fem.geometry(mesh)
         for t in range(mesh.num_triangles):
             nodes_t = fem.element_nodes(mesh)[t]
             if node not in nodes_t:
@@ -126,12 +125,12 @@ def test_density_against_independent_quadrature():
                 fem.gradient_at(mesh, dofmap, sol.u, np.array([t]), _D3_B)[0],
                 problem.material)
             dref = fem.shape_grads_ref(_D3_B)
-            dphys = np.einsum("qad,de->qae", dref, geo.inv_jac[t])
+            dphys = np.einsum("qad,de->qae", dref, mesh.inv_jac[t])
             for q in range(len(_D3_W)):
                 grad_phi = np.zeros((2, 2))
                 grad_phi[comp] = dphys[q, a_loc]
                 eps = 0.5 * (grad_phi + grad_phi.T)
-                total += _D3_W[q] * geo.area[t] * np.tensordot(sig[q], eps)
+                total += _D3_W[q] * mesh.areas[t] * np.tensordot(sig[q], eps)
         return total
 
     def L_direct(node, comp):

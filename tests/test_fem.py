@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
@@ -43,18 +44,21 @@ def test_partition_of_unity(a, b):
     assert np.abs(fem.shape_grads_ref(bary).sum(axis=0)).max() < 1e-13
 
 
-def test_shape_eval_physical_gradients():
+def test_gradient_at_physical_gradients():
     mesh = msh.generate_unit_square(2, msh.tag_bottom_contact)
+    dofmap = fem.DofMap(mesh)
     pts = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
-    vals, grads = fem.shape_eval(mesh, 3, pts)
-    assert np.allclose(vals.sum(axis=1), 1.0, atol=1e-14)
-    assert np.abs(grads.sum(axis=1)).max() < 1e-13
+    tris = np.arange(mesh.num_triangles)
+    # a constant field: values reproduce it, gradients vanish
+    const = fem.interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
+    assert np.allclose(fem.displacement_at(mesh, dofmap, const, tris, pts),
+                       [1.0, -2.0], atol=1e-14)
+    assert np.abs(fem.gradient_at(mesh, dofmap, const, tris, pts)).max() < 1e-13
     # gradients reproduce the exact gradient of an interpolated linear field
-    nodes = fem.element_nodes(mesh)[3]
-    coords = np.vstack([mesh.vertices, mesh.vertices[mesh.edges].mean(axis=1)])
-    w = 2.0 * coords[nodes, 0] - 0.5 * coords[nodes, 1]
-    got = np.einsum("a,qad->qd", w, grads)
-    assert np.allclose(got, [[2.0, -0.5]] * 2, atol=1e-13)
+    lin = fem.interpolate(dofmap, lambda p: np.column_stack(
+        [2.0 * p[:, 0] - 0.5 * p[:, 1], p[:, 0] + 3.0 * p[:, 1]]))
+    got = fem.gradient_at(mesh, dofmap, lin, tris, pts)
+    assert np.allclose(got, [[2.0, -0.5], [1.0, 3.0]], atol=1e-13)
 
 
 def reference_integral(a, b):
@@ -137,22 +141,24 @@ def test_traction_uniaxial_hand_value():
     dofmap = fem.DofMap(mesh)
     mat = fem.MaterialLaw(1.0, 1.0)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
-    edge = mesh.boundary_edge_ids[mesh.boundary_tags == "C"][0]   # on x = 1, n = (1, 0)
-    tri = mesh.edge_tris[edge, 0]
-    tau = fem.edge_traction(mesh, dofmap, mat, u, edge, tri, [0.0, 0.5, 1.0])
-    assert np.allclose(tau, [[3.0, 0.0]] * 3, atol=1e-12)
+    edges = mesh.boundary_edge_ids[mesh.boundary_tags == "C"]   # on x = 1, n = (1, 0)
+    sig = fem.corner_stress(mesh, dofmap, mat, u)
+    n, tau, _, _ = est._boundary_tractions(mesh, sig, edges)
+    assert np.allclose(n, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(tau, [3.0, 0.0], atol=1e-12)
 
 
 def test_traction_rigid_motion_zero():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    mat = problem.material
     u = fem.interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
                                                            np.full(len(p), -1.0)]))
-    edge = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
-    tau = fem.edge_traction(mesh, dofmap, mat, u, edge, mesh.edge_tris[edge, 0], [0.3])
+    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    _, tau, _, _ = est._boundary_tractions(mesh, sig, mesh.boundary_edge_ids)
     assert np.abs(tau).max() < 1e-13
+    jumps = est._interior_jumps(mesh, sig)
+    assert np.nanmax(jumps) < 1e-13
 
 
 def test_traction_two_sided_consistency():
@@ -161,17 +167,17 @@ def test_traction_two_sided_consistency():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    mat = problem.material
     u = fem.interpolate(dofmap, lambda p: np.column_stack(
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
-    edge = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
-    t0, t1 = mesh.edge_tris[edge]
-    tau0 = fem.edge_traction(mesh, dofmap, mat, u, edge, t0, [0.0, 0.5, 1.0])
-    tau1 = fem.edge_traction(mesh, dofmap, mat, u, edge, t1, [0.0, 0.5, 1.0])
-    assert np.abs(tau0 + tau1).max() < 1e-12
+    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    jumps = est._interior_jumps(mesh, sig)
+    inner = mesh.edge_tris[:, 1] >= 0
+    assert np.isnan(jumps[~inner]).all()
+    assert np.abs(sig).max() > 1.0
+    assert jumps[inner].max() < 1e-12
 
 
-def test_interior_residual_known_hessian():
+def test_element_residual_known_hessian():
     # u = (x^2, 0), mu = lam = 1: div sigma = (mu*2 + (mu+lam)*2, 0) = (6, 0)
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
@@ -179,32 +185,31 @@ def test_interior_residual_known_hessian():
     mat = fem.MaterialLaw(1.0, 1.0)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
                                                            np.zeros(len(p))]))
-    s = fem.interior_residual(mesh, dofmap, mat, u, None,
-                              np.arange(mesh.num_triangles), fem.TRI_QP)
-    assert np.allclose(s[..., 0], 6.0, atol=1e-11)
-    assert np.abs(s[..., 1]).max() < 1e-11
+    div = fem.divergence_stress(mesh, dofmap, mat, u)
+    assert np.allclose(div[:, 0], 6.0, atol=1e-11)
+    assert np.abs(div[:, 1]).max() < 1e-11
 
 
-def test_interior_residual_linear_field_vanishes():
+def test_element_residual_linear_field_vanishes():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
                                                            p[:, 1]]))
-    s = fem.interior_residual(mesh, dofmap, problem.material, u, None,
-                              np.arange(mesh.num_triangles), fem.TRI_QP)
-    assert np.abs(s).max() < 1e-12
+    assert np.abs(fem.divergence_stress(mesh, dofmap, problem.material, u)).max() < 1e-12
 
 
-def test_interior_residual_manufactured_interpolant_small():
+def test_element_residual_manufactured_interpolant_small():
     problem = prb.bottom_contact_benchmark()
     sizes, norms = (4, 8), []
     for n in sizes:
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         u = fem.interpolate(dofmap, problem.exact)
-        s = fem.interior_residual(mesh, dofmap, problem.material, u, problem.f,
-                                  np.arange(mesh.num_triangles), fem.TRI_QP)
+        # s(u_h) = f + div sigma(u_h) at the degree-4 points of every element
+        div = fem.divergence_stress(mesh, dofmap, problem.material, u)
+        xy = fem.barycentric_to_xy(mesh, fem.TRI_QP)
+        s = problem.f(xy.reshape(-1, 2)).reshape(xy.shape) + div[:, None, :]
         norms.append(np.abs(s).max())
     # P2 interpolation leaves an O(h) residual of the strong equation
     assert norms[1] < 0.7 * norms[0]
@@ -226,10 +231,3 @@ def test_galerkin_pure_dirichlet_cubic_rate():
         errs.append(prb.measure_error(mesh, dofmap, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)
-
-
-def test_matrixmarket_dump(tmp_path, solved71):
-    fem.dump_matrixmarket(solved71.system, str(tmp_path / "dbg"))
-    header = (tmp_path / "dbg_K.mtx").read_text().splitlines()[0]
-    assert header.startswith("%%MatrixMarket matrix coordinate")
-    assert (tmp_path / "dbg_F.mtx").exists()

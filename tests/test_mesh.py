@@ -75,6 +75,17 @@ def test_min_angle_stable_over_ten_uniform_refinements():
     assert np.isclose(m10.areas.sum(), 1.0, atol=1e-12)
 
 
+def test_inv_jac_matches_linalg_inverse():
+    m = msh.generate_unit_square(2, msh.tag_right_contact)
+    for k in range(4):
+        m = msh.refine(m, np.arange(k, m.num_triangles, 3))
+    p = m.vertices[m.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    ref = np.linalg.inv(jac)
+    assert m.levels.max() >= 4
+    assert np.abs(m.inv_jac - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=0, max_size=12),
        st.integers(min_value=1, max_value=3))

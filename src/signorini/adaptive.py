@@ -33,7 +33,6 @@ class AdaptiveParams:
     levels: int = 12
     theta: float = 0.5
     c0: float = 0.45
-    pdas_c: float | None = None
     n0: int = 4
     uniform: bool = False
 
@@ -153,13 +152,13 @@ def _near_fraction(mesh, marked, radius=0.25):
 
 
 def _level_checks(system, constraints, sol, density, dofmap):
-    r = vi.residual_functional(system, sol.u)
+    r = sol.residual
     free = system.free_mask()
     con_mask = np.zeros(dofmap.ndof, dtype=bool)
     con_mask[2 * constraints.nodes] = True
     con_mask[2 * constraints.nodes + 1] = True
     plain = free & ~con_mask
-    resid_scale = max(np.abs(system.F).max(), np.abs(system.K @ sol.u).max(), 1e-300)
+    resid_scale = max(np.abs(system.F).max(), np.abs(system.F - r).max(), 1e-300)
     un = constraints.sign * sol.u[constraints.dofs]
     comp = density.normal * (constraints.gap - un)
     comp_scale = (1.0 + np.abs(density.normal).max()) * \
@@ -181,12 +180,12 @@ def _level_checks(system, constraints, sol, density, dofmap):
 def run_level(problem, mesh, params):
     """Assemble, solve, and estimate on one mesh; no refinement."""
     dofmap = fem.DofMap(mesh)
-    patches = msh.build_patches(mesh, dofmap)
+    patches = msh.build_patches(mesh)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
     constraints = vi.contact_constraints(dofmap, problem)
-    sol = vi.solve_vi(system, constraints, c=params.pdas_c)
+    sol = vi.solve_vi(system, constraints)
     trace_mesh = dens.build_trace_mesh(mesh, dofmap)
-    density = dens.compute_density(system, sol.u, trace_mesh, constraints)
+    density = dens.compute_density(sol.residual, sol.u, trace_mesh, constraints)
     report = est.estimate(mesh, dofmap, patches, problem.material, problem,
                           sol.u, trace_mesh, density, c0=params.c0)
     checks = _level_checks(system, constraints, sol, density, dofmap)

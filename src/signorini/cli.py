@@ -23,8 +23,6 @@ def build_parser():
                        help="maximum-marking fraction (default 0.5)")
     solve.add_argument("--c0", type=float, default=0.45,
                        help="estimator calibration factor (default 0.45)")
-    solve.add_argument("--pdas-c", type=float, default=None,
-                       help="active-set weight; defaults to the stress scale 2*mu+lam")
     solve.add_argument("--n0", type=int, default=4,
                        help="initial mesh subdivisions per side (default 4)")
     solve.add_argument("--out", required=True, metavar="DIR",
@@ -43,7 +41,7 @@ def main(argv=None):
         prb.verify_manufactured(problem)
     params = adaptive.AdaptiveParams(
         levels=args.levels, theta=args.theta, c0=args.c0,
-        pdas_c=args.pdas_c, n0=args.n0, uniform=args.uniform)
+        n0=args.n0, uniform=args.uniform)
     result = adaptive.adapt(problem, params, out_dir=args.out, write_trace=args.trace)
     last = result.records[-1]
     print(f"{problem.name}: {len(result.records)} levels, "

@@ -132,13 +132,13 @@ class DensityField:
     selected_edge: np.ndarray  # index into trace.edge_ids of the averaging edge
 
 
-def compute_density(system, u, trace, constraints):
-    """Nodal density lambda(p) = residual(p) / weight(p) in the contact frame."""
+def compute_density(residual, u, trace, constraints):
+    """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, from
+    the algebraic residual r = F - K u of the solution u."""
     if np.any(trace.weight <= 0):
         raise ValueError("nonpositive hat weight on the contact trace mesh")
-    r = system.F - system.K @ u
-    normal = constraints.sign * r[trace.nodes * 2 + constraints.comp] / trace.weight
-    tangential = r[trace.nodes * 2 + (1 - constraints.comp)] / trace.weight
+    normal = constraints.sign * residual[trace.nodes * 2 + constraints.comp] / trace.weight
+    tangential = residual[trace.nodes * 2 + (1 - constraints.comp)] / trace.weight
     classes, selected = classify_nodes(u, trace, constraints)
     return DensityField(trace, constraints.comp, constraints.sign,
                         normal, tangential, classes, selected)
@@ -241,7 +241,7 @@ def volume_average(mesh, dofmap, patches, p, v):
     The quadratic vertex basis has zero element mean, so vertex nodes use the
     linear hat instead, which shares its support and sign.
     """
-    tris = patches.tris[p]
+    tris = patches.tris(p)
     pts = fem.barycentric_to_xy(mesh, fem.TRI_QP)[tris]          # (k, 6, 2)
     areas = mesh.areas[tris]
     if p < mesh.num_vertices:

@@ -78,23 +78,8 @@ def _abs_max(arr, axis=None):
 def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
              c0=0.45):
     """Evaluate all estimator contributions for one solved level."""
-    nt = mesh.num_triangles
-    nn = dofmap.n_nodes
     h_p = patches.diameter
-
-    # element residual s(u_h) = f + div sigma(u_h) on the triangle sample set
-    div = fem.divergence_stress(mesh, dofmap, material, u)
-    xy = fem.barycentric_to_xy(mesh, TRI_SAMPLE)
-    if problem.f is not None:
-        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, TRI_SAMPLE.shape[0], 2)
-    else:
-        fv = np.zeros((nt, TRI_SAMPLE.shape[0], 2))
-    s_samples = fv + div[:, None, :]
-    S = np.abs(s_samples).max(axis=(1, 2))                      # (nt,)
-    f_mean = np.einsum("q,tqc->tc", fem.TRI_QW,
-                       fv[:, -fem.TRI_QP.shape[0]:, :])          # per-element average
-    OscF = np.abs(fv - f_mean[:, None, :]).max(axis=(1, 2))
-
+    S, OscF = _element_residual(mesh, dofmap, material, problem, u)
     sig = fem.corner_stress(mesh, dofmap, material, u)           # (nt, 3, 2, 2)
 
     J = _interior_jumps(mesh, sig)                               # (ne,), nan off interior
@@ -111,43 +96,25 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
             [trace.node_edges[i] for i in hot])) if hot.size else np.array([], dtype=int)
         lambda_edges = trace.edge_ids[active_local]
     else:
-        active_local = np.array([], dtype=int)
         lambda_edges = np.array([], dtype=np.int64)
-    in_lambda = np.zeros(mesh.edges.shape[0], dtype=bool)
-    in_lambda[lambda_edges] = True
 
-    eta_p = np.zeros((5, nn))
-    cons_p = np.zeros(nn)
-    for p in range(nn):
-        tris = patches.tris[p]
-        eta_p[0, p] = h_p[p] ** 2 * S[tris].max()
-        inner = patches.interior_edges[p]
-        if inner.size:
-            eta_p[1, p] = h_p[p] * J[inner].max()
-        neu = patches.neumann_edges[p]
-        if neu.size:
-            eta_p[2, p] = h_p[p] * R[neu].max()
-        con = patches.contact_edges[p]
-        if con.size:
-            eta_p[3, p] = h_p[p] * Tt[con].max()
-            eta_p[4, p] = h_p[p] * Tn[con].max()
-            cons_p[p] = pen_e[con].max()
-            lam = con[in_lambda[con]]
-            if lam.size:
-                cons_p[p] += gap_e[lam].max()
+    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
+    con_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
+    eta_p = np.stack([
+        h_p ** 2 * patches.tri_max(S),
+        h_p * patches.edge_max(J, inner),
+        h_p * patches.edge_max(R, neu_ids),
+        h_p * patches.edge_max(Tt, con_ids),
+        h_p * patches.edge_max(Tn, con_ids),
+    ])
+    cons_p = patches.edge_max(pen_e, con_ids) + patches.edge_max(gap_e, lambda_edges)
 
-    kind = dofmap.kind
-    glob = np.empty(5)
-    glob[0] = eta_p[0].max()
-    glob[1] = eta_p[1].max()
-    n_nodes_mask = kind == msh.NEUMANN
-    glob[2] = eta_p[2, n_nodes_mask].max() if n_nodes_mask.any() else 0.0
-    c_nodes_mask = kind == msh.CONTACT
-    glob[3] = eta_p[3, c_nodes_mask].max() if c_nodes_mask.any() else 0.0
-    glob[4] = eta_p[4, c_nodes_mask].max() if c_nodes_mask.any() else 0.0
+    neu_node, con_node = dofmap.kind == msh.NEUMANN, dofmap.kind == msh.CONTACT
+    glob = np.array([eta_p[0].max(), eta_p[1].max(), _abs_max(eta_p[2, neu_node]),
+                     _abs_max(eta_p[3, con_node]), _abs_max(eta_p[4, con_node])])
     psi = float(glob.sum())
 
-    con_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
     eta6 = float(pen_e[con_ids].max()) if con_ids.size else 0.0
     eta7 = float(gap_e[lambda_edges].max()) if lambda_edges.size else 0.0
 
@@ -156,16 +123,11 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
     eta_h = float(total_estimate(psi, eta6, eta7, h_min, c0))
 
     node_total = l_h * eta_p.sum(axis=0) + cons_p
-    elem_nodes = fem.element_nodes(mesh)
-    indicator = node_total[elem_nodes].max(axis=1)
+    indicator = node_total[mesh.element_nodes].max(axis=1)
 
     # data oscillations (diagnostic only)
-    osc_f_p = h_p ** 2 * np.array([OscF[patches.tris[p]].max() for p in range(nn)])
-    osc_g_p = np.zeros(nn)
-    for p in range(nn):
-        neu = patches.neumann_edges[p]
-        if neu.size:
-            osc_g_p[p] = h_p[p] * OscG[neu].max()
+    osc_f_p = h_p ** 2 * patches.tri_max(OscF)
+    osc_g_p = h_p * patches.edge_max(OscG, neu_ids)
 
     return EstimatorReport(
         h_min=h_min, l_h=l_h, eta=glob, psi=psi, eta6=eta6, eta7=eta7,
@@ -175,7 +137,22 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
         osc_f_p=osc_f_p, osc_g_p=osc_g_p)
 
 
-# -- per-edge quantities -------------------------------------------------------
+# -- per-element and per-edge quantities -----------------------------------------
+
+def _element_residual(mesh, dofmap, material, problem, u):
+    """Per triangle: the sup of s(u_h) = f + div sigma(u_h) over the triangle
+    sample set, and the sup of f minus its element average."""
+    nt = mesh.num_triangles
+    div = fem.divergence_stress(mesh, dofmap, material, u)
+    xy = fem.barycentric_to_xy(mesh, TRI_SAMPLE)
+    if problem.f is not None:
+        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, TRI_SAMPLE.shape[0], 2)
+    else:
+        fv = np.zeros((nt, TRI_SAMPLE.shape[0], 2))
+    S = np.abs(fv + div[:, None, :]).max(axis=(1, 2))
+    f_mean = np.einsum("q,tqc->tc", fem.TRI_QW, fv[:, -fem.TRI_QP.shape[0]:, :])
+    return S, np.abs(fv - f_mean[:, None, :]).max(axis=(1, 2))
+
 
 def _locate(mesh, tris, vert):
     """Local corner index of each vertex id within its triangle."""

@@ -171,15 +171,9 @@ class DofMap:
         return np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
 
 
-def element_nodes(mesh):
-    """(nt, 6) global node ids in local order: 3 vertices, 3 opposite midpoints."""
-    nv = mesh.num_vertices
-    return np.hstack([mesh.triangles, nv + mesh.tri_edges])
-
-
 def element_dofs(mesh):
     """(nt, 12) global dof ids interleaved as (node, component)."""
-    nodes = element_nodes(mesh)
+    nodes = mesh.element_nodes
     dofs = np.empty((nodes.shape[0], 12), dtype=np.int64)
     dofs[:, 0::2] = 2 * nodes
     dofs[:, 1::2] = 2 * nodes + 1
@@ -223,9 +217,6 @@ def assemble(mesh, dofmap, material, problem):
     g(points) -> (n, 2) plus Dirichlet data; any of them may be None for zero
     data.
     """
-    if np.any(mesh.areas <= 0):
-        bad = int(np.argmin(mesh.areas))
-        raise ValueError(f"degenerate triangle {bad} in assembly")
     nt = mesh.num_triangles
     mu, lam = material.mu, material.lam
     D = np.array([
@@ -302,7 +293,7 @@ def _add_neumann_load(mesh, F, g):
 
 def displacement_at(mesh, dofmap, u, tris, bary):
     """u_h at barycentric points of the given triangles: (ntris, npts, 2)."""
-    nodes = element_nodes(mesh)[tris]
+    nodes = mesh.element_nodes[tris]
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
     vals = shape_values(bary)                                      # (npts, 6)
     return np.einsum("qa,tac->tqc", vals, coeff)
@@ -310,7 +301,7 @@ def displacement_at(mesh, dofmap, u, tris, bary):
 
 def gradient_at(mesh, dofmap, u, tris, bary):
     """grad u_h (rows: component, cols: direction) at barycentric points."""
-    nodes = element_nodes(mesh)[tris]
+    nodes = mesh.element_nodes[tris]
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)
     dref = shape_grads_ref(bary)                                   # (npts, 6, 2)
     dphys = np.einsum("qad,tde->tqae", dref, mesh.inv_jac[tris])
@@ -339,7 +330,7 @@ def corner_stress(mesh, dofmap, material, u):
 
 def divergence_stress(mesh, dofmap, material, u):
     """div sigma(u_h), constant per element: (nt, 2)."""
-    nodes = element_nodes(mesh)
+    nodes = mesh.element_nodes
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
     # physical Hessians: inv_jac^T Href inv_jac per element and basis function
     H = np.einsum("ted,aef,tfg->tadg", mesh.inv_jac, _HESS_REF, mesh.inv_jac)

@@ -111,17 +111,10 @@ class Mesh:
         return tag
 
     @cached_property
-    def vertex_tris(self):
-        """CSR-style vertex-to-triangle adjacency (offsets, tri ids)."""
-        flat = self.triangles.ravel()
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.num_vertices)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return offsets, order // 3
-
-    def tris_of_vertex(self, v):
-        offsets, ids = self.vertex_tris
-        return ids[offsets[v]:offsets[v + 1]]
+    def element_nodes(self):
+        """(nt, 6) P2 node ids in local order: the 3 vertices, then the
+        midpoints of the edges opposite them (node nv + e for edge e)."""
+        return np.hstack([self.triangles, self.num_vertices + self.tri_edges])
 
     @cached_property
     def areas(self):
@@ -325,63 +318,74 @@ def uniform_refine(mesh, times=1):
 
 @dataclass(frozen=True)
 class PatchTable:
-    """Per-node patch data for the quadratic node set (vertices + midpoints).
+    """Patches of the quadratic nodes (vertices, then edge midpoints).
 
-    For a vertex the patch is every triangle containing it; for an edge
-    midpoint it is the one or two triangles sharing the edge.  ``diameter``
-    is the largest pairwise distance between patch corner vertices.  The
-    edge sets collect, per patch, the edges interior to the patch and the
-    Neumann/contact boundary edges lying on it.
+    The patch of node p is the set of triangles whose six P2 nodes include
+    p.  A tagged boundary edge lies on the patch of every node of its
+    triangle.  An interior edge is interior to the patches of its two ends
+    and its midpoint only, since two triangles share one edge at most.
+    Patch maxima are scatter-maxima over these incidences.
+
+    tri_nodes   (nt, 6) nodes whose patch holds each triangle
+    edge_nodes  (ne, 6) nodes whose patch holds each edge, padded by repeats
+    diameter    (n_nodes,) largest distance between two patch corners
     """
 
-    tris: list
+    tri_nodes: np.ndarray
+    edge_nodes: np.ndarray
     diameter: np.ndarray
-    interior_edges: list
-    neumann_edges: list
-    contact_edges: list
+
+    def tris(self, p):
+        """Triangle ids of the patch of node p, ascending."""
+        return np.flatnonzero((self.tri_nodes == p).any(axis=1))
+
+    def tri_max(self, values):
+        """Per node, the max of nonnegative per-triangle values over its patch."""
+        return self._scatter_max(self.tri_nodes, values)
+
+    def edge_max(self, values, ids):
+        """Per node, the max of nonnegative per-edge values over the edges
+        ``ids`` lying on its patch, 0 where there are none."""
+        return self._scatter_max(self.edge_nodes[ids], values[ids])
+
+    def _scatter_max(self, incidence, values):
+        out = np.zeros(self.diameter.size)
+        np.maximum.at(out, incidence, values[:, None])
+        return out
 
 
-def build_patches(mesh, dofmap):
-    """Assemble the PatchTable for all quadratic nodes of ``dofmap``."""
-    nv = mesh.num_vertices
-    nn = dofmap.n_nodes
+def build_patches(mesh):
+    """Patch incidences and diameters for all quadratic nodes of ``mesh``.
+
+    The corners of a vertex patch are the vertex and its edge neighbours;
+    those of a midpoint patch are the edge ends and the vertex opposite the
+    edge in each adjacent triangle.  Rows are padded with a repeated corner.
+    """
+    nv, ne = mesh.num_vertices, mesh.edges.shape[0]
     edge_tris = mesh.edge_tris
-    tri_edges = mesh.tri_edges
-    edge_tag = mesh.edge_tag
-    verts = mesh.vertices
-    tris_list = [None] * nn
-    interior = [None] * nn
-    neumann = [None] * nn
-    contact = [None] * nn
-    diam = np.zeros(nn)
+    inner = edge_tris[:, 1] >= 0
+    edge_nodes = mesh.element_nodes[edge_tris[:, 0]]
+    ends_mid = np.column_stack([mesh.edges, nv + np.arange(ne)])
+    edge_nodes[inner] = np.tile(ends_mid[inner], 2)
 
-    for p in range(nn):
-        if p < nv:
-            patch = mesh.tris_of_vertex(p)
-        else:
-            adj = edge_tris[p - nv]
-            patch = adj[adj >= 0]
-        tris_list[p] = patch
-        pset = set(patch.tolist())
-        edges = np.unique(tri_edges[patch].ravel())
-        inner, neu, con = [], [], []
-        for e in edges:
-            t0, t1 = edge_tris[e]
-            if t1 >= 0:
-                if t0 in pset and t1 in pset:
-                    inner.append(e)
-            elif edge_tag[e] == NEUMANN:
-                neu.append(e)
-            elif edge_tag[e] == CONTACT:
-                con.append(e)
-        interior[p] = np.array(inner, dtype=np.int64)
-        neumann[p] = np.array(neu, dtype=np.int64)
-        contact[p] = np.array(con, dtype=np.int64)
-        pts = verts[np.unique(mesh.triangles[patch].ravel())]
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        diam[p] = np.sqrt(d2.max())
+    src = mesh.edges.ravel()
+    dst = mesh.edges[:, ::-1].ravel()
+    order = np.argsort(src, kind="stable")
+    counts = np.bincount(src, minlength=nv)
+    rank = np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    v_corners = np.repeat(np.arange(nv)[:, None], counts.max() + 1, axis=1)
+    v_corners[src[order], 1 + rank] = dst[order]
 
-    return PatchTable(tris_list, diam, interior, neumann, contact)
+    adj = np.where(edge_tris < 0, edge_tris[:, :1], edge_tris)
+    local = np.argmax(mesh.tri_edges[adj] == np.arange(ne)[:, None, None], axis=2)
+    e_corners = np.hstack([mesh.edges, mesh.triangles[adj, local]])
+
+    diam = []
+    for corners in (v_corners, e_corners):
+        pts = mesh.vertices[corners]
+        d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
+        diam.append(np.sqrt(d2.max(axis=(1, 2))))
+    return PatchTable(mesh.element_nodes, edge_nodes, np.concatenate(diam))
 
 
 # -- file formats -------------------------------------------------------------

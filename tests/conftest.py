@@ -20,14 +20,14 @@ class SolvedState:
         self.problem = problem
         self.mesh = problem.mesh(n)
         self.dofmap = fem.DofMap(self.mesh)
-        self.patches = msh.build_patches(self.mesh, self.dofmap)
+        self.patches = msh.build_patches(self.mesh)
         self.system = fem.assemble(self.mesh, self.dofmap, problem.material, problem)
         self.constraints = vi.contact_constraints(self.dofmap, problem)
         self.solution = vi.solve_vi(self.system, self.constraints)
         self.trace = dens.build_trace_mesh(self.mesh, self.dofmap)
-        self.density = dens.compute_density(self.system, self.solution.u,
-                                            self.trace, self.constraints)
         self.residual = vi.residual_functional(self.system, self.solution.u)
+        self.density = dens.compute_density(self.residual, self.solution.u,
+                                            self.trace, self.constraints)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import signorini.adaptive as ad
 import signorini.density as dens
 import signorini.estimator as est
 import signorini.fem as fem
@@ -21,13 +22,14 @@ def zero_problem(tagging=msh.tag_bottom_contact, comp=1, sign=-1.0, material=Non
 
 def report_for(problem, mesh, u, with_density=False):
     dofmap = fem.DofMap(mesh)
-    patches = msh.build_patches(mesh, dofmap)
+    patches = msh.build_patches(mesh)
     trace = dens.build_trace_mesh(mesh, dofmap)
     density = None
     if with_density:
         system = fem.assemble(mesh, dofmap, problem.material, problem)
         con = vi.contact_constraints(dofmap, problem)
-        density = dens.compute_density(system, u, trace, con)
+        density = dens.compute_density(vi.residual_functional(system, u), u,
+                                       trace, con)
     return est.estimate(mesh, dofmap, patches, problem.material, problem, u,
                         trace, density), dofmap, patches
 
@@ -214,10 +216,11 @@ def test_positive_homogeneity(solved71, alpha):
         chi=lambda q: alpha * p.chi(q), dirichlet=None,
         normal_comp=p.normal_comp, normal_sign=p.normal_sign)
     system = fem.assemble(state.mesh, state.dofmap, p.material, scaled)
-    den = dens.compute_density(system, alpha * state.solution.u, state.trace,
+    u = alpha * state.solution.u
+    den = dens.compute_density(vi.residual_functional(system, u), u, state.trace,
                                vi.contact_constraints(state.dofmap, scaled))
     rep = est.estimate(state.mesh, state.dofmap, state.patches, p.material,
-                       scaled, alpha * state.solution.u, state.trace, den)
+                       scaled, u, state.trace, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12)
     assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12)
@@ -231,3 +234,62 @@ def test_estimate_deterministic(solved71):
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
     assert (a.indicator == b.indicator).all()
+
+
+def test_patch_maxima_match_per_node_oracle():
+    """Patch maxima and diameters equal a per-node evaluation that lists each
+    patch's triangles, interior edges and Neumann/contact edges explicitly."""
+    problem = prb.rigid_wedge_push()
+    res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
+    mesh, dofmap, u, report = res.mesh, res.dofmap, res.solution.u, res.report
+    patches = msh.build_patches(mesh)
+    nv, nn = mesh.num_vertices, dofmap.n_nodes
+    assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
+    assert set(mesh.boundary_tags) == {"D", "N", "C"}
+
+    S, OscF = est._element_residual(mesh, dofmap, problem.material, problem, u)
+    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    J = est._interior_jumps(mesh, sig)
+    R, OscG = est._neumann_residual(mesh, sig, problem)
+    Tn, Tt = est._contact_tractions(mesh, sig, problem)
+    pen, gap = est._consistency_per_edge(mesh, dofmap, problem, u, res.trace_mesh)
+    in_lambda = np.isin(np.arange(mesh.edges.shape[0]), report.lambda_edges)
+
+    def sup(vals, ids):
+        return vals[ids].max() if len(ids) else 0.0
+
+    eta_p, cons_p = np.zeros((5, nn)), np.zeros(nn)
+    osc_f_p, osc_g_p, diameter = np.zeros(nn), np.zeros(nn), np.zeros(nn)
+    for p in range(nn):
+        if p < nv:
+            tris = np.flatnonzero((mesh.triangles == p).any(axis=1))
+        else:
+            tris = mesh.edge_tris[p - nv][mesh.edge_tris[p - nv] >= 0]
+        assert np.array_equal(patches.tris(p), tris)
+        interior_edges, neumann_edges, contact_edges = [], [], []
+        for e in np.unique(mesh.tri_edges[tris]):
+            t0, t1 = mesh.edge_tris[e]
+            if t1 >= 0:
+                if t0 in tris and t1 in tris:
+                    interior_edges.append(e)
+            elif mesh.edge_tag[e] == msh.NEUMANN:
+                neumann_edges.append(e)
+            elif mesh.edge_tag[e] == msh.CONTACT:
+                contact_edges.append(e)
+        lam = [e for e in contact_edges if in_lambda[e]]
+        pts = mesh.vertices[np.unique(mesh.triangles[tris])]
+        h = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
+        diameter[p] = h
+        eta_p[:, p] = (h ** 2 * S[tris].max(), h * sup(J, interior_edges),
+                       h * sup(R, neumann_edges), h * sup(Tt, contact_edges),
+                       h * sup(Tn, contact_edges))
+        cons_p[p] = sup(pen, contact_edges) + sup(gap, lam)
+        osc_f_p[p] = h ** 2 * OscF[tris].max()
+        osc_g_p[p] = h * sup(OscG, neumann_edges)
+
+    assert report.lambda_edges.size and (cons_p > 0).any()
+    assert np.array_equal(patches.diameter, diameter)
+    assert np.array_equal(report.eta_p, eta_p)
+    assert np.array_equal(report.consistency_p, cons_p)
+    assert np.array_equal(report.osc_f_p, osc_f_p)
+    assert np.array_equal(report.osc_g_p, osc_g_p)

@@ -104,6 +104,14 @@ def test_refinement_keeps_invariants_under_random_marks(marks, rounds):
                for (mx, my), tag in zip(mids, m.boundary_tags))
 
 
+def test_mesh_rejects_flat_and_inverted_triangle():
+    edges = [(0, 1), (1, 2), (2, 0)]
+    for corner in ((0.5, 0.0), (0.0, -1.0)):     # flat, then clockwise
+        with pytest.raises(msh.MeshError, match="non-positive area"):
+            msh.Mesh([(0.0, 0.0), (1.0, 0.0), corner], [(0, 1, 2)], edges,
+                     ["D", "N", "N"])
+
+
 def test_dirichlet_contact_closure_overlap_rejected():
     # tag rule putting contact right next to Dirichlet on a shared vertex
     def bad(x, y):
@@ -116,44 +124,48 @@ def test_dirichlet_contact_closure_overlap_rejected():
 
 # -- patches -------------------------------------------------------------------
 
+def patch_edges(patches, p, ids):
+    """The edges among ``ids`` that lie on the patch of node p."""
+    return ids[(patches.edge_nodes[ids] == p).any(axis=1)].tolist()
+
+
 def test_patch_interior_vertex_valence_six():
     m = bottom_mesh(4)
     dm = fem.DofMap(m)
-    patches = msh.build_patches(m, dm)
+    patches = msh.build_patches(m)
     interior = [v for v in range(m.num_vertices) if dm.kind[v] == "i"]
     assert interior
-    assert all(len(patches.tris[v]) == 6 for v in interior)
+    assert all(len(patches.tris(v)) == 6 for v in interior)
 
 
 def test_patch_interior_edge_midpoint():
     m = bottom_mesh(2)
-    dm = fem.DofMap(m)
-    patches = msh.build_patches(m, dm)
+    patches = msh.build_patches(m)
     inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
     p = m.num_vertices + inner[0]
-    assert len(patches.tris[p]) == 2
-    assert patches.interior_edges[p].tolist() == [inner[0]]
+    assert len(patches.tris(p)) == 2
+    assert patch_edges(patches, p, inner) == [inner[0]]
 
 
 def test_patch_contact_edge_midpoint():
     m = bottom_mesh(2)
-    dm = fem.DofMap(m)
-    patches = msh.build_patches(m, dm)
+    patches = msh.build_patches(m)
     con = m.boundary_edge_ids[m.boundary_tags == "C"]
     p = m.num_vertices + con[0]
-    assert patches.contact_edges[p].tolist() == [con[0]]
-    assert len(patches.tris[p]) == 1
+    assert patch_edges(patches, p, con) == [con[0]]
+    assert len(patches.tris(p)) == 1
     # edges of a one-triangle patch all lie on the patch boundary
-    assert patches.interior_edges[p].size == 0
+    inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
+    assert patch_edges(patches, p, inner) == []
 
 
 def test_patch_diameter_positive_and_consistent():
     m = bottom_mesh(3)
     dm = fem.DofMap(m)
-    patches = msh.build_patches(m, dm)
+    patches = msh.build_patches(m)
     assert (patches.diameter > 0).all()
     v = next(v for v in range(m.num_vertices) if dm.kind[v] == "i")
-    pts = m.vertices[np.unique(m.triangles[patches.tris[v]])]
+    pts = m.vertices[np.unique(m.triangles[patches.tris(v)])]
     brute = max(np.linalg.norm(a - b) for a in pts for b in pts)
     assert np.isclose(patches.diameter[v], brute, atol=1e-15)
 

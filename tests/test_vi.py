@@ -100,6 +100,7 @@ def test_benchmark_solve_contact_structure(solved71):
 def test_residual_identities_at_contact_rows(solved71):
     # equality rows at free non-contact dofs, one-sided at contact rows
     r = solved71.residual
+    assert np.array_equal(solved71.solution.residual, r)   # carried by the solve
     system, con, dofmap = solved71.system, solved71.constraints, solved71.dofmap
     scale = max(np.abs(system.F).max(), np.abs(system.K @ solved71.solution.u).max())
     free = system.free_mask()

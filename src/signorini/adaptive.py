@@ -184,7 +184,7 @@ def run_level(problem, mesh, params):
     system = fem.assemble(mesh, dofmap, problem.material, problem)
     constraints = vi.contact_constraints(dofmap, problem)
     sol = vi.solve_vi(system, constraints)
-    trace_mesh = dens.build_trace_mesh(mesh, dofmap)
+    trace_mesh = dens.build_trace_mesh(mesh)
     density = dens.compute_density(sol.residual, sol.u, trace_mesh, constraints)
     report = est.estimate(mesh, dofmap, patches, problem.material, problem,
                           sol.u, trace_mesh, density, c0=params.c0)
@@ -210,7 +210,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         tic = time.perf_counter()
         dofmap, system, constraints, sol, trace_mesh, density, report, checks = \
             run_level(problem, mesh, params)
-        err = prb.measure_error(mesh, dofmap, sol.u, problem.exact) \
+        err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic
         ndof = dofmap.ndof - system.dirichlet_dofs.size

@@ -26,18 +26,21 @@ FULL_CONTACT = "full"
 SEMI_CONTACT = "semi"
 NO_CONTACT = "none"
 
+# hat weight of (vertex, midpoint, vertex) per unit length of a contact edge
+_HAT_SHARE = np.array([0.25, 0.5, 0.25])
+
 
 @dataclass(frozen=True)
 class ContactTraceMesh:
     """Connectivity and hat weights of the split contact boundary mesh.
 
-    edge_ids    (nc,) mesh edge ids of the contact edges
+    edge_ids    (nc,) mesh edge ids of the contact edges, ascending
     edge_nodes  (nc, 3) node ids (vertex, midpoint, vertex) per contact edge
     lengths     (nc,) edge lengths
-    nodes       sorted contact node ids
-    weight      hat weight per contact node, aligned with ``nodes``
-    node_edges  per contact node, indices into edge_ids of adjacent edges
-    chains      ordered vertex-node sequences per connected component
+    nodes       (ncon,) sorted contact node ids
+    weight      (ncon,) hat weight per contact node, aligned with ``nodes``
+    node_edges  (ncon, 2) indices into edge_ids of the contact edges holding
+                each node, ascending; a node on one edge repeats it
     """
 
     edge_ids: np.ndarray
@@ -45,8 +48,7 @@ class ContactTraceMesh:
     lengths: np.ndarray
     nodes: np.ndarray
     weight: np.ndarray
-    node_edges: list
-    chains: list
+    node_edges: np.ndarray
 
     def index_of(self, node):
         i = np.searchsorted(self.nodes, node)
@@ -59,13 +61,14 @@ class ContactTraceMesh:
         return float(self.lengths.sum())
 
 
-def build_trace_mesh(mesh, dofmap):
+def build_trace_mesh(mesh):
     """Split contact-edge mesh with closed-form hat weights.
 
     A midpoint hat spans the two half-edges of its edge (weight h/2); a
     vertex hat spans one half-edge per adjacent contact edge (weight h/4
-    each).  Disconnected contact chains are supported; an empty contact
-    boundary is an error.
+    each), so h/4 marks the ends of each contact chain.  The contact
+    boundary may have several components; an empty one is an error, and so
+    is a vertex on more than two contact edges.
     """
     nv = mesh.num_vertices
     con = mesh.boundary_tags == msh.CONTACT
@@ -77,46 +80,17 @@ def build_trace_mesh(mesh, dofmap):
     lengths = mesh.edge_length(edge_ids)
     edge_nodes = np.column_stack([ev[:, 0], nv + edge_ids, ev[:, 1]])
 
-    nodes = np.unique(edge_nodes.ravel())
-    idx = {n: i for i, n in enumerate(nodes)}
+    nodes, inv = np.unique(edge_nodes.ravel(), return_inverse=True)
     weight = np.zeros(nodes.size)
-    node_edges = [[] for _ in range(nodes.size)]
-    for k in range(edge_ids.size):
-        h = lengths[k]
-        for n, w in ((edge_nodes[k, 0], h / 4), (edge_nodes[k, 1], h / 2), (edge_nodes[k, 2], h / 4)):
-            weight[idx[n]] += w
-            node_edges[idx[n]].append(k)
-    node_edges = [np.array(sorted(e), dtype=np.int64) for e in node_edges]
-
-    chains = _walk_chains(ev)
-    return ContactTraceMesh(edge_ids, edge_nodes, lengths, nodes, weight, node_edges, chains)
-
-
-def _walk_chains(edge_vertices):
-    adjacency = {}
-    for k, (a, b) in enumerate(edge_vertices):
-        adjacency.setdefault(a, []).append((k, b))
-        adjacency.setdefault(b, []).append((k, a))
-    endpoints = sorted(v for v, nb in adjacency.items() if len(nb) == 1)
-    seen = set()
-    chains = []
-    for start in endpoints:
-        if any(k in seen for k, _ in adjacency[start]):
-            continue
-        chain = [start]
-        current = start
-        while True:
-            step = [(k, w) for k, w in adjacency[current] if k not in seen]
-            if not step:
-                break
-            k, w = step[0]
-            seen.add(k)
-            chain.append(w)
-            current = w
-        chains.append(np.array(chain, dtype=np.int64))
-    if len(seen) != len(edge_vertices):
-        raise ValueError("contact boundary contains a closed loop")
-    return chains
+    np.add.at(weight, inv, (lengths[:, None] * _HAT_SHARE).ravel())
+    # entries grouped by node, edges ascending within a group
+    order = np.argsort(inv, kind="stable")
+    count = np.bincount(inv)
+    if count.max() > 2:
+        raise ValueError("a contact vertex lies on more than two contact edges")
+    last = np.cumsum(count) - 1
+    node_edges = np.column_stack([order[last - count + 1], order[last]]) // 3
+    return ContactTraceMesh(edge_ids, edge_nodes, lengths, nodes, weight, node_edges)
 
 
 @dataclass(frozen=True)
@@ -144,24 +118,16 @@ def compute_density(residual, u, trace, constraints):
                         normal, tangential, classes, selected)
 
 
-def _edge_trace_values(u, trace, constraints, k):
-    """(u_n, gap) nodal triples along contact edge k of the trace mesh."""
-    nodes = trace.edge_nodes[k]
-    un = constraints.sign * u[2 * nodes + constraints.comp]
-    pos = np.searchsorted(constraints.nodes, nodes)
-    return un, constraints.gap[pos]
-
-
 def quadratic_range(values):
-    """(min, max) over [0, 1] of the quadratic with nodal values (v0, vmid, v1)."""
-    v0, vm, v1 = values
+    """(min, max) over [0, 1] of the quadratics with nodal values
+    (v0, vmid, v1) along the last axis of ``values``."""
+    v0, vm, v1 = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
     a, b = fem.trace_coefficients(v0, vm, v1)
-    cands = [v0, v1]
-    if a != 0.0:
-        s = -b / (2 * a)
-        if 0.0 < s < 1.0:
-            cands.append((a * s + b) * s + v0)
-    return min(cands), max(cands)
+    s = -b / np.where(a != 0.0, 2 * a, 1.0)
+    inside = (a != 0.0) & (0.0 < s) & (s < 1.0)
+    # an extremum outside (0, 1) is replaced by the value at s = 0
+    peak = np.where(inside, (a * s + b) * s + v0, v0)
+    return np.minimum(np.minimum(v0, v1), peak), np.maximum(np.maximum(v0, v1), peak)
 
 
 def classify_nodes(u, trace, constraints, tol=None):
@@ -175,29 +141,19 @@ def classify_nodes(u, trace, constraints, tol=None):
     if tol is None:
         gmax = np.abs(constraints.gap[np.isfinite(constraints.gap)])
         tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
-    ncon = trace.nodes.size
-    edge_active = np.zeros(trace.edge_ids.size, dtype=bool)
-    edge_gap_sup = np.zeros(trace.edge_ids.size)
-    for k in range(trace.edge_ids.size):
-        un, gap = _edge_trace_values(u, trace, constraints, k)
-        dev = un - gap
-        edge_active[k] = np.all(np.abs(dev) <= tol)
-        lo, hi = quadratic_range(dev)
-        edge_gap_sup[k] = max(abs(lo), abs(hi))
+    gap = constraints.gap[np.searchsorted(constraints.nodes, trace.edge_nodes)]
+    dev = constraints.sign * u[2 * trace.edge_nodes + constraints.comp] - gap
+    edge_active = np.all(np.abs(dev) <= tol, axis=1)
+    lo, hi = quadratic_range(dev)
+    edge_gap_sup = np.maximum(np.abs(lo), np.abs(hi))
 
-    classes = np.empty(ncon, dtype="<U4")
-    selected = np.empty(ncon, dtype=np.int64)
     pos = np.searchsorted(constraints.nodes, trace.nodes)
     touching = np.abs(constraints.sign * u[2 * trace.nodes + constraints.comp]
                       - constraints.gap[pos]) <= tol
-    for i in range(ncon):
-        adj = trace.node_edges[i]
-        if touching[i]:
-            classes[i] = FULL_CONTACT if edge_active[adj].all() else SEMI_CONTACT
-        else:
-            classes[i] = NO_CONTACT
-        selected[i] = adj[np.argmin(edge_gap_sup[adj])]
-    return classes, selected
+    full = edge_active[trace.node_edges].all(axis=1)
+    classes = np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
+    pick = np.argmin(edge_gap_sup[trace.node_edges], axis=1)
+    return classes, np.take_along_axis(trace.node_edges, pick[:, None], axis=1)[:, 0]
 
 
 # -- weighted node averages ---------------------------------------------------
@@ -234,7 +190,7 @@ def boundary_average(mesh, trace, k, local, v):
     return num / den
 
 
-def volume_average(mesh, dofmap, patches, p, v):
+def volume_average(mesh, patches, p, v):
     """Nonnegative-weight average of ``v`` over the patch of node p.
 
     Midpoint nodes use their own quadratic basis (nonnegative on the patch).
@@ -268,7 +224,7 @@ def node_average(mesh, dofmap, patches, trace, p, v, selected_edge=None):
         k = trace.node_edges[i][0] if selected_edge is None else selected_edge
         local = int(np.flatnonzero(trace.edge_nodes[k] == p)[0])
         return boundary_average(mesh, trace, k, local, v)
-    return volume_average(mesh, dofmap, patches, p, v)
+    return volume_average(mesh, patches, p, v)
 
 
 def apply_quasi_density(mesh, density, v):

@@ -79,8 +79,8 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
              c0=0.45):
     """Evaluate all estimator contributions for one solved level."""
     h_p = patches.diameter
-    S, OscF = _element_residual(mesh, dofmap, material, problem, u)
-    sig = fem.corner_stress(mesh, dofmap, material, u)           # (nt, 3, 2, 2)
+    S, OscF = _element_residual(mesh, material, problem, u)
+    sig = fem.corner_stress(mesh, material, u)                   # (nt, 3, 2, 2)
 
     J = _interior_jumps(mesh, sig)                               # (ne,), nan off interior
     R, OscG = _neumann_residual(mesh, sig, problem)              # (ne,), nan off Neumann
@@ -92,9 +92,7 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
         m = density.normal * trace.weight
         tol_active = 1e-12 * max(1.0, _abs_max(m))
         hot = np.flatnonzero(m > tol_active)
-        active_local = np.unique(np.concatenate(
-            [trace.node_edges[i] for i in hot])) if hot.size else np.array([], dtype=int)
-        lambda_edges = trace.edge_ids[active_local]
+        lambda_edges = trace.edge_ids[np.unique(trace.node_edges[hot])]
     else:
         lambda_edges = np.array([], dtype=np.int64)
 
@@ -139,11 +137,11 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
 
 # -- per-element and per-edge quantities -----------------------------------------
 
-def _element_residual(mesh, dofmap, material, problem, u):
+def _element_residual(mesh, material, problem, u):
     """Per triangle: the sup of s(u_h) = f + div sigma(u_h) over the triangle
     sample set, and the sup of f minus its element average."""
     nt = mesh.num_triangles
-    div = fem.divergence_stress(mesh, dofmap, material, u)
+    div = fem.divergence_stress(mesh, material, u)
     xy = fem.barycentric_to_xy(mesh, TRI_SAMPLE)
     if problem.f is not None:
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, TRI_SAMPLE.shape[0], 2)
@@ -261,32 +259,26 @@ def _consistency_per_edge(mesh, dofmap, problem, u, trace):
     The trace of u_n is quadratic along the edge; the obstacle is sampled
     densely and the vertex of the parabola (u_n minus the locally affine
     obstacle interpolant) is added as a candidate extremum per half-edge.
+    A candidate outside its half-edge is replaced by s = 0, already a sample.
     """
     ne = mesh.edges.shape[0]
     pen = np.full(ne, np.nan)
     gapv = np.full(ne, np.nan)
-    comp, sgn = problem.normal_comp, problem.normal_sign
-    for k, eid in enumerate(trace.edge_ids):
-        nodes = trace.edge_nodes[k]
-        un = sgn * u[2 * nodes + comp]
-        pts_nodes = dofmap.coords[nodes]
-        A, B = fem.trace_coefficients(*un)    # u_n(s) = (A s + B) s + C
-        C = un[0]
-        s = EDGE_SAMPLE
-        chi_nodes = problem.chi(pts_nodes)
-        cand_s = [s]
-        for lo, mid_idx in ((0.0, (0, 1)), (0.5, (1, 2))):
-            c0, c1 = chi_nodes[mid_idx[0]], chi_nodes[mid_idx[1]]
-            if A != 0.0:
-                s_star = (2.0 * (c1 - c0) - B) / (2.0 * A)
-                if lo < s_star < lo + 0.5:
-                    cand_s.append(np.array([s_star]))
-        svals = np.concatenate(cand_s)
-        p0, p1 = pts_nodes[0], pts_nodes[2]
-        pts = p0[None, :] * (1 - svals)[:, None] + p1[None, :] * svals[:, None]
-        un_s = (A * svals + B) * svals + C
-        chi_s = problem.chi(pts)
-        diff = un_s - chi_s
-        pen[eid] = max(np.max(diff), 0.0) + 0.0
-        gapv[eid] = max(np.max(-diff), 0.0) + 0.0
+    nodes = trace.edge_nodes
+    un = problem.normal_sign * u[2 * nodes + problem.normal_comp]
+    pts_nodes = dofmap.coords[nodes]                             # (nc, 3, 2)
+    A, B = fem.trace_coefficients(un[:, 0], un[:, 1], un[:, 2])  # u_n(s) = (A s + B) s + C
+    chi_nodes = problem.chi(pts_nodes.reshape(-1, 2)).reshape(nodes.shape)
+    slope = 2.0 * np.diff(chi_nodes, axis=1)                     # per half-edge
+    s_star = (slope - B[:, None]) / np.where(A != 0.0, 2.0 * A, 1.0)[:, None]
+    lo = np.array([0.0, 0.5])
+    applies = (A != 0.0)[:, None] & (lo < s_star) & (s_star < lo + 0.5)
+    s = np.hstack([np.broadcast_to(EDGE_SAMPLE, (A.size, EDGE_SAMPLE.size)),
+                   np.where(applies, s_star, 0.0)])
+    p0, p1 = pts_nodes[:, None, 0], pts_nodes[:, None, 2]
+    pts = p0 * (1 - s)[:, :, None] + p1 * s[:, :, None]
+    un_s = (A[:, None] * s + B[:, None]) * s + un[:, :1]
+    diff = un_s - problem.chi(pts.reshape(-1, 2)).reshape(s.shape)
+    pen[trace.edge_ids] = np.maximum(diff.max(axis=1), 0.0) + 0.0
+    gapv[trace.edge_ids] = np.maximum((-diff).max(axis=1), 0.0) + 0.0
     return pen, gapv

@@ -111,6 +111,10 @@ _GRAD_REF_QP = shape_grads_ref(TRI_QP)                  # (6, 6, 2)
 _VAL_QP = shape_values(TRI_QP)                          # (6, 6)
 
 
+# node kinds by precedence at a vertex where boundary parts meet
+_KIND_BY_RANK = np.array(["i", msh.NEUMANN, msh.CONTACT, msh.DIRICHLET])
+
+
 @dataclass(frozen=True)
 class DofMap:
     """Node enumeration and boundary classification for one mesh.
@@ -129,16 +133,12 @@ class DofMap:
         m = self.mesh
         nv = m.num_vertices
         coords = np.vstack([m.vertices, m.vertices[m.edges].mean(axis=1)])
-        rank = {"i": 0, msh.NEUMANN: 1, msh.CONTACT: 2, msh.DIRICHLET: 3}
-        inv_rank = {v: k for k, v in rank.items()}
-        vrank = np.zeros(nv, dtype=int)
+        rank = np.argmax(m.boundary_tags[:, None] == _KIND_BY_RANK, axis=1)
+        vrank = np.zeros(nv, dtype=np.int64)
+        np.maximum.at(vrank, m.boundary_edges, rank[:, None])
         kind = np.full(nv + m.edges.shape[0], "i", dtype="<U1")
-        for eid, tag in zip(m.boundary_edge_ids, m.boundary_tags):
-            kind[nv + eid] = tag
-            for v in m.edges[eid]:
-                vrank[v] = max(vrank[v], rank[tag])
-        for v in range(nv):
-            kind[v] = inv_rank[vrank[v]]
+        kind[:nv] = _KIND_BY_RANK[vrank]
+        kind[nv + m.boundary_edge_ids] = m.boundary_tags
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "kind", kind)
 
@@ -291,7 +291,7 @@ def _add_neumann_load(mesh, F, g):
 
 # -- pointwise evaluation -----------------------------------------------------
 
-def displacement_at(mesh, dofmap, u, tris, bary):
+def displacement_at(mesh, u, tris, bary):
     """u_h at barycentric points of the given triangles: (ntris, npts, 2)."""
     nodes = mesh.element_nodes[tris]
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
@@ -299,7 +299,7 @@ def displacement_at(mesh, dofmap, u, tris, bary):
     return np.einsum("qa,tac->tqc", vals, coeff)
 
 
-def gradient_at(mesh, dofmap, u, tris, bary):
+def gradient_at(mesh, u, tris, bary):
     """grad u_h (rows: component, cols: direction) at barycentric points."""
     nodes = mesh.element_nodes[tris]
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)
@@ -318,17 +318,17 @@ def stress_from_grad(grad, material):
     return sig
 
 
-def corner_stress(mesh, dofmap, material, u):
+def corner_stress(mesh, material, u):
     """sigma(u_h) at the three corners of every triangle: (nt, 3, 2, 2).
 
     The stress of a quadratic displacement is linear per element, so corner
     values determine it everywhere on the element.
     """
-    grads = gradient_at(mesh, dofmap, u, np.arange(mesh.num_triangles), _CORNER_BARY)
+    grads = gradient_at(mesh, u, np.arange(mesh.num_triangles), _CORNER_BARY)
     return stress_from_grad(grads, material)
 
 
-def divergence_stress(mesh, dofmap, material, u):
+def divergence_stress(mesh, material, u):
     """div sigma(u_h), constant per element: (nt, 2)."""
     nodes = mesh.element_nodes
     coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)

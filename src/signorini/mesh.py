@@ -62,46 +62,59 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
-    @cached_property
-    def edges(self):
-        """(ne, 2) unique edges, each stored as (min, max)."""
-        e = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        e.sort(axis=1)
-        uniq, inv = np.unique(e, axis=0, return_inverse=True)
-        object.__setattr__(self, "_edge_inverse", inv.reshape(-1, 3))
-        return uniq
+    def _edge_key(self, pairs):
+        """(k, 2) vertex pairs sorted per row, and their keys min * nv + max."""
+        pairs = np.sort(pairs, axis=1)
+        return pairs, pairs[:, 0] * self.num_vertices + pairs[:, 1]
 
     @cached_property
+    def _edge_table(self):
+        """Edges, triangle-edge ids and edge-triangle adjacency from one
+        stable sort of the triangle-edge keys: each run of equal keys is one
+        edge, and its 1 or 2 entries are its triangles in ascending order."""
+        pairs, key = self._edge_key(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2))
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        starts = np.flatnonzero(first)
+        count = np.diff(np.append(starts, key.size))
+        if count.size and count.max() > 2:
+            raise MeshError(f"edge {int(np.argmax(count))} shared by more than two triangles")
+        tri_edges = np.empty(key.size, dtype=np.int64)
+        tri_edges[order] = np.cumsum(first) - 1
+        edge_tris = np.full((starts.size, 2), -1, dtype=np.int64)
+        edge_tris[:, 0] = order[starts] // 3
+        inner = count == 2
+        edge_tris[inner, 1] = order[starts[inner] + 1] // 3
+        return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris
+
+    @property
+    def edges(self):
+        """(ne, 2) unique edges, each stored as (min, max), sorted by (min, max)."""
+        return self._edge_table[0]
+
+    @property
     def tri_edges(self):
         """(nt, 3) edge index opposite each local vertex."""
-        self.edges
-        return self._edge_inverse
+        return self._edge_table[1]
 
-    @cached_property
+    @property
     def edge_tris(self):
-        """(ne, 2) adjacent triangles per edge, -1 where the edge is boundary."""
-        ne = self.edges.shape[0]
-        adj = np.full((ne, 2), -1, dtype=np.int64)
-        count = np.zeros(ne, dtype=np.int64)
-        flat = self.tri_edges.ravel()
-        tri_ids = np.repeat(np.arange(self.num_triangles), 3)
-        order = np.argsort(flat, kind="stable")
-        for e, t in zip(flat[order], tri_ids[order]):
-            if count[e] > 1:
-                raise MeshError(f"edge {e} shared by more than two triangles")
-            adj[e, count[e]] = t
-            count[e] += 1
-        return adj
+        """(ne, 2) adjacent triangles per edge, lower id first, -1 where the
+        edge is boundary."""
+        return self._edge_table[2]
 
     @cached_property
     def boundary_edge_ids(self):
         """(nb,) index into ``edges`` of each tagged boundary edge."""
-        key = np.sort(self.boundary_edges, axis=1)
-        lookup = {tuple(e): i for i, e in enumerate(self.edges)}
-        try:
-            return np.array([lookup[tuple(k)] for k in key], dtype=np.int64)
-        except KeyError as exc:
-            raise MeshError(f"boundary edge {exc} not found in mesh") from exc
+        pairs, key = self._edge_key(self.boundary_edges)
+        ids = np.searchsorted(self._edge_key(self.edges)[1], key)
+        ids = np.minimum(ids, len(self.edges) - 1)
+        missing = ~(self.edges[ids] == pairs).all(axis=1)
+        if missing.any():
+            raise MeshError(f"boundary edge {tuple(pairs[np.argmax(missing)])} not found in mesh")
+        return ids
 
     @cached_property
     def edge_tag(self):
@@ -154,17 +167,15 @@ class Mesh:
         if self.triangles.size and self.areas.min() <= 0.0:
             bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} has non-positive area {self.areas[bad]}")
-        et = self.edge_tris
-        boundary = set(map(tuple, np.sort(self.boundary_edges, axis=1)))
-        derived = set(map(tuple, self.edges[et[:, 1] < 0]))
-        if boundary != derived:
+        derived = np.flatnonzero(self.edge_tris[:, 1] < 0)
+        if not np.array_equal(np.unique(self.boundary_edge_ids), derived):
             raise MeshError("tagged boundary edges do not match topological boundary")
-        if not set(self.boundary_tags) <= set(TAGS):
-            raise MeshError(f"unknown boundary tag in {set(self.boundary_tags)}")
+        if not np.isin(self.boundary_tags, TAGS).all():
+            raise MeshError(f"unknown boundary tag in {np.unique(self.boundary_tags)}")
         # closures of the Dirichlet and contact boundaries must not intersect
-        d_verts = set(self.boundary_edges[self.boundary_tags == DIRICHLET].ravel())
-        c_verts = set(self.boundary_edges[self.boundary_tags == CONTACT].ravel())
-        if d_verts & c_verts:
+        d_verts = self.boundary_edges[self.boundary_tags == DIRICHLET]
+        c_verts = self.boundary_edges[self.boundary_tags == CONTACT]
+        if np.intersect1d(d_verts, c_verts).size:
             raise MeshError("Dirichlet and contact boundary closures intersect")
 
     def min_angle(self):

@@ -266,12 +266,12 @@ ERROR_SAMPLE = np.vstack([
 ])
 
 
-def measure_error(mesh, dofmap, u, exact):
+def measure_error(mesh, u, exact):
     """Componentwise max of |u - u_h| over a dense per-triangle sample set."""
     if exact is None:
         raise ValueError("no exact solution available for error measurement")
     tris = np.arange(mesh.num_triangles)
-    uh = fem.displacement_at(mesh, dofmap, u, tris, ERROR_SAMPLE)
+    uh = fem.displacement_at(mesh, u, tris, ERROR_SAMPLE)
     xy = fem.barycentric_to_xy(mesh, ERROR_SAMPLE)
     ue = exact(xy.reshape(-1, 2)).reshape(uh.shape)
     return float(np.abs(uh - ue).max())

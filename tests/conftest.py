@@ -24,7 +24,7 @@ class SolvedState:
         self.system = fem.assemble(self.mesh, self.dofmap, problem.material, problem)
         self.constraints = vi.contact_constraints(self.dofmap, problem)
         self.solution = vi.solve_vi(self.system, self.constraints)
-        self.trace = dens.build_trace_mesh(self.mesh, self.dofmap)
+        self.trace = dens.build_trace_mesh(self.mesh)
         self.residual = vi.residual_functional(self.system, self.solution.u)
         self.density = dens.compute_density(self.residual, self.solution.u,
                                             self.trace, self.constraints)

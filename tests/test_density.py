@@ -31,17 +31,37 @@ def test_trace_weights_uniform_mesh(solved71):
     assert np.isclose(trace.total_length, 1.0)
 
 
+def chain_ends(mesh, trace, h):
+    """Contact vertices holding a single half-hat (weight h/4)."""
+    vert = trace.nodes < mesh.num_vertices
+    return trace.nodes[vert & np.isclose(trace.weight, h / 4)]
+
+
 def test_trace_single_chain(solved71):
-    assert len(solved71.trace.chains) == 1
-    chain = solved71.trace.chains[0]
-    xs = solved71.mesh.vertices[chain][:, 0]
-    assert np.allclose(np.sort(xs), xs) or np.allclose(np.sort(xs), xs[::-1])
+    # one contact chain: its two ends are the only vertices on one edge
+    mesh, trace = solved71.mesh, solved71.trace
+    ends = chain_ends(mesh, trace, 0.25)
+    assert np.array_equal(np.sort(mesh.vertices[ends, 0]), [0.0, 1.0])
+    single = trace.node_edges[:, 0] == trace.node_edges[:, 1]
+    assert np.array_equal(trace.nodes[single & (trace.nodes < mesh.num_vertices)], ends)
+    assert (trace.node_edges[:, 0] <= trace.node_edges[:, 1]).all()
 
 
 def test_trace_requires_contact():
     mesh = msh.generate_unit_square(2, msh.tag_all_dirichlet)
     with pytest.raises(ValueError):
-        dens.build_trace_mesh(mesh, fem.DofMap(mesh))
+        dens.build_trace_mesh(mesh)
+
+
+def test_trace_rejects_vertex_on_four_contact_edges():
+    # two triangles pinched at vertex 2: a valid mesh whose four contact
+    # edges meet there, which the two-column node-edge table cannot hold
+    mesh = msh.Mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0)],
+                    [(0, 1, 2), (2, 3, 4)],
+                    [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
+                    ["N", "C", "C", "C", "N", "C"])
+    with pytest.raises(ValueError, match="more than two contact edges"):
+        dens.build_trace_mesh(mesh)
 
 
 def test_trace_disconnected_chains():
@@ -54,15 +74,12 @@ def test_trace_disconnected_chains():
         return msh.NEUMANN
 
     mesh = msh.generate_unit_square(4, tagging)
-    dofmap = fem.DofMap(mesh)
-    trace = dens.build_trace_mesh(mesh, dofmap)
-    assert len(trace.chains) == 2
+    trace = dens.build_trace_mesh(mesh)
     assert np.isclose(trace.total_length, 0.5)
     assert np.isclose(trace.weight.sum(), 0.5)
-    # every chain endpoint vertex carries the single half-hat weight h/4
-    for chain in trace.chains:
-        for v in (chain[0], chain[-1]):
-            assert np.isclose(trace.weight[trace.index_of(v)], 0.25 / 4)
+    # the chain ends, and only they, carry the single half-hat weight h/4
+    ends = chain_ends(mesh, trace, 0.25)
+    assert np.array_equal(np.sort(mesh.vertices[ends, 0]), [0.0, 0.25, 0.75, 1.0])
 
 
 def test_density_sign_property(solved71, solved72):
@@ -110,7 +127,7 @@ def test_density_against_independent_quadrature():
     system = fem.assemble(mesh, dofmap, problem.material, problem)
     con = vi.contact_constraints(dofmap, problem)
     sol = vi.solve_vi(system, con)
-    trace = dens.build_trace_mesh(mesh, dofmap)
+    trace = dens.build_trace_mesh(mesh)
     den = dens.compute_density(vi.residual_functional(system, sol.u), sol.u, trace, con)
 
     def a_direct(node, comp):
@@ -122,7 +139,7 @@ def test_density_against_independent_quadrature():
                 continue
             a_loc = int(np.flatnonzero(nodes_t == node)[0])
             sig = fem.stress_from_grad(
-                fem.gradient_at(mesh, dofmap, sol.u, np.array([t]), _D3_B)[0],
+                fem.gradient_at(mesh, sol.u, np.array([t]), _D3_B)[0],
                 problem.material)
             dref = fem.shape_grads_ref(_D3_B)
             dphys = np.einsum("qad,de->qae", dref, mesh.inv_jac[t])

@@ -23,7 +23,7 @@ def zero_problem(tagging=msh.tag_bottom_contact, comp=1, sign=-1.0, material=Non
 def report_for(problem, mesh, u, with_density=False):
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
-    trace = dens.build_trace_mesh(mesh, dofmap)
+    trace = dens.build_trace_mesh(mesh)
     density = None
     if with_density:
         system = fem.assemble(mesh, dofmap, problem.material, problem)
@@ -247,8 +247,8 @@ def test_patch_maxima_match_per_node_oracle():
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
 
-    S, OscF = est._element_residual(mesh, dofmap, problem.material, problem, u)
-    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    S, OscF = est._element_residual(mesh, problem.material, problem, u)
+    sig = fem.corner_stress(mesh, problem.material, u)
     J = est._interior_jumps(mesh, sig)
     R, OscG = est._neumann_residual(mesh, sig, problem)
     Tn, Tt = est._contact_tractions(mesh, sig, problem)
@@ -293,3 +293,80 @@ def test_patch_maxima_match_per_node_oracle():
     assert np.array_equal(report.consistency_p, cons_p)
     assert np.array_equal(report.osc_f_p, osc_f_p)
     assert np.array_equal(report.osc_g_p, osc_g_p)
+
+
+def test_contact_quantities_match_per_edge_oracle():
+    """Hat weights, node-edge incidences, node classes and the consistency
+    sups equal a loop that visits one contact edge at a time."""
+    problem = prb.rigid_wedge_push()
+    res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
+    mesh, dofmap, u, trace = res.mesh, res.dofmap, res.solution.u, res.trace_mesh
+    con = vi.contact_constraints(dofmap, problem)
+    comp, sgn = problem.normal_comp, problem.normal_sign
+    ncon, nc = trace.nodes.size, trace.edge_ids.size
+
+    weight = np.zeros(ncon)
+    edges_of = [[] for _ in range(ncon)]
+    for k in range(nc):
+        h = trace.lengths[k]
+        for n, w in zip(trace.edge_nodes[k], (h / 4, h / 2, h / 4)):
+            weight[trace.index_of(n)] += w
+            edges_of[trace.index_of(n)].append(k)
+    node_edges = np.array([[min(e), max(e)] for e in edges_of])
+
+    def quadratic_range(v0, vm, v1):
+        a, b = fem.trace_coefficients(v0, vm, v1)
+        cands = [v0, v1]
+        if a != 0.0:
+            s = -b / (2 * a)
+            if 0.0 < s < 1.0:
+                cands.append((a * s + b) * s + v0)
+        return min(cands), max(cands)
+
+    gmax = np.abs(con.gap[np.isfinite(con.gap)]).max()
+    tol = 1e-9 * (1.0 + gmax)
+    edge_active, edge_sup = np.zeros(nc, dtype=bool), np.zeros(nc)
+    pen, gap = np.full(mesh.edges.shape[0], np.nan), np.full(mesh.edges.shape[0], np.nan)
+    for k, eid in enumerate(trace.edge_ids):
+        nodes = trace.edge_nodes[k]
+        un = sgn * u[2 * nodes + comp]
+        dev = un - con.gap[np.searchsorted(con.nodes, nodes)]
+        edge_active[k] = np.all(np.abs(dev) <= tol)
+        lo, hi = quadratic_range(*dev)
+        edge_sup[k] = max(abs(lo), abs(hi))
+
+        pts_nodes = dofmap.coords[nodes]
+        A, B = fem.trace_coefficients(*un)
+        chi_nodes = problem.chi(pts_nodes)
+        svals = [est.EDGE_SAMPLE]
+        for lo, (i, j) in ((0.0, (0, 1)), (0.5, (1, 2))):
+            if A != 0.0:
+                s_star = (2.0 * (chi_nodes[j] - chi_nodes[i]) - B) / (2.0 * A)
+                if lo < s_star < lo + 0.5:
+                    svals.append(np.array([s_star]))
+        s = np.concatenate(svals)
+        pts = pts_nodes[0][None, :] * (1 - s)[:, None] + pts_nodes[2][None, :] * s[:, None]
+        diff = (A * s + B) * s + un[0] - problem.chi(pts)
+        pen[eid] = max(np.max(diff), 0.0) + 0.0
+        gap[eid] = max(np.max(-diff), 0.0) + 0.0
+
+    classes, selected = np.empty(ncon, dtype="<U4"), np.empty(ncon, dtype=np.int64)
+    for i, p in enumerate(trace.nodes):
+        adj = np.array(edges_of[i])
+        touching = abs(sgn * u[2 * p + comp] - con.gap[np.searchsorted(con.nodes, p)]) <= tol
+        if touching:
+            classes[i] = dens.FULL_CONTACT if edge_active[adj].all() else dens.SEMI_CONTACT
+        else:
+            classes[i] = dens.NO_CONTACT
+        selected[i] = adj[np.argmin(edge_sup[adj])]
+
+    assert set(classes) == {dens.FULL_CONTACT, dens.SEMI_CONTACT, dens.NO_CONTACT}
+    assert (node_edges[:, 0] < node_edges[:, 1]).any() and (gap[trace.edge_ids] > 0).any()
+    assert np.array_equal(trace.weight, weight)
+    assert np.array_equal(trace.node_edges, node_edges)
+    got_classes, got_selected = dens.classify_nodes(u, trace, con)
+    assert np.array_equal(got_classes, classes)
+    assert np.array_equal(got_selected, selected)
+    got_pen, got_gap = est._consistency_per_edge(mesh, dofmap, problem, u, trace)
+    assert np.array_equal(got_pen, pen, equal_nan=True)
+    assert np.array_equal(got_gap, gap, equal_nan=True)

@@ -51,13 +51,13 @@ def test_gradient_at_physical_gradients():
     tris = np.arange(mesh.num_triangles)
     # a constant field: values reproduce it, gradients vanish
     const = fem.interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
-    assert np.allclose(fem.displacement_at(mesh, dofmap, const, tris, pts),
+    assert np.allclose(fem.displacement_at(mesh, const, tris, pts),
                        [1.0, -2.0], atol=1e-14)
-    assert np.abs(fem.gradient_at(mesh, dofmap, const, tris, pts)).max() < 1e-13
+    assert np.abs(fem.gradient_at(mesh, const, tris, pts)).max() < 1e-13
     # gradients reproduce the exact gradient of an interpolated linear field
     lin = fem.interpolate(dofmap, lambda p: np.column_stack(
         [2.0 * p[:, 0] - 0.5 * p[:, 1], p[:, 0] + 3.0 * p[:, 1]]))
-    got = fem.gradient_at(mesh, dofmap, lin, tris, pts)
+    got = fem.gradient_at(mesh, lin, tris, pts)
     assert np.allclose(got, [[2.0, -0.5], [1.0, 3.0]], atol=1e-13)
 
 
@@ -142,7 +142,7 @@ def test_traction_uniaxial_hand_value():
     mat = fem.MaterialLaw(1.0, 1.0)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     edges = mesh.boundary_edge_ids[mesh.boundary_tags == "C"]   # on x = 1, n = (1, 0)
-    sig = fem.corner_stress(mesh, dofmap, mat, u)
+    sig = fem.corner_stress(mesh, mat, u)
     n, tau, _, _ = est._boundary_tractions(mesh, sig, edges)
     assert np.allclose(n, [1.0, 0.0], atol=1e-15)
     assert np.allclose(tau, [3.0, 0.0], atol=1e-12)
@@ -154,7 +154,7 @@ def test_traction_rigid_motion_zero():
     dofmap = fem.DofMap(mesh)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
                                                            np.full(len(p), -1.0)]))
-    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    sig = fem.corner_stress(mesh, problem.material, u)
     _, tau, _, _ = est._boundary_tractions(mesh, sig, mesh.boundary_edge_ids)
     assert np.abs(tau).max() < 1e-13
     jumps = est._interior_jumps(mesh, sig)
@@ -169,7 +169,7 @@ def test_traction_two_sided_consistency():
     dofmap = fem.DofMap(mesh)
     u = fem.interpolate(dofmap, lambda p: np.column_stack(
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
-    sig = fem.corner_stress(mesh, dofmap, problem.material, u)
+    sig = fem.corner_stress(mesh, problem.material, u)
     jumps = est._interior_jumps(mesh, sig)
     inner = mesh.edge_tris[:, 1] >= 0
     assert np.isnan(jumps[~inner]).all()
@@ -185,7 +185,7 @@ def test_element_residual_known_hessian():
     mat = fem.MaterialLaw(1.0, 1.0)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
                                                            np.zeros(len(p))]))
-    div = fem.divergence_stress(mesh, dofmap, mat, u)
+    div = fem.divergence_stress(mesh, mat, u)
     assert np.allclose(div[:, 0], 6.0, atol=1e-11)
     assert np.abs(div[:, 1]).max() < 1e-11
 
@@ -196,7 +196,7 @@ def test_element_residual_linear_field_vanishes():
     dofmap = fem.DofMap(mesh)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
                                                            p[:, 1]]))
-    assert np.abs(fem.divergence_stress(mesh, dofmap, problem.material, u)).max() < 1e-12
+    assert np.abs(fem.divergence_stress(mesh, problem.material, u)).max() < 1e-12
 
 
 def test_element_residual_manufactured_interpolant_small():
@@ -207,7 +207,7 @@ def test_element_residual_manufactured_interpolant_small():
         dofmap = fem.DofMap(mesh)
         u = fem.interpolate(dofmap, problem.exact)
         # s(u_h) = f + div sigma(u_h) at the degree-4 points of every element
-        div = fem.divergence_stress(mesh, dofmap, problem.material, u)
+        div = fem.divergence_stress(mesh, problem.material, u)
         xy = fem.barycentric_to_xy(mesh, fem.TRI_QP)
         s = problem.f(xy.reshape(-1, 2)).reshape(xy.shape) + div[:, None, :]
         norms.append(np.abs(s).max())
@@ -228,6 +228,6 @@ def test_galerkin_pure_dirichlet_cubic_rate():
         dofmap = fem.DofMap(mesh)
         system = fem.assemble(mesh, dofmap, problem.material, problem)
         u = vi.solve_linear(system)
-        errs.append(prb.measure_error(mesh, dofmap, u, problem.exact))
+        errs.append(prb.measure_error(mesh, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)

@@ -122,6 +122,44 @@ def test_dirichlet_contact_closure_overlap_rejected():
         msh.generate_unit_square(2, bad)
 
 
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+_SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
+# three triangles on the edge (0, 1): above, below and above again
+_FAN = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
+_FAN_TRIS = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+_FAN_EDGES = [(1, 2), (2, 0), (0, 3), (3, 1), (1, 4), (4, 0)]
+
+_BAD_MESHES = {
+    "edge_in_three_triangles": (_FAN, _FAN_TRIS, _FAN_EDGES, "NNNNNN",
+                                "more than two triangles"),
+    "tagged_edge_not_in_mesh": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (1, 3)],
+                                "DNCN", "boundary edge"),
+    "boundary_edge_untagged": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3)],
+                               "DNC", "topological boundary"),
+    "unknown_tag": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                    "DNXN", "unknown boundary tag"),
+    "native_file_interior_edge_tagged": (_SQUARE, _SQUARE_TRIS,
+                                         [(0, 1), (1, 2), (2, 3), (0, 2)],
+                                         "DNCN", "topological boundary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MESHES))
+def test_mesh_rejects_bad_connectivity(case, tmp_path):
+    vertices, tris, edges, tags, match = _BAD_MESHES[case]
+    with pytest.raises(msh.MeshError, match=match):
+        if case.startswith("native_file"):
+            lines = [f"{len(vertices)} {len(tris)} {len(edges)}"]
+            lines += [f"{x} {y}" for x, y in vertices]
+            lines += [f"{a} {b} {c}" for a, b, c in tris]
+            lines += [f"{u} {v} {t}" for (u, v), t in zip(edges, tags)]
+            path = tmp_path / "bad.mesh"
+            path.write_text("\n".join(lines) + "\n")
+            msh.read_native(path)
+        else:
+            msh.Mesh(vertices, tris, edges, list(tags))
+
+
 # -- patches -------------------------------------------------------------------
 
 def patch_edges(patches, p, ids):

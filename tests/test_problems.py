@@ -68,9 +68,9 @@ def test_measure_error_zero_field():
     mesh = p.mesh(2)
     dofmap = fem.DofMap(mesh)
     zero_exact = lambda pts: np.zeros((len(pts), 2))
-    assert prb.measure_error(mesh, dofmap, np.zeros(dofmap.ndof), zero_exact) == 0.0
+    assert prb.measure_error(mesh, np.zeros(dofmap.ndof), zero_exact) == 0.0
     with pytest.raises(ValueError):
-        prb.measure_error(mesh, dofmap, np.zeros(dofmap.ndof), None)
+        prb.measure_error(mesh, np.zeros(dofmap.ndof), None)
 
 
 def test_measure_error_interpolant_cubic_decay():
@@ -80,7 +80,7 @@ def test_measure_error_interpolant_cubic_decay():
         mesh = p.mesh(n)
         dofmap = fem.DofMap(mesh)
         u = fem.interpolate(dofmap, p.exact)
-        errs.append(prb.measure_error(mesh, dofmap, u, p.exact))
+        errs.append(prb.measure_error(mesh, u, p.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)
 

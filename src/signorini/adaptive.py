@@ -132,6 +132,39 @@ def _point_segment_distance(points, seg_a, seg_b):
     return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
 
 
+def _straight_runs(vertices, edges):
+    """Merge maximal runs of collinear adjacent edges into single segments.
+
+    A vertex shared by exactly two of ``edges`` is dropped when the vectors
+    to their other ends have a zero cross product and a negative dot product
+    (the two edges continue one straight line); each run of edges joined
+    through dropped vertices becomes one segment between its two kept ends.
+    The merged segments cover the same point set as the edges.
+    """
+    slots = edges.ravel()                                # slot 2e + side of edge e
+    order = np.argsort(slots, kind="stable")
+    first, second = order[:-1], order[1:]
+    pair = (slots[first] == slots[second]) & (np.bincount(slots)[slots[first]] == 2)
+    first, second = first[pair], second[pair]
+    v = vertices[slots[first]]
+    a = vertices[slots[first ^ 1]] - v                   # the other end of each edge
+    b = vertices[slots[second ^ 1]] - v
+    straight = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] == 0) & ((a * b).sum(axis=1) < 0)
+    partner = np.full(slots.size, -1)                    # slot across a dropped vertex
+    partner[first[straight]] = second[straight]
+    partner[second[straight]] = first[straight]
+    # a walk enters an edge through a slot and leaves through the other one;
+    # pointer doubling takes each entry slot to the entry of its run's last edge
+    ahead = partner[np.arange(slots.size) ^ 1]
+    last = np.where(ahead >= 0, ahead, np.arange(slots.size))
+    for _ in range(slots.size.bit_length()):
+        last = last[last]
+    start = np.flatnonzero(partner < 0)                  # the kept ends
+    end = last[start] ^ 1
+    once = start < end                                   # each run is seen from both ends
+    return vertices[np.column_stack([slots[start[once]], slots[end[once]]])]
+
+
 def _near_fraction(mesh, marked, radius=0.25):
     """Fraction of marked centroids within ``radius`` of the contact boundary
     or of a Dirichlet-Neumann corner."""
@@ -139,12 +172,11 @@ def _near_fraction(mesh, marked, radius=0.25):
     con = mesh.boundary_tags == msh.CONTACT
     dist = np.full(len(marked), np.inf)
     if con.any():
-        seg = mesh.vertices[mesh.boundary_edges[con]]
+        seg = _straight_runs(mesh.vertices, mesh.boundary_edges[con])
         dist = _point_segment_distance(centroids, seg[:, 0], seg[:, 1])
-    d_verts = set(mesh.boundary_edges[mesh.boundary_tags == msh.DIRICHLET].ravel())
-    n_verts = set(mesh.boundary_edges[mesh.boundary_tags == msh.NEUMANN].ravel())
-    corners = sorted(d_verts & n_verts)
-    if corners:
+    corners = np.intersect1d(mesh.boundary_edges[mesh.boundary_tags == msh.DIRICHLET],
+                             mesh.boundary_edges[mesh.boundary_tags == msh.NEUMANN])
+    if corners.size:
         dc = np.linalg.norm(centroids[:, None, :] - mesh.vertices[corners][None, :, :],
                             axis=2).min(axis=1)
         dist = np.minimum(dist, dc)
@@ -266,4 +298,4 @@ def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_t
                   cell_data={"indicator": report.indicator,
                              "level": mesh.levels.astype(float)})
     if write_trace:
-        dens.write_density_csv(out / f"density_{level}.csv", mesh, dofmap, density)
+        dens.write_density_csv(out / f"density_{level}.csv", dofmap, density)

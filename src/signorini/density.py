@@ -248,7 +248,7 @@ def apply_quasi_density(mesh, density, v):
     return total
 
 
-def write_density_csv(path, mesh, dofmap, density):
+def write_density_csv(path, dofmap, density):
     """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight)."""
     trace = density.trace
     with open(path, "w") as out:

@@ -10,6 +10,20 @@ and the load is L(v) = (f, v) + <g, v>_{Gamma_N}.  Element integrals use a
 six-point degree-4 triangle rule and three-point Gauss on edges; Dirichlet
 rows are kept in the assembled matrix and eliminated symmetrically at solve
 time.
+
+Element kernels are products of fixed reference tables with per-element
+coefficients (the tensor form of Kirby, Knepley, Logg and Scott).  On an
+affine triangle with inverse Jacobian J^{-1} the element stiffness is
+
+    Ke[(a,c),(b,e)] = |T| sum_{x,y,d,f} J^{-1}[x,d] J^{-1}[y,f]
+                                         C[c,d,e,f] R[x,y,a,b],
+    R[x,y,a,b] = sum_q w_q d_x phi_a(q) d_y phi_b(q),
+
+with C the elasticity tensor and R the reference tensor of the six P2 basis
+functions.  The table C (x) R is laid out in dof order, so all element
+matrices come from one (nt, 16) @ (16, 144) product.  Loads, point values,
+gradients and Hessians follow the same pattern: a reference table at the
+sample points times the element coefficients, as ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -105,10 +119,17 @@ def shape_hessians_ref():
     return H
 
 
-_HESS_REF = shape_hessians_ref()
+_HESS_REF = shape_hessians_ref().reshape(6, 4)         # rows a, cols (x, y)
 _CORNER_BARY = np.eye(3)
 _GRAD_REF_QP = shape_grads_ref(TRI_QP)                  # (6, 6, 2)
-_VAL_QP = shape_values(TRI_QP)                          # (6, 6)
+# R[(x, y), (a, b)] = sum_q w_q d_x phi_a(q) d_y phi_b(q)
+_STIFF_REF = np.einsum("q,qax,qby->xyab", TRI_QW, _GRAD_REF_QP, _GRAD_REF_QP).reshape(4, 36)
+_LOAD_REF = (TRI_QW[:, None] * shape_values(TRI_QP)).T  # (6, 6): w_q phi_a(q), rows a
+# 1D quadratic Lagrange trace on an edge (first end, second end, midpoint)
+# at the Gauss points, times the weights: (3, 3)
+_EDGE_LOAD_REF = EDGE_QW * np.array([(2 * EDGE_QT - 1) * (EDGE_QT - 1),
+                                     EDGE_QT * (2 * EDGE_QT - 1),
+                                     4 * EDGE_QT * (1 - EDGE_QT)])
 
 
 # node kinds by precedence at a vertex where boundary parts meet
@@ -182,8 +203,13 @@ def element_dofs(mesh):
 
 def barycentric_to_xy(mesh, bary):
     """Map barycentric sample points to physical coordinates, (nt, npts, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    return np.einsum("qk,tkd->tqd", np.asarray(bary, dtype=float), p)
+    return np.asarray(bary, dtype=float) @ mesh.vertices[mesh.triangles]
+
+
+def _coefficients(mesh, u, tris=None):
+    """Nodal values of u_h per element, (nt, 6, 2) in local node order."""
+    nodes = mesh.element_nodes if tris is None else mesh.element_nodes[tris]
+    return u.reshape(-1, 2)[nodes]
 
 
 @dataclass(frozen=True)
@@ -210,6 +236,32 @@ class SparseSystem:
         return free
 
 
+def _elasticity_tensor(material):
+    """C[c, d, e, f] with sigma_cd = C[c, d, e, f] eps_ef."""
+    eye = np.eye(2)
+    return (material.lam * eye[:, :, None, None] * eye[None, None, :, :]
+            + material.mu * (eye[:, None, :, None] * eye[None, :, None, :]
+                             + eye[:, None, None, :] * eye[None, :, :, None]))
+
+
+def _stiffness_table(material):
+    """(16, 144) table C[c, d, e, f] R[x, y, a, b]: rows (x, y, d, f), columns
+    (a, c, b, e), the row-major order of the (12, 12) element matrix."""
+    C = _elasticity_tensor(material).transpose(1, 3, 0, 2)       # [d, f, c, e]
+    R = _STIFF_REF.reshape(2, 2, 6, 6)                          # [x, y, a, b]
+    table = R[:, :, None, None, :, None, :, None] * C[None, None, :, :, None, :, None, :]
+    return table.reshape(16, 144)
+
+
+def element_stiffness(mesh, material):
+    """(nt, 12, 12) element stiffness matrices in (node, component) dof order."""
+    nt = mesh.num_triangles
+    # |T| J^{-1}[x, d] J^{-1}[y, f] per element, columns in (x, y, d, f) order
+    jj = mesh.inv_jac[:, :, None, :, None] * mesh.inv_jac[:, None, :, None, :]
+    Ke = (mesh.areas[:, None] * jj.reshape(nt, 16)) @ _stiffness_table(material)
+    return Ke.reshape(nt, 12, 12)
+
+
 def assemble(mesh, dofmap, material, problem):
     """Build the elasticity stiffness matrix and load vector.
 
@@ -218,26 +270,7 @@ def assemble(mesh, dofmap, material, problem):
     data.
     """
     nt = mesh.num_triangles
-    mu, lam = material.mu, material.lam
-    D = np.array([
-        [2 * mu + lam, lam, 0.0],
-        [lam, 2 * mu + lam, 0.0],
-        [0.0, 0.0, mu],
-    ])
-
-    # physical gradients at quadrature points: (nt, nq, 6, 2)
-    dN = np.einsum("qad,tde->tqae", _GRAD_REF_QP, mesh.inv_jac)
-    B = np.zeros((nt, 6, 3, 12))
-    B[:, :, 0, 0::2] = dN[..., 0]
-    B[:, :, 1, 1::2] = dN[..., 1]
-    B[:, :, 2, 0::2] = dN[..., 1]
-    B[:, :, 2, 1::2] = dN[..., 0]
-    Ke = np.zeros((nt, 12, 12))
-    for q in range(6):
-        DB = np.einsum("ij,tjb->tib", D, B[:, q])
-        Ke += TRI_QW[q] * np.einsum("tia,tib->tab", B[:, q], DB)
-    Ke *= mesh.areas[:, None, None]
-
+    Ke = element_stiffness(mesh, material)
     dofs = element_dofs(mesh)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
@@ -248,7 +281,7 @@ def assemble(mesh, dofmap, material, problem):
         xy = barycentric_to_xy(mesh, TRI_QP)
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
         # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
-        fe = np.einsum("q,qa,tqc->tac", TRI_QW, _VAL_QP, fv) * mesh.areas[:, None, None]
+        fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
         np.add.at(F, dofs, fe.reshape(nt, 12))
 
     if problem is not None and problem.g is not None:
@@ -273,39 +306,26 @@ def _add_neumann_load(mesh, F, g):
     v0 = mesh.vertices[mesh.edges[ids, 0]]
     v1 = mesh.vertices[mesh.edges[ids, 1]]
     length = np.linalg.norm(v1 - v0, axis=1)
-    # 1D quadratic Lagrange trace: endpoint, endpoint, midpoint
     t = EDGE_QT
-    Nend0 = (2 * t - 1) * (t - 1)
-    Nend1 = t * (2 * t - 1)
-    Nmid = 4 * t * (1 - t)
     pts = v0[:, None, :] * (1 - t)[None, :, None] + v1[:, None, :] * t[None, :, None]
     gv = g(pts.reshape(-1, 2)).reshape(ids.size, t.size, 2)
-    w = EDGE_QW[None, :] * length[:, None]
-    for shape, node in ((Nend0, mesh.edges[ids, 0]),
-                        (Nend1, mesh.edges[ids, 1]),
-                        (Nmid, nv + ids)):
-        contrib = np.einsum("eq,eq,eqc->ec", w, np.broadcast_to(shape, w.shape), gv)
-        np.add.at(F, 2 * node, contrib[:, 0])
-        np.add.at(F, 2 * node + 1, contrib[:, 1])
+    contrib = (_EDGE_LOAD_REF @ gv) * length[:, None, None]      # (ne, 3, 2)
+    # (node kind, edge, component) order: first ends, second ends, midpoints
+    nodes = np.stack([mesh.edges[ids, 0], mesh.edges[ids, 1], nv + ids])
+    np.add.at(F, 2 * nodes[:, :, None] + np.arange(2), contrib.transpose(1, 0, 2))
 
 
 # -- pointwise evaluation -----------------------------------------------------
 
 def displacement_at(mesh, u, tris, bary):
     """u_h at barycentric points of the given triangles: (ntris, npts, 2)."""
-    nodes = mesh.element_nodes[tris]
-    coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
-    vals = shape_values(bary)                                      # (npts, 6)
-    return np.einsum("qa,tac->tqc", vals, coeff)
+    return shape_values(bary) @ _coefficients(mesh, u, tris)
 
 
 def gradient_at(mesh, u, tris, bary):
     """grad u_h (rows: component, cols: direction) at barycentric points."""
-    nodes = mesh.element_nodes[tris]
-    coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)
-    dref = shape_grads_ref(bary)                                   # (npts, 6, 2)
-    dphys = np.einsum("qad,tde->tqae", dref, mesh.inv_jac[tris])
-    return np.einsum("tqad,tac->tqcd", dphys, coeff)
+    coeff = np.swapaxes(_coefficients(mesh, u, tris), 1, 2)[:, None]   # (nt, 1, 2, 6)
+    return coeff @ shape_grads_ref(bary) @ mesh.inv_jac[tris, None]
 
 
 def stress_from_grad(grad, material):
@@ -330,11 +350,10 @@ def corner_stress(mesh, material, u):
 
 def divergence_stress(mesh, material, u):
     """div sigma(u_h), constant per element: (nt, 2)."""
-    nodes = mesh.element_nodes
-    coeff = np.stack([u[2 * nodes], u[2 * nodes + 1]], axis=-1)   # (nt, 6, 2)
-    # physical Hessians: inv_jac^T Href inv_jac per element and basis function
-    H = np.einsum("ted,aef,tfg->tadg", mesh.inv_jac, _HESS_REF, mesh.inv_jac)
-    Hu = np.einsum("tac,tadg->tcdg", coeff, H)                     # (nt, 2, 2, 2)
+    # reference Hessians of each component, then J^{-T} H J^{-1}: (nt, c, d, g)
+    href = (np.swapaxes(_coefficients(mesh, u), 1, 2) @ _HESS_REF).reshape(-1, 2, 2, 2)
+    inv = mesh.inv_jac[:, None]
+    Hu = np.swapaxes(inv, -1, -2) @ href @ inv
     mu, lam = material.mu, material.lam
     lap = Hu[:, :, 0, 0] + Hu[:, :, 1, 1]
     grad_div = Hu[:, 0, 0, :] + Hu[:, 1, 1, :]

@@ -432,33 +432,29 @@ def write_vtk(mesh, path, point_data=None, cell_data=None):
     ``point_data``/``cell_data`` map names to arrays; vectors are written as
     3-component VECTORS, scalars as SCALARS.  Point arrays are per vertex.
     """
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    blocks = ["# vtk DataFile Version 3.0\nsignorini mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+              f"POINTS {nv} double\n", _rows("{:.17g} {:.17g} 0.0\n", mesh.vertices),
+              f"CELLS {nt} {4 * nt}\n", _rows("3 {} {} {}\n", mesh.triangles),
+              f"CELL_TYPES {nt}\n", "5\n" * nt]
+    if point_data:
+        blocks.append(f"POINT_DATA {nv}\n")
+        for name, arr in point_data.items():
+            arr = np.asarray(arr, dtype=float)
+            if arr.ndim == 2:
+                blocks += [f"VECTORS {name} double\n", _rows("{:.17g} {:.17g} 0.0\n", arr)]
+            else:
+                blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                           _rows("{:.17g}\n", arr)]
+    if cell_data:
+        blocks.append(f"CELL_DATA {nt}\n")
+        for name, arr in cell_data.items():
+            blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                       _rows("{:.17g}\n", np.asarray(arr, dtype=float))]
     with open(path, "w") as out:
-        out.write("# vtk DataFile Version 3.0\n")
-        out.write("signorini mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        out.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
-            out.write(f"{x:.17g} {y:.17g} 0.0\n")
-        nt = mesh.num_triangles
-        out.write(f"CELLS {nt} {4 * nt}\n")
-        for a, b, c in mesh.triangles:
-            out.write(f"3 {a} {b} {c}\n")
-        out.write(f"CELL_TYPES {nt}\n")
-        out.write("\n".join(["5"] * nt) + "\n")
-        if point_data:
-            out.write(f"POINT_DATA {mesh.num_vertices}\n")
-            for name, arr in point_data.items():
-                arr = np.asarray(arr, dtype=float)
-                if arr.ndim == 2:
-                    out.write(f"VECTORS {name} double\n")
-                    for vx, vy in arr:
-                        out.write(f"{vx:.17g} {vy:.17g} 0.0\n")
-                else:
-                    out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for v in arr:
-                        out.write(f"{v:.17g}\n")
-        if cell_data:
-            out.write(f"CELL_DATA {nt}\n")
-            for name, arr in cell_data.items():
-                out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in np.asarray(arr, dtype=float):
-                    out.write(f"{v:.17g}\n")
+        out.write("".join(blocks))
+
+
+def _rows(fmt, arr):
+    """One text block with ``fmt`` applied to each row of ``arr``."""
+    return (fmt * len(arr)).format(*np.ravel(arr).tolist())

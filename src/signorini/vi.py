@@ -77,8 +77,9 @@ def _solve_constrained(system, fixed_dofs, fixed_values):
     free = np.ones(ndof, dtype=bool)
     free[fixed_dofs] = False
     free_idx = np.flatnonzero(free)
-    Kff = system.K[free_idx][:, free_idx]
-    rhs = system.F[free_idx] - system.K[free_idx][:, fixed_dofs] @ u[fixed_dofs]
+    K_free_rows = system.K[free_idx]
+    Kff = K_free_rows[:, free_idx]
+    rhs = system.F[free_idx] - K_free_rows[:, fixed_dofs] @ u[fixed_dofs]
     try:
         u[free_idx] = spla.splu(Kff.tocsc()).solve(rhs)
     except RuntimeError as exc:

@@ -9,7 +9,8 @@ The estimator-rate half of criterion 1 fails by design of the estimator
 itself: its contact-traction part eta_5 measures the full normal traction,
 which stays O(1) on fully contacting boundary parts, so eta_5 ~ h on the
 contact band and no marking strategy can drive the total below ~NDF^-1.
-ROADMAP.md item 5 holds the per-term evidence and the open hypotheses.
+The ROADMAP.md item on criterion 1 holds the per-term evidence and the
+open hypotheses.
 """
 
 import time
@@ -77,8 +78,8 @@ def test_criterion_1_estimator_rate(ex71_run):
              "known defect: eta_5 carries the O(1) contact pressure")
     assert SLOPE_WINDOW[0] <= s_eta <= SLOPE_WINDOW[1], (
         "eta_h decays like NDF^-0.6 because eta_5 = h_p * ||normal traction|| "
-        "cannot vanish on fully contacting boundary parts; see ROADMAP.md item 5 "
-        "for the analysis")
+        "cannot vanish on fully contacting boundary parts; see the ROADMAP.md "
+        "item on criterion 1 for the analysis")
 
 
 def test_criterion_2_efficiency_band(ex71_run):

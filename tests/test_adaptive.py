@@ -98,6 +98,27 @@ def test_error_column_nan_without_exact(tmp_path):
     assert np.isnan(res.records[0].eff_index)
 
 
+def test_straight_runs_keep_contact_distances():
+    # a polyline (0,0)-(1,0)-(1,1)-(2,2) with two straight runs split into
+    # unequal pieces, edges listed out of order and in both orientations
+    vertices = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0],
+                         [1.0, 0.375], [1.0, 1.0], [2.0, 2.0], [9.0, 9.0]])
+    edges = np.array([[2, 1], [4, 5], [3, 2], [5, 6], [0, 1], [3, 4]])
+    seg = ad._straight_runs(vertices, edges)
+    as_sets = sorted(sorted(map(tuple, s)) for s in seg)
+    assert as_sets == [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 1.0)],
+                       [(1.0, 1.0), (2.0, 2.0)]]
+    pts = np.random.default_rng(5).uniform(-1.0, 3.0, size=(200, 2))
+    merged = ad._point_segment_distance(pts, seg[:, 0], seg[:, 1])
+    per_edge = ad._point_segment_distance(pts, vertices[edges[:, 0]], vertices[edges[:, 1]])
+    assert np.allclose(merged, per_edge, rtol=1e-14, atol=1e-15)
+    # both registry contact boundaries are one straight side
+    for name in ("ex71", "ex72"):
+        mesh = prb.get_problem(name).mesh(4)
+        contact = mesh.boundary_edges[mesh.boundary_tags == "C"]
+        assert ad._straight_runs(mesh.vertices, contact).shape == (1, 2, 2)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=0))

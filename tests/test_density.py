@@ -295,7 +295,7 @@ def test_quasi_density_nonnegative(solved71, seed):
 
 def test_density_csv_dump(tmp_path, solved71):
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, solved71.mesh, solved71.dofmap, solved71.density)
+    dens.write_density_csv(path, solved71.dofmap, solved71.density)
     lines = path.read_text().splitlines()
     assert lines[0] == "node,x,y,class,lambda_n,lambda_t,weight"
     assert len(lines) == 1 + solved71.trace.nodes.size

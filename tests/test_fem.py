@@ -231,3 +231,87 @@ def test_galerkin_pure_dirichlet_cubic_rate():
         errs.append(prb.measure_error(mesh, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)
+
+
+# -- reference-tensor kernels against per-element loops -------------------------
+
+@pytest.fixture(scope="module")
+def bisected():
+    # mixed bisection: each round refines every third triangle, so the
+    # elements take many shapes and orientations
+    mesh = prb.bottom_contact_benchmark().mesh(2)
+    for _ in range(4):
+        mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
+    u = np.random.default_rng(7).standard_normal(fem.DofMap(mesh).ndof)
+    return mesh, u
+
+
+def _loop_inv_jac(mesh, t):
+    p = mesh.vertices[mesh.triangles[t]]
+    return np.linalg.inv(np.column_stack([p[1] - p[0], p[2] - p[0]]))
+
+
+def _loop_element_stiffness(mesh, material):
+    # six-point quadrature of B^T D B, one triangle at a time
+    mu, lam = material.mu, material.lam
+    D = np.array([[2 * mu + lam, lam, 0.0], [lam, 2 * mu + lam, 0.0], [0.0, 0.0, mu]])
+    Ke = np.zeros((mesh.num_triangles, 12, 12))
+    for t in range(mesh.num_triangles):
+        inv = _loop_inv_jac(mesh, t)
+        for q in range(fem.TRI_QP.shape[0]):
+            dN = fem.shape_grads_ref(fem.TRI_QP[q]) @ inv          # (6, 2)
+            B = np.zeros((3, 12))
+            B[0, 0::2] = dN[:, 0]
+            B[1, 1::2] = dN[:, 1]
+            B[2, 0::2] = dN[:, 1]
+            B[2, 1::2] = dN[:, 0]
+            Ke[t] += fem.TRI_QW[q] * mesh.areas[t] * (B.T @ D @ B)
+    return Ke
+
+
+def _relative(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def test_element_stiffness_matches_quadrature_loop(bisected):
+    mesh, _ = bisected
+    assert np.unique(np.round(mesh.inv_jac, 12), axis=0).shape[0] > 8
+    for material in (fem.MaterialLaw(1.0, 1.0), fem.MaterialLaw.from_young_poisson(500.0, 0.3)):
+        got = fem.element_stiffness(mesh, material)
+        assert got.shape == (mesh.num_triangles, 12, 12)
+        assert _relative(got, _loop_element_stiffness(mesh, material)) <= 1e-14
+
+
+def test_pointwise_evaluators_match_loops(bisected):
+    mesh, u = bisected
+    material = fem.MaterialLaw(1.0, 2.0)
+    bary = np.vstack([np.eye(3), fem.TRI_QP, [[0.1, 0.3, 0.6]]])
+    tris = np.arange(mesh.num_triangles)[::-2]
+    xy = np.empty((mesh.num_triangles, bary.shape[0], 2))
+    vals = np.empty((tris.size, bary.shape[0], 2))
+    grads = np.empty((tris.size, bary.shape[0], 2, 2))
+    div = np.empty((mesh.num_triangles, 2))
+    for t in range(mesh.num_triangles):
+        p = mesh.vertices[mesh.triangles[t]]
+        for q, lam_q in enumerate(bary):
+            xy[t, q] = lam_q[0] * p[0] + lam_q[1] * p[1] + lam_q[2] * p[2]
+    for i, t in enumerate(tris):
+        nodes = mesh.element_nodes[t]
+        coeff = np.column_stack([u[2 * nodes], u[2 * nodes + 1]])   # (6, 2)
+        inv = _loop_inv_jac(mesh, t)
+        for q, lam_q in enumerate(bary):
+            vals[i, q] = fem.shape_values(lam_q) @ coeff
+            grads[i, q] = coeff.T @ (fem.shape_grads_ref(lam_q) @ inv)
+    for t in range(mesh.num_triangles):
+        nodes = mesh.element_nodes[t]
+        coeff = np.column_stack([u[2 * nodes], u[2 * nodes + 1]])
+        inv = _loop_inv_jac(mesh, t)
+        hess = [sum(coeff[a, c] * inv.T @ fem.shape_hessians_ref()[a] @ inv
+                    for a in range(6)) for c in range(2)]
+        lap = np.array([np.trace(hess[c]) for c in range(2)])
+        grad_div = hess[0][0] + hess[1][1]
+        div[t] = material.mu * lap + (material.mu + material.lam) * grad_div
+    assert _relative(fem.barycentric_to_xy(mesh, bary), xy) <= 1e-14
+    assert _relative(fem.displacement_at(mesh, u, tris, bary), vals) <= 1e-14
+    assert _relative(fem.gradient_at(mesh, u, tris, bary), grads) <= 1e-14
+    assert _relative(fem.divergence_stress(mesh, material, u), div) <= 1e-14

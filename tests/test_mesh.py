@@ -244,3 +244,50 @@ def test_vtk_format(tmp_path):
     assert text[cell_types + 1] == "5"
     assert "VECTORS displacement double" in text
     assert "SCALARS indicator double 1" in text
+
+
+def _write_vtk_line_by_line(mesh, path, point_data, cell_data):
+    # the writer as it was before block formatting: one write per line
+    with open(path, "w") as out:
+        out.write("# vtk DataFile Version 3.0\n")
+        out.write("signorini mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        out.write(f"POINTS {mesh.num_vertices} double\n")
+        for x, y in mesh.vertices:
+            out.write(f"{x:.17g} {y:.17g} 0.0\n")
+        nt = mesh.num_triangles
+        out.write(f"CELLS {nt} {4 * nt}\n")
+        for a, b, c in mesh.triangles:
+            out.write(f"3 {a} {b} {c}\n")
+        out.write(f"CELL_TYPES {nt}\n")
+        out.write("\n".join(["5"] * nt) + "\n")
+        out.write(f"POINT_DATA {mesh.num_vertices}\n")
+        for name, arr in point_data.items():
+            arr = np.asarray(arr, dtype=float)
+            if arr.ndim == 2:
+                out.write(f"VECTORS {name} double\n")
+                for vx, vy in arr:
+                    out.write(f"{vx:.17g} {vy:.17g} 0.0\n")
+            else:
+                out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                for v in arr:
+                    out.write(f"{v:.17g}\n")
+        out.write(f"CELL_DATA {nt}\n")
+        for name, arr in cell_data.items():
+            out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in np.asarray(arr, dtype=float):
+                out.write(f"{v:.17g}\n")
+
+
+def test_vtk_bytes_match_line_writer(tmp_path):
+    m = bottom_mesh(3)
+    m = msh.refine(m, np.arange(0, m.num_triangles, 2))
+    rng = np.random.default_rng(3)
+    scale = 10.0 ** rng.integers(-20, 20, (m.num_vertices, 2))
+    disp = rng.standard_normal((m.num_vertices, 2)) * scale
+    disp[0] = [-0.0, 0.0]
+    point_data = {"displacement": disp, "multiplier": rng.standard_normal(m.num_vertices)}
+    cell_data = {"indicator": rng.random(m.num_triangles) * 1e-9,
+                 "level": m.levels.astype(float)}
+    msh.write_vtk(m, tmp_path / "block.vtk", point_data=point_data, cell_data=cell_data)
+    _write_vtk_line_by_line(m, tmp_path / "lines.vtk", point_data, cell_data)
+    assert (tmp_path / "block.vtk").read_bytes() == (tmp_path / "lines.vtk").read_bytes()

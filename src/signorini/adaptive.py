@@ -210,7 +210,11 @@ def _level_checks(system, constraints, sol, density, dofmap):
 
 
 def run_level(problem, mesh, params):
-    """Assemble, solve, and estimate on one mesh; no refinement."""
+    """Assemble, solve, and estimate on one mesh; no refinement.
+
+    The stiffness system is not returned, so it is freed when the level
+    ends and not held while the next level assembles and factors.
+    """
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
@@ -221,7 +225,7 @@ def run_level(problem, mesh, params):
     report = est.estimate(mesh, dofmap, patches, problem.material, problem,
                           sol.u, trace_mesh, density, c0=params.c0)
     checks = _level_checks(system, constraints, sol, density, dofmap)
-    return dofmap, system, constraints, sol, trace_mesh, density, report, checks
+    return dofmap, sol, trace_mesh, density, report, checks
 
 
 def adapt(problem, params, out_dir=None, write_trace=False):
@@ -240,12 +244,11 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     state = None
     for level in range(params.levels):
         tic = time.perf_counter()
-        dofmap, system, constraints, sol, trace_mesh, density, report, checks = \
-            run_level(problem, mesh, params)
+        dofmap, sol, trace_mesh, density, report, checks = run_level(problem, mesh, params)
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic
-        ndof = dofmap.ndof - system.dirichlet_dofs.size
+        ndof = dofmap.ndof - dofmap.dirichlet_dofs.size
         rec = LevelRecord(
             level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
             eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,

@@ -20,10 +20,18 @@ affine triangle with inverse Jacobian J^{-1} the element stiffness is
     R[x,y,a,b] = sum_q w_q d_x phi_a(q) d_y phi_b(q),
 
 with C the elasticity tensor and R the reference tensor of the six P2 basis
-functions.  The table C (x) R is laid out in dof order, so all element
-matrices come from one (nt, 16) @ (16, 144) product.  Loads, point values,
-gradients and Hessians follow the same pattern: a reference table at the
-sample points times the element coefficients, as ``np.matmul``.
+functions.  The table C (x) R is laid out in dof order, so the 78 entries on
+and above the diagonal of all element matrices come from one
+(nt, 16) @ (16, 78) product; the entries below copy them.  Loads, point
+values, gradients and Hessians follow the same pattern: a reference table at
+the sample points times the element coefficients, as ``np.matmul``.
+
+K is assembled exactly symmetric, straight into CSR with sorted int32
+indices: one sort of the element node pairs gives the pattern, each pair a
+2x2 dof block, and ``np.bincount`` adds the element contributions to entry
+(i, j) and to entry (j, i) in the same element order.  There is no COO
+stage.  Because K equals its transpose bit for bit, the CSR arrays of K, and
+of any symmetric restriction K[I][:, I], are also its CSC arrays.
 """
 
 from __future__ import annotations
@@ -124,6 +132,9 @@ _CORNER_BARY = np.eye(3)
 _GRAD_REF_QP = shape_grads_ref(TRI_QP)                  # (6, 6, 2)
 # R[(x, y), (a, b)] = sum_q w_q d_x phi_a(q) d_y phi_b(q)
 _STIFF_REF = np.einsum("q,qax,qby->xyab", TRI_QW, _GRAD_REF_QP, _GRAD_REF_QP).reshape(4, 36)
+_UPPER = np.triu_indices(12)                      # entries i <= j of an element matrix
+_FROM_UPPER = np.empty((12, 12), dtype=np.int64)    # the one of them entry (i, j) copies
+_FROM_UPPER[_UPPER] = _FROM_UPPER.T[_UPPER] = np.arange(_UPPER[0].size)
 _LOAD_REF = (TRI_QW[:, None] * shape_values(TRI_QP)).T  # (6, 6): w_q phi_a(q), rows a
 # 1D quadratic Lagrange trace on an edge (first end, second end, midpoint)
 # at the Gauss points, times the weights: (3, 3)
@@ -216,8 +227,9 @@ def _coefficients(mesh, u, tris=None):
 class SparseSystem:
     """Assembled stiffness/load with Dirichlet data kept separately.
 
-    K is the full symmetric matrix (no rows eliminated); solvers restrict to
-    free dofs and move prescribed values to the right-hand side.
+    K is the full, exactly symmetric matrix (no rows eliminated) in CSR with
+    sorted int32 indices; solvers restrict to free dofs and move prescribed
+    values to the right-hand side.
     """
 
     K: sp.csr_matrix
@@ -253,13 +265,63 @@ def _stiffness_table(material):
     return table.reshape(16, 144)
 
 
-def element_stiffness(mesh, material):
-    """(nt, 12, 12) element stiffness matrices in (node, component) dof order."""
+def _upper_stiffness(mesh, material):
+    """(nt, 78) entries i <= j (``_UPPER``) of the element stiffness matrices."""
     nt = mesh.num_triangles
     # |T| J^{-1}[x, d] J^{-1}[y, f] per element, columns in (x, y, d, f) order
     jj = mesh.inv_jac[:, :, None, :, None] * mesh.inv_jac[:, None, :, None, :]
-    Ke = (mesh.areas[:, None] * jj.reshape(nt, 16)) @ _stiffness_table(material)
-    return Ke.reshape(nt, 12, 12)
+    table = _stiffness_table(material).reshape(16, 12, 12)[:, _UPPER[0], _UPPER[1]]
+    return (mesh.areas[:, None] * jj.reshape(nt, 16)) @ table
+
+
+def element_stiffness(mesh, material):
+    """(nt, 12, 12) element stiffness matrices in (node, component) dof order.
+
+    Only the entries on and above the diagonal are computed; those below
+    copy them, so every matrix is exactly symmetric.
+    """
+    return np.take(_upper_stiffness(mesh, material), _FROM_UPPER, axis=1)
+
+
+def _stiffness_matrix(mesh, material):
+    """K in CSR with sorted int32 indices, exactly symmetric.
+
+    One ``np.unique`` of the element node pairs (a, b), keyed a * n_nodes + b,
+    gives the node-level pattern in row-major order and the pair of every
+    element entry.  Each node pair k = (a, b) is a 2x2 dof block, summed from
+    the element blocks by ``np.bincount`` in element order, so entries (i, j)
+    and (j, i) add the same numbers in the same order.  Dof rows 2a and
+    2a + 1 hold the columns 2b, 2b + 1 of every pair of node row a.
+    """
+    nodes = mesh.element_nodes
+    n_nodes = mesh.num_vertices + mesh.edges.shape[0]
+    pairs, pair_of = np.unique(nodes[:, :, None] * n_nodes + nodes[:, None, :],
+                               return_inverse=True)
+    row, col = np.divmod(pairs, n_nodes)
+    deg = np.bincount(row, minlength=n_nodes)
+    upper = _upper_stiffness(mesh, material)
+    # entry (2a + c, 2b + e) of pair k, and its column, at [c, k, e]
+    blocks = np.empty((2, pairs.size, 2))
+    cols = np.empty((2, pairs.size, 2), dtype=np.int32)
+    cols[..., 0] = 2 * col
+    cols[..., 1] = cols[..., 0] + 1
+    for c in range(2):
+        for e in range(2):
+            # Ke[:, (a, c), (b, e)] for all local nodes a, b: (nt, 6, 6)
+            block = np.take(upper, _FROM_UPPER[c::2, e::2], axis=1)
+            blocks[c, :, e] = np.bincount(pair_of.ravel(), weights=block.ravel(),
+                                          minlength=pairs.size)
+    # Taken two entries (e = 0, 1) at a time, K's data runs through dof rows
+    # 2a + c, each the slice blocks[c, start[a]:start[a] + deg[a]]; ``src``
+    # lists those rows of blocks.reshape(-1, 2) in that order
+    start = np.cumsum(deg) - deg
+    shift = np.column_stack([-start, pairs.size - deg - start]).ravel()
+    src = np.repeat(shift, np.repeat(deg, 2)) + np.arange(2 * pairs.size)
+    indptr = np.zeros(2 * n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.repeat(2 * deg, 2), out=indptr[1:])
+    data = np.take(blocks.reshape(-1, 2), src, axis=0).ravel()
+    indices = np.take(cols.reshape(-1, 2), src, axis=0).ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(2 * n_nodes, 2 * n_nodes))
 
 
 def assemble(mesh, dofmap, material, problem):
@@ -270,19 +332,16 @@ def assemble(mesh, dofmap, material, problem):
     data.
     """
     nt = mesh.num_triangles
-    Ke = element_stiffness(mesh, material)
-    dofs = element_dofs(mesh)
-    rows = np.repeat(dofs, 12, axis=1).ravel()
-    cols = np.tile(dofs, (1, 12)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(dofmap.ndof, dofmap.ndof)).tocsr()
+    K = _stiffness_matrix(mesh, material)
 
-    F = np.zeros(dofmap.ndof)
     if problem is not None and problem.f is not None:
         xy = barycentric_to_xy(mesh, TRI_QP)
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
         # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
         fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
-        np.add.at(F, dofs, fe.reshape(nt, 12))
+        F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
+    else:
+        F = np.zeros(dofmap.ndof)
 
     if problem is not None and problem.g is not None:
         _add_neumann_load(mesh, F, problem.g)

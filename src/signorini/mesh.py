@@ -283,40 +283,41 @@ def refine(mesh, marked):
     midpoints = mesh.vertices[mesh.edges[split_ids]].mean(axis=1)
     new_vertices = np.vstack([mesh.vertices, midpoints])
 
-    new_tris, new_levels = [], []
-    for t in range(mesh.num_triangles):
-        a, b, c = mesh.triangles[t]
-        e0, e1, e2 = tri_edges[t]
-        lvl = mesh.levels[t]
-        if not split[e0]:
-            new_tris.append((a, b, c))
-            new_levels.append(lvl)
-            continue
-        m0 = mid_of[e0]
-        # first bisection: children have the new vertex as peak
-        for child, echild in (((m0, c, a), e1), ((m0, a, b), e2)):
-            if split[echild]:
-                p, q, r = child
-                m = mid_of[echild]
-                new_tris.append((m, r, p))
-                new_tris.append((m, p, q))
-                new_levels.extend((lvl + 2, lvl + 2))
-            else:
-                new_tris.append(child)
-                new_levels.append(lvl + 1)
+    # Children replace their parent in place, in the order of one bisection
+    # of the refinement edge e0: child (m0, c, a) with refinement edge e1,
+    # then (m0, a, b) with e2; a child whose refinement edge is split is
+    # bisected once more into (m, r, p), (m, p, q).  That order sets the
+    # numbering of the next mesh, and with it the fill of its LU factors.
+    a, b, c = mesh.triangles.T
+    s0, s1, s2 = split[tri_edges].T
+    m0, m1, m2 = mid_of[tri_edges].T
+    count = np.where(s0, 2 + s1 + s2, 1)
+    first = np.cumsum(count) - count
+    new_tris = np.empty((count.sum(), 3), dtype=np.int64)
+    new_levels = np.empty(count.sum(), dtype=np.int64)
+    keep = ~s0
+    new_tris[first[keep]] = mesh.triangles[keep]
+    new_levels[first[keep]] = mesh.levels[keep]
+    for start, s_child, (p, q, r), m in ((first, s1, (m0, c, a), m1),
+                                         (first + 1 + s1, s2, (m0, a, b), m2)):
+        once, twice = s0 & ~s_child, s0 & s_child
+        new_tris[start[once]] = np.column_stack([p, q, r])[once]
+        new_levels[start[once]] = mesh.levels[once] + 1
+        new_tris[start[twice]] = np.column_stack([m, r, p])[twice]
+        new_tris[start[twice] + 1] = np.column_stack([m, p, q])[twice]
+        new_levels[start[twice]] = new_levels[start[twice] + 1] = mesh.levels[twice] + 2
 
-    b_edges, b_tags = [], []
-    for (u, v), tag, eid in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.boundary_edge_ids):
-        if split[eid]:
-            m = mid_of[eid]
-            b_edges.extend([(u, m), (m, v)])
-            b_tags.extend([tag, tag])
-        else:
-            b_edges.append((u, v))
-            b_tags.append(tag)
-
-    return Mesh(new_vertices, np.array(new_tris), np.array(b_edges), np.array(b_tags),
-                np.array(new_levels))
+    # a split boundary edge (u, v) becomes (u, m), (m, v) with the same tag
+    b_split = split[mesh.boundary_edge_ids]
+    b_count = 1 + b_split
+    b_first = np.cumsum(b_count) - b_count
+    b_mid = mid_of[mesh.boundary_edge_ids]
+    b_edges = np.empty((b_count.sum(), 2), dtype=np.int64)
+    b_edges[b_first] = mesh.boundary_edges
+    b_edges[b_first[b_split], 1] = b_mid[b_split]
+    b_edges[b_first[b_split] + 1] = np.column_stack([b_mid, mesh.boundary_edges[:, 1]])[b_split]
+    return Mesh(new_vertices, new_tris, b_edges, np.repeat(mesh.boundary_tags, b_count),
+                new_levels)
 
 
 def uniform_refine(mesh, times=1):

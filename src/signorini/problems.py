@@ -157,24 +157,53 @@ def from_file(path):
     """
     with open(path) as src:
         cfg = json.load(src)
+
+    def bad(key, why):
+        return ValueError(f"problem file {path}: {key} {why}")
+
+    def is_number(val):
+        return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+    def number(section, name, default=None):
+        val = section.get(name.rsplit(".", 1)[-1], default)
+        if val is None:
+            raise bad(name, "is missing")
+        if not is_number(val):
+            raise bad(name, f"must be a number, got {val!r}")
+        return float(val)
+
+    if not isinstance(cfg, dict):
+        raise bad("the top level", "must be a JSON object")
     try:
         tagging, comp, sign = _TAGGINGS[cfg["tagging"]]
-    except KeyError as exc:
-        raise ValueError(f"problem file needs tagging in {sorted(_TAGGINGS)}") from exc
+    except (KeyError, TypeError) as exc:
+        raise bad("tagging", f"must be one of {sorted(_TAGGINGS)}") from exc
     mat_cfg = cfg.get("material", {})
+    if not isinstance(mat_cfg, dict):
+        raise bad("material", "must be a JSON object")
     if "E" in mat_cfg:
-        material = fem.MaterialLaw.from_young_poisson(mat_cfg["E"], mat_cfg["nu"])
+        law = fem.MaterialLaw.from_young_poisson
+        args = number(mat_cfg, "material.E"), number(mat_cfg, "material.nu")
     else:
-        material = fem.MaterialLaw(mat_cfg.get("mu", 1.0), mat_cfg.get("lam", 1.0))
+        law = fem.MaterialLaw
+        args = number(mat_cfg, "material.mu", 1.0), number(mat_cfg, "material.lam", 1.0)
+    try:
+        material = law(*args)
+    except ValueError as exc:
+        raise bad("material", f"is invalid: {exc}") from exc
 
     def const_vec(key):
         val = cfg.get(key)
-        if val is None or (val[0] == 0 and val[1] == 0):
+        if val is None:
             return None
+        if not (isinstance(val, list) and len(val) == 2 and all(map(is_number, val))):
+            raise bad(key, f"must be a list of two numbers, got {val!r}")
         vx, vy = float(val[0]), float(val[1])
+        if vx == 0 and vy == 0:
+            return None
         return lambda pts: np.column_stack([np.full(len(pts), vx), np.full(len(pts), vy)])
 
-    chi_val = float(cfg.get("chi", 0.0))
+    chi_val = number(cfg, "chi", 0.0)
     dirichlet = const_vec("dirichlet")
     return ProblemSpec(
         name=cfg.get("name", "custom"),

@@ -11,6 +11,11 @@ from the constrained-row residual,
 and the next active set is {p : m_p + c (u_n(p) - gap(p)) > 0}.  The
 iteration stops when the active set repeats, which is the exact
 complementarity point of the quadratic program.
+
+Each iteration factors the free block K[free][:, free] with SuperLU.  K is
+assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
+arrays of the free block are also its CSC arrays and go to ``splu`` without
+a conversion.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -77,11 +83,12 @@ def _solve_constrained(system, fixed_dofs, fixed_values):
     free = np.ones(ndof, dtype=bool)
     free[fixed_dofs] = False
     free_idx = np.flatnonzero(free)
-    K_free_rows = system.K[free_idx]
-    Kff = K_free_rows[:, free_idx]
-    rhs = system.F[free_idx] - K_free_rows[:, fixed_dofs] @ u[fixed_dofs]
+    rhs = (system.F - system.K @ u)[free_idx]
+    Kff = system.K[free_idx][:, free_idx]
     try:
-        u[free_idx] = spla.splu(Kff.tocsc()).solve(rhs)
+        # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
+        lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))
+        u[free_idx] = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular constrained system ({exc})") from exc
     return u, free_idx

@@ -1,10 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import signorini.adaptive as ad
 import signorini.cli as cli
+import signorini.fem as fem
 import signorini.problems as prb
 
 
@@ -13,6 +15,23 @@ def test_single_level_no_refine():
     assert len(res.records) == 1
     assert res.records[0].level == 0
     assert res.records[0].n_marked == 0
+
+
+def test_each_level_frees_its_stiffness_system(monkeypatch):
+    # a level's K must be gone before the next level assembles and factors
+    systems = []
+    assemble = fem.assemble
+
+    def spy(*args, **kwargs):
+        alive = [level for level, ref in enumerate(systems) if ref() is not None]
+        assert not alive, f"SparseSystem of level(s) {alive} alive at level {len(systems)}"
+        system = assemble(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(fem, "assemble", spy)
+    ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=4, n0=2))
+    assert len(systems) == 4
 
 
 def test_ndof_strictly_increasing_and_marks_nonempty():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import signorini.estimator as est
@@ -315,3 +316,38 @@ def test_pointwise_evaluators_match_loops(bisected):
     assert _relative(fem.displacement_at(mesh, u, tris, bary), vals) <= 1e-14
     assert _relative(fem.gradient_at(mesh, u, tris, bary), grads) <= 1e-14
     assert _relative(fem.divergence_stress(mesh, material, u), div) <= 1e-14
+
+
+# -- array-form CSR assembly against a COO reference ------------------------------
+
+def _coo_stiffness(mesh, material, ndof):
+    # every element entry at its (row, column) dof pair, duplicates summed by scipy
+    Ke = fem.element_stiffness(mesh, material)
+    dofs = fem.element_dofs(mesh)
+    rows = np.repeat(dofs, 12, axis=1).ravel()
+    cols = np.tile(dofs, (1, 12)).ravel()
+    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def test_stiffness_matches_coo_assembly(bisected):
+    mesh, _ = bisected
+    problem = prb.bottom_contact_benchmark()
+    dofmap = fem.DofMap(mesh)
+    K = fem.assemble(mesh, dofmap, problem.material, problem).K
+    ref = _coo_stiffness(mesh, problem.material, dofmap.ndof)
+    assert K.format == "csr" and K.indices.dtype == K.indptr.dtype == np.int32
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert _relative(K.data, ref.data) <= 1e-15
+
+
+def test_stiffness_exactly_symmetric(bisected):
+    mesh, _ = bisected
+    problem = prb.rigid_wedge_push()
+    Ke = fem.element_stiffness(mesh, problem.material)
+    assert np.array_equal(Ke, np.swapaxes(Ke, 1, 2))
+    K = fem.assemble(mesh, fem.DofMap(mesh), problem.material, problem).K
+    KT = K.T.tocsr()
+    assert np.array_equal(K.indptr, KT.indptr)
+    assert np.array_equal(K.indices, KT.indices)
+    assert np.array_equal(K.data, KT.data)

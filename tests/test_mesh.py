@@ -86,6 +86,70 @@ def test_inv_jac_matches_linalg_inverse():
     assert np.abs(m.inv_jac - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _loop_refine_children(mesh, marked):
+    # the per-triangle, per-boundary-edge loop refine used to run, with the
+    # same closure; returns triangles, levels, boundary edges and tags
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    tri_edges = mesh.tri_edges
+    split = np.zeros(mesh.edges.shape[0], dtype=bool)
+    split[tri_edges[marked, 0]] = True
+    while True:
+        need = split[tri_edges].any(axis=1) & ~split[tri_edges[:, 0]]
+        if not need.any():
+            break
+        split[tri_edges[need, 0]] = True
+    mid_of = np.full(mesh.edges.shape[0], -1, dtype=np.int64)
+    mid_of[split] = mesh.num_vertices + np.arange(split.sum())
+    new_tris, new_levels = [], []
+    for t in range(mesh.num_triangles):
+        a, b, c = mesh.triangles[t]
+        e0, e1, e2 = tri_edges[t]
+        lvl = mesh.levels[t]
+        if not split[e0]:
+            new_tris.append((a, b, c))
+            new_levels.append(lvl)
+            continue
+        m0 = mid_of[e0]
+        for child, echild in (((m0, c, a), e1), ((m0, a, b), e2)):
+            if split[echild]:
+                p, q, r = child
+                m = mid_of[echild]
+                new_tris.append((m, r, p))
+                new_tris.append((m, p, q))
+                new_levels.extend((lvl + 2, lvl + 2))
+            else:
+                new_tris.append(child)
+                new_levels.append(lvl + 1)
+    b_edges, b_tags = [], []
+    for (u, v), tag, eid in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.boundary_edge_ids):
+        if split[eid]:
+            m = mid_of[eid]
+            b_edges.extend([(u, m), (m, v)])
+            b_tags.extend([tag, tag])
+        else:
+            b_edges.append((u, v))
+            b_tags.append(tag)
+    return np.array(new_tris), np.array(new_levels), np.array(b_edges), np.array(b_tags)
+
+
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_refine_keeps_loop_order(tagging):
+    m = msh.generate_unit_square(3, tagging)
+    rng = np.random.default_rng(11)
+    for k in range(8):
+        # mixed marking: a random fifth, every third, or a single triangle
+        marked = (rng.choice(m.num_triangles, m.num_triangles // 5, replace=False),
+                  np.arange(k % 3, m.num_triangles, 3),
+                  [m.num_triangles - 1])[k % 3]
+        tris, levels, b_edges, b_tags = _loop_refine_children(m, marked)
+        m = msh.refine(m, marked)
+        assert np.array_equal(m.triangles, tris)
+        assert np.array_equal(m.levels, levels)
+        assert np.array_equal(m.boundary_edges, b_edges)
+        assert np.array_equal(m.boundary_tags, b_tags)
+    assert m.levels.max() >= 6
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=0, max_size=12),
        st.integers(min_value=1, max_value=3))

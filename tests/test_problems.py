@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,25 @@ def test_problem_file_rejects_unknown_tagging(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tagging": "left_contact"}))
     with pytest.raises(ValueError):
+        prb.from_file(str(path))
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("material.nu", {"material": {"E": 10.0}}),
+    ("material.E", {"material": {"E": "ten", "nu": 0.3}}),
+    ("material", {"material": {"E": -1.0, "nu": 0.3}}),
+    ("material", {"material": {"mu": 1.0, "lam": -2.0}}),
+    ("f", {"f": [1.0]}),
+    ("f", {"f": ["a", 0.0]}),
+    ("g", {"g": [0.0, 1.0, 2.0]}),
+    ("g", {"g": 3.0}),
+    ("dirichlet", {"dirichlet": [0.0, None]}),
+    ("chi", {"chi": [0.0]}),
+])
+def test_problem_file_names_file_and_key(tmp_path, key, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact", **entry}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} ")):
         prb.from_file(str(path))
 
 

@@ -181,3 +181,32 @@ def test_contact_solve_converges_at_p2_rate():
         errs.append(prb.measure_error(mesh, sol.u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.5, (errs, rates)
+
+
+def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
+    problem = prb.bottom_contact_benchmark()
+    mesh = problem.mesh(2)
+    for _ in range(3):
+        mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
+    dofmap = fem.DofMap(mesh)
+    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    constraints = vi.contact_constraints(dofmap, problem)
+    active = np.arange(constraints.size) % 2 == 0
+    fixed = np.concatenate([system.dirichlet_dofs, constraints.dofs[active]])
+    vals = np.concatenate([system.dirichlet_values, np.zeros(active.sum())])
+    handed = []
+    splu = vi.spla.splu
+
+    def spy(A, *args, **kwargs):
+        handed.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    u, free_idx = vi._solve_constrained(system, fixed, vals)
+    (A,) = handed
+    ref = system.K[free_idx][:, free_idx].tocsc()
+    assert A.format == "csc" and A.shape == ref.shape
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+    assert np.array_equal(u[fixed], vals)

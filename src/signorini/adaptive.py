@@ -91,18 +91,12 @@ class LevelRecord:
 @dataclass
 class AdaptiveResult:
     problem: prb.ProblemSpec
-    params: AdaptiveParams
     records: list
     mesh: msh.Mesh
     dofmap: fem.DofMap
     solution: vi.VISolution
     report: est.EstimatorReport
-    density: dens.DensityField
     trace_mesh: dens.ContactTraceMesh
-
-    @property
-    def ndofs(self):
-        return np.array([r.ndof for r in self.records], dtype=float)
 
 
 def mark(indicators, theta, diameters=None):
@@ -183,29 +177,30 @@ def _near_fraction(mesh, marked, radius=0.25):
     return float(np.mean(dist <= radius))
 
 
-def _level_checks(system, constraints, sol, density, dofmap):
+def _level_checks(system, sol, density):
+    trace = density.trace
     r = sol.residual
     free = system.free_mask()
-    con_mask = np.zeros(dofmap.ndof, dtype=bool)
-    con_mask[2 * constraints.nodes] = True
-    con_mask[2 * constraints.nodes + 1] = True
+    con_mask = np.zeros(system.ndof, dtype=bool)
+    con_mask[trace.dofs] = True
+    con_mask[trace.tangential_dofs] = True
     plain = free & ~con_mask
     resid_scale = max(np.abs(system.F).max(), np.abs(system.F - r).max(), 1e-300)
-    un = constraints.sign * sol.u[constraints.dofs]
-    comp = density.normal * (constraints.gap - un)
+    un = trace.sign * sol.u[trace.dofs]
+    comp = density.normal * (trace.gap - un)
     comp_scale = (1.0 + np.abs(density.normal).max()) * \
-        (1.0 + np.abs(constraints.gap).max() + np.abs(un).max())
+        (1.0 + np.abs(trace.gap).max() + np.abs(un).max())
     return LevelChecks(
         lam_n_min=float(density.normal.min()),
         lam_n_max=float(np.abs(density.normal).max()),
         lam_t_max=float(np.abs(density.tangential).max()),
         resid_free_max=float(np.abs(r[plain]).max()),
         resid_scale=float(resid_scale),
-        resid_normal_min=float((constraints.sign * r[constraints.dofs]).min()),
-        resid_tangential_max=float(np.abs(r[constraints.tangential_dofs]).max()),
+        resid_normal_min=float((trace.sign * r[trace.dofs]).min()),
+        resid_tangential_max=float(np.abs(r[trace.tangential_dofs]).max()),
         comp_max=float(comp.max()),
         comp_scale=float(comp_scale),
-        feas_violation=float((un - constraints.gap).max()),
+        feas_violation=float((un - trace.gap).max()),
     )
 
 
@@ -218,14 +213,13 @@ def run_level(problem, mesh, params):
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
-    constraints = vi.contact_constraints(dofmap, problem)
-    sol = vi.solve_vi(system, constraints)
-    trace_mesh = dens.build_trace_mesh(mesh)
-    density = dens.compute_density(sol.residual, sol.u, trace_mesh, constraints)
-    report = est.estimate(mesh, dofmap, patches, problem.material, problem,
-                          sol.u, trace_mesh, density, c0=params.c0)
-    checks = _level_checks(system, constraints, sol, density, dofmap)
-    return dofmap, sol, trace_mesh, density, report, checks
+    trace_mesh = dens.build_trace_mesh(dofmap, problem)
+    sol = vi.solve_vi(system, trace_mesh)
+    density = dens.compute_density(sol.residual, sol.u, trace_mesh)
+    report = est.estimate(mesh, dofmap, patches, problem, sol.u, density,
+                          c0=params.c0)
+    checks = _level_checks(system, sol, density)
+    return dofmap, sol, density, report, checks
 
 
 def adapt(problem, params, out_dir=None, write_trace=False):
@@ -244,7 +238,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     state = None
     for level in range(params.levels):
         tic = time.perf_counter()
-        dofmap, sol, trace_mesh, density, report, checks = run_level(problem, mesh, params)
+        dofmap, sol, density, report, checks = run_level(problem, mesh, params)
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic
@@ -258,7 +252,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         if records and rec.ndof <= records[-1].ndof:
             raise RuntimeError("degrees of freedom did not increase between levels")
         records.append(rec)
-        state = (mesh, dofmap, sol, report, density, trace_mesh)
+        state = (mesh, dofmap, sol, report, density.trace)
         for row in sol.trace:
             pdas_lines.append(f"{level},{row[0]},{row[1]},{row[2]:.17g}")
 
@@ -284,9 +278,8 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             break
         mesh = next_mesh
 
-    mesh, dofmap, sol, report, density, trace_mesh = state
-    return AdaptiveResult(problem, params, records, mesh, dofmap, sol, report,
-                          density, trace_mesh)
+    mesh, dofmap, sol, report, trace_mesh = state
+    return AdaptiveResult(problem, records, mesh, dofmap, sol, report, trace_mesh)
 
 
 def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_trace):

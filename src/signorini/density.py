@@ -2,7 +2,11 @@
 
 The contact boundary is viewed as a piecewise-linear trace mesh whose cells
 are the half-edges [vertex, midpoint] and [midpoint, vertex] of every contact
-edge.  Hat functions psi_p on that split mesh define the lumped pairing
+edge.  ``build_trace_mesh`` makes the level's one contact record from it: the
+contact nodes, their hat weights and edge incidences, the axis-aligned normal
+n = sign * e_comp and the nodal gap chi(p).  The active-set solver, the
+density, the node classes and the estimator all read this record.  Hat
+functions psi_p on the split mesh define the lumped pairing
 
     <w, v>_h = sum_p w(p) . v(p) * weight(p),   weight(p) = int psi_p ds,
 
@@ -32,23 +36,44 @@ _HAT_SHARE = np.array([0.25, 0.5, 0.25])
 
 @dataclass(frozen=True)
 class ContactTraceMesh:
-    """Connectivity and hat weights of the split contact boundary mesh.
+    """The contact record of one mesh: split trace mesh, normal frame, gap.
 
     edge_ids    (nc,) mesh edge ids of the contact edges, ascending
     edge_nodes  (nc, 3) node ids (vertex, midpoint, vertex) per contact edge
+    edge_pos    (nc, 3) position in ``nodes`` of each entry of edge_nodes
     lengths     (nc,) edge lengths
     nodes       (ncon,) sorted contact node ids
     weight      (ncon,) hat weight per contact node, aligned with ``nodes``
     node_edges  (ncon, 2) indices into edge_ids of the contact edges holding
                 each node, ascending; a node on one edge repeats it
+    comp, sign  contact normal n = sign * e_comp, so u_n = sign * u[2p + comp]
+    gap         (ncon,) gap chi(p) per contact node; the constraint is
+                u_n(p) <= gap(p)
     """
 
     edge_ids: np.ndarray
     edge_nodes: np.ndarray
+    edge_pos: np.ndarray
     lengths: np.ndarray
     nodes: np.ndarray
     weight: np.ndarray
     node_edges: np.ndarray
+    comp: int
+    sign: float
+    gap: np.ndarray
+
+    @property
+    def dofs(self):
+        """Normal dof 2p + comp per contact node."""
+        return 2 * self.nodes + self.comp
+
+    @property
+    def tangential_dofs(self):
+        return 2 * self.nodes + (1 - self.comp)
+
+    @property
+    def size(self):
+        return self.nodes.size
 
     def index_of(self, node):
         i = np.searchsorted(self.nodes, node)
@@ -56,20 +81,18 @@ class ContactTraceMesh:
             raise KeyError(f"node {node} is not a contact node")
         return i
 
-    @property
-    def total_length(self):
-        return float(self.lengths.sum())
 
+def build_trace_mesh(dofmap, problem):
+    """Contact record of ``dofmap``'s mesh for ``problem``.
 
-def build_trace_mesh(mesh):
-    """Split contact-edge mesh with closed-form hat weights.
-
-    A midpoint hat spans the two half-edges of its edge (weight h/2); a
-    vertex hat spans one half-edge per adjacent contact edge (weight h/4
-    each), so h/4 marks the ends of each contact chain.  The contact
-    boundary may have several components; an empty one is an error, and so
-    is a vertex on more than two contact edges.
+    The split contact-edge mesh has closed-form hat weights: a midpoint hat
+    spans the two half-edges of its edge (weight h/2); a vertex hat spans
+    one half-edge per adjacent contact edge (weight h/4 each), so h/4 marks
+    the ends of each contact chain.  The contact boundary may have several
+    components; an empty one is an error, and so is a vertex on more than
+    two contact edges.  The gap is ``problem.chi`` at the contact nodes.
     """
+    mesh = dofmap.mesh
     nv = mesh.num_vertices
     con = mesh.boundary_tags == msh.CONTACT
     edge_ids = mesh.boundary_edge_ids[con]
@@ -90,7 +113,10 @@ def build_trace_mesh(mesh):
         raise ValueError("a contact vertex lies on more than two contact edges")
     last = np.cumsum(count) - 1
     node_edges = np.column_stack([order[last - count + 1], order[last]]) // 3
-    return ContactTraceMesh(edge_ids, edge_nodes, lengths, nodes, weight, node_edges)
+    gap = problem.chi(dofmap.coords[nodes])
+    return ContactTraceMesh(edge_ids, edge_nodes, inv.reshape(edge_nodes.shape),
+                            lengths, nodes, weight, node_edges,
+                            problem.normal_comp, problem.normal_sign, gap)
 
 
 @dataclass(frozen=True)
@@ -98,24 +124,21 @@ class DensityField:
     """Nodal contact force density in the (normal, tangential) frame."""
 
     trace: ContactTraceMesh
-    comp: int                # constrained component of the contact normal
-    sign: float              # sign of the normal along that component
     normal: np.ndarray       # lambda in the constrained direction, >= 0
     tangential: np.ndarray   # lambda in the tangential direction, ~ 0
     classes: np.ndarray      # full / semi / none per contact node
     selected_edge: np.ndarray  # index into trace.edge_ids of the averaging edge
 
 
-def compute_density(residual, u, trace, constraints):
+def compute_density(residual, u, trace):
     """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, from
     the algebraic residual r = F - K u of the solution u."""
     if np.any(trace.weight <= 0):
         raise ValueError("nonpositive hat weight on the contact trace mesh")
-    normal = constraints.sign * residual[trace.nodes * 2 + constraints.comp] / trace.weight
-    tangential = residual[trace.nodes * 2 + (1 - constraints.comp)] / trace.weight
-    classes, selected = classify_nodes(u, trace, constraints)
-    return DensityField(trace, constraints.comp, constraints.sign,
-                        normal, tangential, classes, selected)
+    normal = trace.sign * residual[trace.dofs] / trace.weight
+    tangential = residual[trace.tangential_dofs] / trace.weight
+    classes, selected = classify_nodes(u, trace)
+    return DensityField(trace, normal, tangential, classes, selected)
 
 
 def quadratic_range(values):
@@ -130,7 +153,7 @@ def quadratic_range(values):
     return np.minimum(np.minimum(v0, v1), peak), np.maximum(np.maximum(v0, v1), peak)
 
 
-def classify_nodes(u, trace, constraints, tol=None):
+def classify_nodes(u, trace, tol=None):
     """Full/semi/no-contact split plus the averaging edge per node.
 
     A contact edge is fully active when the quadratic traces of u_n and of
@@ -139,17 +162,14 @@ def classify_nodes(u, trace, constraints, tol=None):
     |u_n - gap| is smallest in the sup norm, ties to the lower edge index.
     """
     if tol is None:
-        gmax = np.abs(constraints.gap[np.isfinite(constraints.gap)])
+        gmax = np.abs(trace.gap[np.isfinite(trace.gap)])
         tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
-    gap = constraints.gap[np.searchsorted(constraints.nodes, trace.edge_nodes)]
-    dev = constraints.sign * u[2 * trace.edge_nodes + constraints.comp] - gap
+    dev = trace.sign * u[2 * trace.edge_nodes + trace.comp] - trace.gap[trace.edge_pos]
     edge_active = np.all(np.abs(dev) <= tol, axis=1)
     lo, hi = quadratic_range(dev)
     edge_gap_sup = np.maximum(np.abs(lo), np.abs(hi))
 
-    pos = np.searchsorted(constraints.nodes, trace.nodes)
-    touching = np.abs(constraints.sign * u[2 * trace.nodes + constraints.comp]
-                      - constraints.gap[pos]) <= tol
+    touching = np.abs(trace.sign * u[trace.dofs] - trace.gap) <= tol
     full = edge_active[trace.node_edges].all(axis=1)
     classes = np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
     pick = np.argmin(edge_gap_sup[trace.node_edges], axis=1)
@@ -236,7 +256,7 @@ def apply_quasi_density(mesh, density, v):
     trace = density.trace
 
     def v_n(pts):
-        return density.sign * np.asarray(v(pts), dtype=float)[:, density.comp]
+        return trace.sign * np.asarray(v(pts), dtype=float)[:, trace.comp]
 
     total = 0.0
     for i, p in enumerate(trace.nodes):

@@ -50,15 +50,10 @@ class EstimatorReport:
     eta6: float                # penetration sup over the contact boundary
     eta7: float                # gap sup over the active-density region
     eta_h: float
-    c0: float
     eta_p: np.ndarray          # (5, n_nodes) patch values
     consistency_p: np.ndarray  # (n_nodes,) local eta6/eta7 contribution
     indicator: np.ndarray      # (nt,) marking indicator
     lambda_edges: np.ndarray   # mesh edge ids of the active-density region
-    osc_f: float
-    osc_g: float
-    osc_f_p: np.ndarray
-    osc_g_p: np.ndarray
 
 
 def log_factor(h_min):
@@ -75,30 +70,28 @@ def _abs_max(arr, axis=None):
     return np.abs(arr).max(axis=axis) if arr.size else 0.0
 
 
-def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
-             c0=0.45):
-    """Evaluate all estimator contributions for one solved level."""
+def estimate(mesh, dofmap, patches, problem, u, density, c0=0.45):
+    """Evaluate all estimator contributions for one solved level; the
+    contact record is ``density.trace``."""
+    trace = density.trace
     h_p = patches.diameter
-    S, OscF = _element_residual(mesh, material, problem, u)
-    sig = fem.corner_stress(mesh, material, u)                   # (nt, 3, 2, 2)
+    S = _element_residual(mesh, problem, u)
+    sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
 
     J = _interior_jumps(mesh, sig)                               # (ne,), nan off interior
-    R, OscG = _neumann_residual(mesh, sig, problem)              # (ne,), nan off Neumann
-    Tn, Tt = _contact_tractions(mesh, sig, problem)              # (ne,), nan off contact
+    R = _neumann_residual(mesh, sig, problem)                    # (ne,), nan off Neumann
+    Tn, Tt = _contact_tractions(mesh, sig, trace)                # (ne,), nan off contact
     pen_e, gap_e = _consistency_per_edge(mesh, dofmap, problem, u, trace)
 
     # active-density region: contact edges of nodes with positive lumped density
-    if density is not None:
-        m = density.normal * trace.weight
-        tol_active = 1e-12 * max(1.0, _abs_max(m))
-        hot = np.flatnonzero(m > tol_active)
-        lambda_edges = trace.edge_ids[np.unique(trace.node_edges[hot])]
-    else:
-        lambda_edges = np.array([], dtype=np.int64)
+    m = density.normal * trace.weight
+    tol_active = 1e-12 * max(1.0, _abs_max(m))
+    hot = np.flatnonzero(m > tol_active)
+    lambda_edges = trace.edge_ids[np.unique(trace.node_edges[hot])]
 
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
-    con_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
+    con_ids = trace.edge_ids
     eta_p = np.stack([
         h_p ** 2 * patches.tri_max(S),
         h_p * patches.edge_max(J, inner),
@@ -113,7 +106,7 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
                      _abs_max(eta_p[3, con_node]), _abs_max(eta_p[4, con_node])])
     psi = float(glob.sum())
 
-    eta6 = float(pen_e[con_ids].max()) if con_ids.size else 0.0
+    eta6 = float(pen_e[con_ids].max())
     eta7 = float(gap_e[lambda_edges].max()) if lambda_edges.size else 0.0
 
     h_min = float(mesh.diameters.min())
@@ -123,33 +116,25 @@ def estimate(mesh, dofmap, patches, material, problem, u, trace, density=None,
     node_total = l_h * eta_p.sum(axis=0) + cons_p
     indicator = node_total[mesh.element_nodes].max(axis=1)
 
-    # data oscillations (diagnostic only)
-    osc_f_p = h_p ** 2 * patches.tri_max(OscF)
-    osc_g_p = h_p * patches.edge_max(OscG, neu_ids)
-
     return EstimatorReport(
         h_min=h_min, l_h=l_h, eta=glob, psi=psi, eta6=eta6, eta7=eta7,
-        eta_h=eta_h, c0=c0, eta_p=eta_p, consistency_p=cons_p,
-        indicator=indicator, lambda_edges=lambda_edges,
-        osc_f=float(osc_f_p.max()), osc_g=float(osc_g_p.max()),
-        osc_f_p=osc_f_p, osc_g_p=osc_g_p)
+        eta_h=eta_h, eta_p=eta_p, consistency_p=cons_p,
+        indicator=indicator, lambda_edges=lambda_edges)
 
 
 # -- per-element and per-edge quantities -----------------------------------------
 
-def _element_residual(mesh, material, problem, u):
+def _element_residual(mesh, problem, u):
     """Per triangle: the sup of s(u_h) = f + div sigma(u_h) over the triangle
-    sample set, and the sup of f minus its element average."""
+    sample set."""
     nt = mesh.num_triangles
-    div = fem.divergence_stress(mesh, material, u)
+    div = fem.divergence_stress(mesh, problem.material, u)
     xy = fem.barycentric_to_xy(mesh, TRI_SAMPLE)
     if problem.f is not None:
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, TRI_SAMPLE.shape[0], 2)
     else:
         fv = np.zeros((nt, TRI_SAMPLE.shape[0], 2))
-    S = np.abs(fv + div[:, None, :]).max(axis=(1, 2))
-    f_mean = np.einsum("q,tqc->tc", fem.TRI_QW, fv[:, -fem.TRI_QP.shape[0]:, :])
-    return S, np.abs(fv - f_mean[:, None, :]).max(axis=(1, 2))
+    return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
 def _locate(mesh, tris, vert):
@@ -208,12 +193,11 @@ def _boundary_tractions(mesh, sig, ids):
 
 
 def _neumann_residual(mesh, sig, problem):
-    ne = mesh.edges.shape[0]
-    R = np.full(ne, np.nan)
-    Osc = np.full(ne, np.nan)
+    """Sup of |g - sigma(u_h) n| per Neumann edge (nan on other edges)."""
+    R = np.full(mesh.edges.shape[0], np.nan)
     ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     if ids.size == 0:
-        return R, Osc
+        return R
     _, tau, pa, pb = _boundary_tractions(mesh, sig, ids)
     s = EDGE_SAMPLE
     pts = pa[:, None, :] * (1 - s)[None, :, None] + pb[:, None, :] * s[None, :, None]
@@ -223,28 +207,19 @@ def _neumann_residual(mesh, sig, problem):
         gv = np.zeros((ids.size, s.size, 2))
     tau_s = tau[:, 0, None, :] * (1 - s)[None, :, None] + tau[:, 1, None, :] * s[None, :, None]
     R[ids] = np.abs(gv - tau_s).max(axis=(1, 2))
-    qpts = pa[:, None, :] * (1 - fem.EDGE_QT)[None, :, None] \
-        + pb[:, None, :] * fem.EDGE_QT[None, :, None]
-    if problem.g is not None:
-        gq = problem.g(qpts.reshape(-1, 2)).reshape(ids.size, fem.EDGE_QT.size, 2)
-    else:
-        gq = np.zeros((ids.size, fem.EDGE_QT.size, 2))
-    g_mean = np.einsum("q,eqc->ec", fem.EDGE_QW, gq)
-    Osc[ids] = np.abs(gv - g_mean[:, None, :]).max(axis=(1, 2))
-    return R, Osc
+    return R
 
 
-def _contact_tractions(mesh, sig, problem):
-    """Per contact edge: sup of normal and tangential traction components."""
+def _contact_tractions(mesh, sig, trace):
+    """Per contact edge: sup of normal and tangential traction components,
+    in the normal frame of the contact record ``trace``."""
     ne = mesh.edges.shape[0]
     Tn = np.full(ne, np.nan)
     Tt = np.full(ne, np.nan)
-    ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
-    if ids.size == 0:
-        return Tn, Tt
+    ids = trace.edge_ids
     _, tau, _, _ = _boundary_tractions(mesh, sig, ids)
     nf = np.zeros(2)
-    nf[problem.normal_comp] = problem.normal_sign
+    nf[trace.comp] = trace.sign
     tf = np.array([-nf[1], nf[0]])
     tau_n = tau @ nf
     tau_t = tau @ tf
@@ -258,17 +233,18 @@ def _consistency_per_edge(mesh, dofmap, problem, u, trace):
 
     The trace of u_n is quadratic along the edge; the obstacle is sampled
     densely and the vertex of the parabola (u_n minus the locally affine
-    obstacle interpolant) is added as a candidate extremum per half-edge.
-    A candidate outside its half-edge is replaced by s = 0, already a sample.
+    interpolant of the record's nodal gap) is added as a candidate extremum
+    per half-edge.  A candidate outside its half-edge is replaced by s = 0,
+    already a sample.
     """
     ne = mesh.edges.shape[0]
     pen = np.full(ne, np.nan)
     gapv = np.full(ne, np.nan)
     nodes = trace.edge_nodes
-    un = problem.normal_sign * u[2 * nodes + problem.normal_comp]
+    un = trace.sign * u[2 * nodes + trace.comp]
     pts_nodes = dofmap.coords[nodes]                             # (nc, 3, 2)
     A, B = fem.trace_coefficients(un[:, 0], un[:, 1], un[:, 2])  # u_n(s) = (A s + B) s + C
-    chi_nodes = problem.chi(pts_nodes.reshape(-1, 2)).reshape(nodes.shape)
+    chi_nodes = trace.gap[trace.edge_pos]
     slope = 2.0 * np.diff(chi_nodes, axis=1)                     # per half-edge
     s_star = (slope - B[:, None]) / np.where(A != 0.0, 2.0 * A, 1.0)[:, None]
     lo = np.array([0.0, 0.5])

@@ -175,10 +175,6 @@ class DofMap:
         object.__setattr__(self, "kind", kind)
 
     @property
-    def n_vertices(self):
-        return self.mesh.num_vertices
-
-    @property
     def n_nodes(self):
         return self.coords.shape[0]
 
@@ -188,10 +184,6 @@ class DofMap:
 
     def nodes_of(self, kind):
         return np.flatnonzero(self.kind == kind)
-
-    @property
-    def contact_nodes(self):
-        return self.nodes_of(msh.CONTACT)
 
     @property
     def dirichlet_nodes(self):

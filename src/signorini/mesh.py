@@ -260,7 +260,7 @@ def refine(mesh, marked):
     Children inherit boundary tags from their ancestor edges and carry
     level = parent level + number of bisections.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64)) if len(marked) else np.array([], dtype=np.int64)
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.num_triangles:

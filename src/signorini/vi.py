@@ -2,6 +2,8 @@
 
 The discrete inequality constrains the normal displacement at every contact
 node p:  u_n(p) <= gap(p), with an axis-aligned normal n = sign * e_comp.
+The solver reads the normal dofs 2p + comp, the sign and the nodal gap from
+the level's contact record (``density.ContactTraceMesh``).
 Given an active set A, the equality-constrained elastic problem is solved
 with u_n(p) = gap(p) enforced for p in A; the nodal multiplier is recovered
 from the constrained-row residual,
@@ -29,36 +31,6 @@ import scipy.sparse.linalg as spla
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ContactConstraints:
-    """Nodal non-penetration constraints sign*u[2p+comp] <= gap."""
-
-    nodes: np.ndarray      # contact node ids (sorted)
-    comp: int              # constrained displacement component (0 or 1)
-    sign: float            # +1 or -1, so that u_n = sign * u[2p+comp]
-    gap: np.ndarray        # interpolated gap value per node
-
-    @property
-    def dofs(self):
-        return 2 * self.nodes + self.comp
-
-    @property
-    def tangential_dofs(self):
-        return 2 * self.nodes + (1 - self.comp)
-
-    @property
-    def size(self):
-        return self.nodes.size
-
-
-def contact_constraints(dofmap, problem):
-    """Constraints at the contact nodes of ``dofmap`` for a given problem."""
-    nodes = dofmap.contact_nodes
-    gap = problem.chi(dofmap.coords[nodes]) if nodes.size else np.zeros(0)
-    return ContactConstraints(nodes, problem.normal_comp, problem.normal_sign,
-                              np.asarray(gap, dtype=float))
 
 
 @dataclass
@@ -105,22 +77,25 @@ def residual_functional(system, u):
     return system.F - system.K @ u
 
 
-def solve_vi(system, constraints, c=None, max_iter=100):
+def solve_vi(system, trace, c=None, max_iter=100):
     """Primal-dual active-set iteration, starting from the empty active set.
 
-    ``c`` is the complementarity weight; any positive value yields the same
-    fixed point.  Defaults to the stress scale 2 mu + lam of the material.
+    ``trace`` is the contact record; only its normal dofs ``dofs``, its
+    ``sign`` and its nodal ``gap`` are read.  A node with an infinite gap
+    never becomes active.  ``c`` is the complementarity weight; any positive
+    value yields the same fixed point.  Defaults to the stress scale
+    2 mu + lam of the material.
     """
     if c is None:
         c = system.material.stress_scale
     if c <= 0:
         raise ValueError(f"active-set parameter c must be positive, got {c}")
-    con_dofs = constraints.dofs
-    sign = constraints.sign
-    gap = constraints.gap
+    con_dofs = trace.dofs
+    sign = trace.sign
+    gap = trace.gap
     finite_gap = np.isfinite(gap)
 
-    active = np.zeros(constraints.size, dtype=bool)
+    active = np.zeros(gap.size, dtype=bool)
     trace = []
     for it in range(max_iter):
         fixed_dofs = np.concatenate([system.dirichlet_dofs, con_dofs[active]])

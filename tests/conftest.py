@@ -22,12 +22,11 @@ class SolvedState:
         self.dofmap = fem.DofMap(self.mesh)
         self.patches = msh.build_patches(self.mesh)
         self.system = fem.assemble(self.mesh, self.dofmap, problem.material, problem)
-        self.constraints = vi.contact_constraints(self.dofmap, problem)
-        self.solution = vi.solve_vi(self.system, self.constraints)
-        self.trace = dens.build_trace_mesh(self.mesh)
+        self.trace = dens.build_trace_mesh(self.dofmap, problem)
+        self.solution = vi.solve_vi(self.system, self.trace)
         self.residual = vi.residual_functional(self.system, self.solution.u)
         self.density = dens.compute_density(self.residual, self.solution.u,
-                                            self.trace, self.constraints)
+                                            self.trace)
 
 
 @pytest.fixture(scope="session")

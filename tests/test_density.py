@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +29,8 @@ def test_trace_weights_uniform_mesh(solved71):
     assert np.allclose(trace.weight[is_mid], h / 2)
     assert np.allclose(trace.weight[inner_vertex], h / 2)
     assert np.allclose(trace.weight[endpoints], h / 4)
-    assert np.isclose(trace.weight.sum(), trace.total_length, atol=1e-14)
-    assert np.isclose(trace.total_length, 1.0)
+    assert np.isclose(trace.weight.sum(), trace.lengths.sum(), atol=1e-14)
+    assert np.isclose(trace.lengths.sum(), 1.0)
 
 
 def chain_ends(mesh, trace, h):
@@ -47,10 +49,15 @@ def test_trace_single_chain(solved71):
     assert (trace.node_edges[:, 0] <= trace.node_edges[:, 1]).all()
 
 
+def trace_of(mesh):
+    """Contact record of ``mesh`` against the flat obstacle of ex71."""
+    return dens.build_trace_mesh(fem.DofMap(mesh), prb.bottom_contact_benchmark())
+
+
 def test_trace_requires_contact():
     mesh = msh.generate_unit_square(2, msh.tag_all_dirichlet)
     with pytest.raises(ValueError):
-        dens.build_trace_mesh(mesh)
+        trace_of(mesh)
 
 
 def test_trace_rejects_vertex_on_four_contact_edges():
@@ -61,7 +68,7 @@ def test_trace_rejects_vertex_on_four_contact_edges():
                     [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
                     ["N", "C", "C", "C", "N", "C"])
     with pytest.raises(ValueError, match="more than two contact edges"):
-        dens.build_trace_mesh(mesh)
+        trace_of(mesh)
 
 
 def test_trace_disconnected_chains():
@@ -74,12 +81,44 @@ def test_trace_disconnected_chains():
         return msh.NEUMANN
 
     mesh = msh.generate_unit_square(4, tagging)
-    trace = dens.build_trace_mesh(mesh)
-    assert np.isclose(trace.total_length, 0.5)
+    trace = trace_of(mesh)
+    assert np.isclose(trace.lengths.sum(), 0.5)
     assert np.isclose(trace.weight.sum(), 0.5)
     # the chain ends, and only they, carry the single half-hat weight h/4
     ends = chain_ends(mesh, trace, 0.25)
     assert np.array_equal(np.sort(mesh.vertices[ends, 0]), [0.0, 0.25, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("key", ["ex71", "ex72", "right_contact.json"])
+def test_contact_record_is_the_dofmap_contact_set(key, tmp_path):
+    """After mixed bisection, the record's nodes are the dofmap's contact
+    nodes, its gap is chi there bit for bit, and its dofs are the
+    interleaved (2p, 2p + 1) pairs split into normal and tangential."""
+    if key.endswith(".json"):
+        path = tmp_path / key
+        path.write_text(json.dumps({"tagging": "right_contact",
+                                    "material": {"E": 50.0, "nu": 0.3},
+                                    "f": [-1.0, 0.5], "chi": 0.02}))
+        problem = prb.get_problem(str(path))
+    else:
+        problem = prb.get_problem(key)
+    mesh = problem.mesh(3)
+    for k in range(4):
+        mesh = msh.refine(mesh, np.arange(k % 3, mesh.num_triangles, 3))
+    assert mesh.levels.max() > mesh.levels.min()
+    dofmap = fem.DofMap(mesh)
+    trace = dens.build_trace_mesh(dofmap, problem)
+
+    assert np.array_equal(trace.nodes, np.flatnonzero(dofmap.kind == msh.CONTACT))
+    gap = problem.chi(dofmap.coords[trace.nodes])
+    assert trace.gap.dtype == gap.dtype and trace.gap.tobytes() == gap.tobytes()
+    assert np.array_equal(trace.nodes[trace.edge_pos], trace.edge_nodes)
+    comp = problem.normal_comp
+    assert (trace.comp, trace.sign) == (comp, problem.normal_sign)
+    pairs = 2 * trace.nodes[:, None] + np.array([0, 1])
+    assert np.array_equal(trace.dofs, pairs[:, comp])
+    assert np.array_equal(trace.tangential_dofs, pairs[:, 1 - comp])
+    assert trace.size == trace.nodes.size
 
 
 def test_density_sign_property(solved71, solved72):
@@ -93,16 +132,12 @@ def test_density_sign_property(solved71, solved72):
 def test_density_multiplier_relation(solved71):
     # lambda_n(p) = m_p / w_p links the density to the solver multipliers
     den, trace, sol = solved71.density, solved71.trace, solved71.solution
-    con = solved71.constraints
-    pos = np.searchsorted(con.nodes, trace.nodes)
-    assert np.allclose(den.normal * trace.weight, sol.multipliers[pos], atol=1e-12)
+    assert np.allclose(den.normal * trace.weight, sol.multipliers, atol=1e-12)
 
 
 def test_inactive_node_zero_density(solved72):
-    den, trace = solved72.density, solved72.trace
-    con, sol = solved72.constraints, solved72.solution
-    pos = np.searchsorted(con.nodes, trace.nodes)
-    inactive = ~sol.active[pos]
+    den, sol = solved72.density, solved72.solution
+    inactive = ~sol.active
     assert inactive.any()
     assert np.abs(den.normal[inactive]).max() <= 1e-10 * max(1.0, den.normal.max())
 
@@ -125,10 +160,9 @@ def test_density_against_independent_quadrature():
     mesh = problem.mesh(1)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
-    con = vi.contact_constraints(dofmap, problem)
-    sol = vi.solve_vi(system, con)
-    trace = dens.build_trace_mesh(mesh)
-    den = dens.compute_density(vi.residual_functional(system, sol.u), sol.u, trace, con)
+    trace = dens.build_trace_mesh(dofmap, problem)
+    sol = vi.solve_vi(system, trace)
+    den = dens.compute_density(vi.residual_functional(system, sol.u), sol.u, trace)
 
     def a_direct(node, comp):
         # loop quadrature of sigma(u_h) : eps(phi_node e_comp)
@@ -178,9 +212,8 @@ def test_density_against_independent_quadrature():
 def test_lumped_pairing_matches_algebraic_residual(solved71):
     # the lumped product lambda_i(p) w_p equals the residual row exactly
     den, trace, r = solved71.density, solved71.trace, solved71.residual
-    con = solved71.constraints
-    normal_rows = con.sign * r[2 * trace.nodes + con.comp]
-    tangential_rows = r[2 * trace.nodes + (1 - con.comp)]
+    normal_rows = trace.sign * r[2 * trace.nodes + trace.comp]
+    tangential_rows = r[2 * trace.nodes + (1 - trace.comp)]
     scale = np.abs(normal_rows).max()
     assert np.abs(den.normal * trace.weight - normal_rows).max() <= 1e-10 * scale
     assert np.abs(den.tangential * trace.weight - tangential_rows).max() <= 1e-10 * scale
@@ -195,8 +228,8 @@ def test_classification_synthetic(solved71):
     u = state.solution.u.copy()
     trace = state.trace
     mid = trace.nodes[trace.nodes >= state.mesh.num_vertices][0]
-    u[2 * mid + state.constraints.comp] -= 0.05 * state.constraints.sign  # u_n -= 0.05
-    classes, _ = dens.classify_nodes(u, trace, state.constraints)
+    u[2 * mid + trace.comp] -= 0.05 * trace.sign  # u_n -= 0.05
+    classes, _ = dens.classify_nodes(u, trace)
     i_mid = trace.index_of(mid)
     assert classes[i_mid] == dens.NO_CONTACT
     k = trace.node_edges[i_mid][0]
@@ -208,10 +241,9 @@ def test_no_contact_classification(solved72):
     # wedge tip binds, the corners stay clear of the obstacle
     classes = solved72.density.classes
     assert dens.NO_CONTACT in classes
-    con, sol = solved72.constraints, solved72.solution
-    un = con.sign * sol.u[con.dofs]
-    pos = np.searchsorted(con.nodes, solved72.trace.nodes)
-    clear = (con.gap - un)[pos] > 1e-6
+    trace, sol = solved72.trace, solved72.solution
+    un = trace.sign * sol.u[trace.dofs]
+    clear = trace.gap - un > 1e-6
     assert (classes[clear] == dens.NO_CONTACT).all()
 
 

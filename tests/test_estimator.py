@@ -20,18 +20,13 @@ def zero_problem(tagging=msh.tag_bottom_contact, comp=1, sign=-1.0, material=Non
         dirichlet=None, normal_comp=comp, normal_sign=sign)
 
 
-def report_for(problem, mesh, u, with_density=False):
+def report_for(problem, mesh, u):
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
-    trace = dens.build_trace_mesh(mesh)
-    density = None
-    if with_density:
-        system = fem.assemble(mesh, dofmap, problem.material, problem)
-        con = vi.contact_constraints(dofmap, problem)
-        density = dens.compute_density(vi.residual_functional(system, u), u,
-                                       trace, con)
-    return est.estimate(mesh, dofmap, patches, problem.material, problem, u,
-                        trace, density), dofmap, patches
+    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    trace = dens.build_trace_mesh(dofmap, problem)
+    density = dens.compute_density(vi.residual_functional(system, u), u, trace)
+    return est.estimate(mesh, dofmap, patches, problem, u, density), dofmap, patches
 
 
 def test_eta1_zero_for_linear_field():
@@ -147,9 +142,8 @@ def test_eta45_uniaxial_contact_traction():
 def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
-    report = est.estimate(state.mesh, state.dofmap, state.patches,
-                          state.problem.material, state.problem,
-                          state.solution.u, state.trace, state.density)
+    report = est.estimate(state.mesh, state.dofmap, state.patches, state.problem,
+                          state.solution.u, state.density)
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
     con_ids = state.mesh.boundary_edge_ids[state.mesh.boundary_tags == msh.CONTACT]
@@ -158,9 +152,8 @@ def test_consistency_terms_flat_obstacle(solved71):
 
 def test_lambda_region_excludes_zero_density(solved72):
     state = solved72
-    report = est.estimate(state.mesh, state.dofmap, state.patches,
-                          state.problem.material, state.problem,
-                          state.solution.u, state.trace, state.density)
+    report = est.estimate(state.mesh, state.dofmap, state.patches, state.problem,
+                          state.solution.u, state.density)
     m = state.density.normal * state.trace.weight
     cold = np.flatnonzero(m <= 1e-12 * m.max())
     lam = set(report.lambda_edges)
@@ -183,32 +176,13 @@ def test_total_arithmetic():
     assert est.total_estimate(0.0, 0.0, 0.0, 0.5, 0.45) == 0.0
 
 
-def test_oscillation_terms(solved71):
-    problem = zero_problem()
-    mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    # constant f: no oscillation
-    pc = dataclasses.replace(problem, f=lambda p: np.tile([1.0, 2.0], (len(p), 1)))
-    report, _, _ = report_for(pc, mesh, np.zeros(dofmap.ndof))
-    assert report.osc_f < 1e-14
-    assert report.osc_g == 0.0
-    # linear f = (x, 0): every element has x-extent 1/2 here, so the largest
-    # deviation from the element mean is (2/3)(1/2) = 1/3, attained at a corner
-    pl = dataclasses.replace(problem,
-                             f=lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
-    report, _, patches = report_for(pl, mesh, np.zeros(dofmap.ndof))
-    assert np.allclose(report.osc_f_p, patches.diameter ** 2 / 3.0, atol=1e-13)
-    assert np.isclose(report.osc_f, (patches.diameter ** 2).max() / 3.0, atol=1e-13)
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.floats(0.03, 30.0))
 def test_positive_homogeneity(solved71, alpha):
     """Scaling u, f, g, chi by alpha scales every estimator part by alpha."""
     state = solved71
-    base = est.estimate(state.mesh, state.dofmap, state.patches,
-                        state.problem.material, state.problem,
-                        state.solution.u, state.trace, state.density)
+    base = est.estimate(state.mesh, state.dofmap, state.patches, state.problem,
+                        state.solution.u, state.density)
     p = state.problem
     scaled = prb.ProblemSpec(
         name="scaled", tagging=p.tagging, material=p.material,
@@ -217,10 +191,9 @@ def test_positive_homogeneity(solved71, alpha):
         normal_comp=p.normal_comp, normal_sign=p.normal_sign)
     system = fem.assemble(state.mesh, state.dofmap, p.material, scaled)
     u = alpha * state.solution.u
-    den = dens.compute_density(vi.residual_functional(system, u), u, state.trace,
-                               vi.contact_constraints(state.dofmap, scaled))
-    rep = est.estimate(state.mesh, state.dofmap, state.patches, p.material,
-                       scaled, u, state.trace, den)
+    den = dens.compute_density(vi.residual_functional(system, u), u,
+                               dens.build_trace_mesh(state.dofmap, scaled))
+    rep = est.estimate(state.mesh, state.dofmap, state.patches, scaled, u, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12)
     assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12)
@@ -229,8 +202,8 @@ def test_positive_homogeneity(solved71, alpha):
 
 def test_estimate_deterministic(solved71):
     state = solved71
-    args = (state.mesh, state.dofmap, state.patches, state.problem.material,
-            state.problem, state.solution.u, state.trace, state.density)
+    args = (state.mesh, state.dofmap, state.patches, state.problem,
+            state.solution.u, state.density)
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
     assert (a.indicator == b.indicator).all()
@@ -247,19 +220,18 @@ def test_patch_maxima_match_per_node_oracle():
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
 
-    S, OscF = est._element_residual(mesh, problem.material, problem, u)
+    S = est._element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)
     J = est._interior_jumps(mesh, sig)
-    R, OscG = est._neumann_residual(mesh, sig, problem)
-    Tn, Tt = est._contact_tractions(mesh, sig, problem)
+    R = est._neumann_residual(mesh, sig, problem)
+    Tn, Tt = est._contact_tractions(mesh, sig, res.trace_mesh)
     pen, gap = est._consistency_per_edge(mesh, dofmap, problem, u, res.trace_mesh)
     in_lambda = np.isin(np.arange(mesh.edges.shape[0]), report.lambda_edges)
 
     def sup(vals, ids):
         return vals[ids].max() if len(ids) else 0.0
 
-    eta_p, cons_p = np.zeros((5, nn)), np.zeros(nn)
-    osc_f_p, osc_g_p, diameter = np.zeros(nn), np.zeros(nn), np.zeros(nn)
+    eta_p, cons_p, diameter = np.zeros((5, nn)), np.zeros(nn), np.zeros(nn)
     for p in range(nn):
         if p < nv:
             tris = np.flatnonzero((mesh.triangles == p).any(axis=1))
@@ -284,15 +256,11 @@ def test_patch_maxima_match_per_node_oracle():
                        h * sup(R, neumann_edges), h * sup(Tt, contact_edges),
                        h * sup(Tn, contact_edges))
         cons_p[p] = sup(pen, contact_edges) + sup(gap, lam)
-        osc_f_p[p] = h ** 2 * OscF[tris].max()
-        osc_g_p[p] = h * sup(OscG, neumann_edges)
 
     assert report.lambda_edges.size and (cons_p > 0).any()
     assert np.array_equal(patches.diameter, diameter)
     assert np.array_equal(report.eta_p, eta_p)
     assert np.array_equal(report.consistency_p, cons_p)
-    assert np.array_equal(report.osc_f_p, osc_f_p)
-    assert np.array_equal(report.osc_g_p, osc_g_p)
 
 
 def test_contact_quantities_match_per_edge_oracle():
@@ -301,7 +269,7 @@ def test_contact_quantities_match_per_edge_oracle():
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
     mesh, dofmap, u, trace = res.mesh, res.dofmap, res.solution.u, res.trace_mesh
-    con = vi.contact_constraints(dofmap, problem)
+    chi_p = problem.chi(dofmap.coords[trace.nodes])
     comp, sgn = problem.normal_comp, problem.normal_sign
     ncon, nc = trace.nodes.size, trace.edge_ids.size
 
@@ -323,14 +291,14 @@ def test_contact_quantities_match_per_edge_oracle():
                 cands.append((a * s + b) * s + v0)
         return min(cands), max(cands)
 
-    gmax = np.abs(con.gap[np.isfinite(con.gap)]).max()
+    gmax = np.abs(chi_p).max()
     tol = 1e-9 * (1.0 + gmax)
     edge_active, edge_sup = np.zeros(nc, dtype=bool), np.zeros(nc)
     pen, gap = np.full(mesh.edges.shape[0], np.nan), np.full(mesh.edges.shape[0], np.nan)
     for k, eid in enumerate(trace.edge_ids):
         nodes = trace.edge_nodes[k]
         un = sgn * u[2 * nodes + comp]
-        dev = un - con.gap[np.searchsorted(con.nodes, nodes)]
+        dev = un - chi_p[[trace.index_of(n) for n in nodes]]
         edge_active[k] = np.all(np.abs(dev) <= tol)
         lo, hi = quadratic_range(*dev)
         edge_sup[k] = max(abs(lo), abs(hi))
@@ -353,7 +321,7 @@ def test_contact_quantities_match_per_edge_oracle():
     classes, selected = np.empty(ncon, dtype="<U4"), np.empty(ncon, dtype=np.int64)
     for i, p in enumerate(trace.nodes):
         adj = np.array(edges_of[i])
-        touching = abs(sgn * u[2 * p + comp] - con.gap[np.searchsorted(con.nodes, p)]) <= tol
+        touching = abs(sgn * u[2 * p + comp] - chi_p[i]) <= tol
         if touching:
             classes[i] = dens.FULL_CONTACT if edge_active[adj].all() else dens.SEMI_CONTACT
         else:
@@ -364,7 +332,7 @@ def test_contact_quantities_match_per_edge_oracle():
     assert (node_edges[:, 0] < node_edges[:, 1]).any() and (gap[trace.edge_ids] > 0).any()
     assert np.array_equal(trace.weight, weight)
     assert np.array_equal(trace.node_edges, node_edges)
-    got_classes, got_selected = dens.classify_nodes(u, trace, con)
+    got_classes, got_selected = dens.classify_nodes(u, trace)
     assert np.array_equal(got_classes, classes)
     assert np.array_equal(got_selected, selected)
     got_pen, got_gap = est._consistency_per_edge(mesh, dofmap, problem, u, trace)

@@ -1,15 +1,17 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import signorini.density as dens
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
 
 
-def brute_force_vi(system, constraints, feas_tol=1e-10):
+def brute_force_vi(system, trace, feas_tol=1e-10):
     """Exhaustive oracle: try every active subset, keep the feasible minimizer.
 
     Solves the equality-constrained system densely for all 2^m subsets and
@@ -18,21 +20,21 @@ def brute_force_vi(system, constraints, feas_tol=1e-10):
     """
     K = system.K.toarray()
     F = system.F
-    gap = constraints.gap
-    dofs = constraints.dofs
+    gap = trace.gap
+    dofs = trace.dofs
     scale = 1.0 + np.abs(gap).max()
     best = None
-    for bits in itertools.product((False, True), repeat=constraints.size):
+    for bits in itertools.product((False, True), repeat=trace.size):
         active = np.array(bits)
         fixed = np.concatenate([system.dirichlet_dofs, dofs[active]])
         vals = np.concatenate([system.dirichlet_values,
-                               constraints.sign * gap[active]])
+                               trace.sign * gap[active]])
         u = np.zeros(system.ndof)
         u[fixed] = vals
         free = np.setdiff1d(np.arange(system.ndof), fixed)
         u[free] = np.linalg.solve(K[np.ix_(free, free)],
                                   F[free] - K[np.ix_(free, fixed)] @ u[fixed])
-        un = constraints.sign * u[dofs]
+        un = trace.sign * u[dofs]
         if np.all(un <= gap + feas_tol * scale):
             energy = 0.5 * u @ (K @ u) - F @ u
             if best is None or energy < best[0] - 1e-14 * (1 + abs(best[0])):
@@ -68,16 +70,13 @@ def random_contact_problem(rng, n, style):
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(mesh, dofmap, material, problem)
-    constraints = vi.contact_constraints(dofmap, problem)
-    return system, constraints
+    return system, dens.build_trace_mesh(dofmap, problem)
 
 
 def test_unconstrained_surrogate_matches_linear_solve(solved71):
     system = solved71.system
-    free_gap = np.full(solved71.constraints.size, np.inf)
-    loose = vi.ContactConstraints(solved71.constraints.nodes,
-                                  solved71.constraints.comp,
-                                  solved71.constraints.sign, free_gap)
+    loose = dataclasses.replace(solved71.trace,
+                                gap=np.full(solved71.trace.size, np.inf))
     sol = vi.solve_vi(system, loose)
     assert sol.active.sum() == 0
     assert np.allclose(sol.u, vi.solve_linear(system), atol=1e-12)
@@ -85,7 +84,7 @@ def test_unconstrained_surrogate_matches_linear_solve(solved71):
 
 def test_benchmark_solve_contact_structure(solved71):
     sol = solved71.solution
-    con = solved71.constraints
+    con = solved71.trace
     assert sol.active.sum() > 0
     un = con.sign * sol.u[con.dofs]
     scale = 1.0 + np.abs(un).max()
@@ -101,7 +100,7 @@ def test_residual_identities_at_contact_rows(solved71):
     # equality rows at free non-contact dofs, one-sided at contact rows
     r = solved71.residual
     assert np.array_equal(solved71.solution.residual, r)   # carried by the solve
-    system, con, dofmap = solved71.system, solved71.constraints, solved71.dofmap
+    system, con, dofmap = solved71.system, solved71.trace, solved71.dofmap
     scale = max(np.abs(system.F).max(), np.abs(system.K @ solved71.solution.u).max())
     free = system.free_mask()
     con_mask = np.zeros(dofmap.ndof, dtype=bool)
@@ -113,27 +112,27 @@ def test_residual_identities_at_contact_rows(solved71):
 
 
 def test_pdas_deterministic(solved71):
-    sol2 = vi.solve_vi(solved71.system, solved71.constraints)
+    sol2 = vi.solve_vi(solved71.system, solved71.trace)
     assert (sol2.active == solved71.solution.active).all()
     assert (sol2.u == solved71.solution.u).all()
     assert sol2.trace == solved71.solution.trace
 
 
 def test_pdas_weight_invariance(solved71):
-    a = vi.solve_vi(solved71.system, solved71.constraints, c=0.1)
-    b = vi.solve_vi(solved71.system, solved71.constraints, c=250.0)
+    a = vi.solve_vi(solved71.system, solved71.trace, c=0.1)
+    b = vi.solve_vi(solved71.system, solved71.trace, c=250.0)
     assert (a.active == b.active).all()
     assert np.abs(a.u - b.u).max() < 1e-9
 
 
 def test_pdas_rejects_bad_c(solved71):
     with pytest.raises(ValueError):
-        vi.solve_vi(solved71.system, solved71.constraints, c=0.0)
+        vi.solve_vi(solved71.system, solved71.trace, c=0.0)
 
 
 def test_nonconvergence_reports_history(solved71):
     with pytest.raises(vi.SolverError, match="history"):
-        vi.solve_vi(solved71.system, solved71.constraints, max_iter=1)
+        vi.solve_vi(solved71.system, solved71.trace, max_iter=1)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -141,10 +140,10 @@ def test_nonconvergence_reports_history(solved71):
 def test_pdas_matches_bruteforce_enumeration(seed, style):
     rng = np.random.default_rng(1000 + seed)
     n = 2 if seed % 2 == 0 else 3
-    system, constraints = random_contact_problem(rng, n, style)
-    assert constraints.size <= 12
-    sol = vi.solve_vi(system, constraints)
-    energy, u_ref, active_ref = brute_force_vi(system, constraints)
+    system, trace = random_contact_problem(rng, n, style)
+    assert trace.size <= 12
+    sol = vi.solve_vi(system, trace)
+    energy, u_ref, active_ref = brute_force_vi(system, trace)
 
     scale = 1.0 + np.abs(u_ref).max()
     assert np.abs(sol.u - u_ref).max() <= 1e-9 * scale
@@ -154,15 +153,15 @@ def test_pdas_matches_bruteforce_enumeration(seed, style):
     assert abs(e_pdas - energy) <= 1e-9 * (1.0 + abs(energy))
     # the clamped unconstrained solution is feasible, hence no better
     u_unc = vi.solve_linear(system)
-    un = constraints.sign * u_unc[constraints.dofs]
+    un = trace.sign * u_unc[trace.dofs]
     u_clamp = u_unc.copy()
-    u_clamp[constraints.dofs] = constraints.sign * np.minimum(un, constraints.gap)
+    u_clamp[trace.dofs] = trace.sign * np.minimum(un, trace.gap)
     e_clamp = 0.5 * u_clamp @ (system.K @ u_clamp) - system.F @ u_clamp
     assert e_pdas <= e_clamp + 1e-9 * (1.0 + abs(e_clamp))
 
 
 def test_trace_rows_collected(solved72):
-    sol = vi.solve_vi(solved72.system, solved72.constraints)
+    sol = vi.solve_vi(solved72.system, solved72.trace)
     assert len(sol.trace) == sol.iterations
     assert [row[0] for row in sol.trace] == list(range(sol.iterations))
     assert sol.trace[-1][1] == int(sol.active.sum())
@@ -177,7 +176,7 @@ def test_contact_solve_converges_at_p2_rate():
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         system = fem.assemble(mesh, dofmap, problem.material, problem)
-        sol = vi.solve_vi(system, vi.contact_constraints(dofmap, problem))
+        sol = vi.solve_vi(system, dens.build_trace_mesh(dofmap, problem))
         errs.append(prb.measure_error(mesh, sol.u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.5, (errs, rates)
@@ -190,9 +189,9 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
         mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(mesh, dofmap, problem.material, problem)
-    constraints = vi.contact_constraints(dofmap, problem)
-    active = np.arange(constraints.size) % 2 == 0
-    fixed = np.concatenate([system.dirichlet_dofs, constraints.dofs[active]])
+    trace = dens.build_trace_mesh(dofmap, problem)
+    active = np.arange(trace.size) % 2 == 0
+    fixed = np.concatenate([system.dirichlet_dofs, trace.dofs[active]])
     vals = np.concatenate([system.dirichlet_values, np.zeros(active.sum())])
     handed = []
     splu = vi.spla.splu

@@ -212,12 +212,11 @@ def run_level(problem, mesh, params):
     """
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
-    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    system = fem.assemble(dofmap, problem)
     trace_mesh = dens.build_trace_mesh(dofmap, problem)
     sol = vi.solve_vi(system, trace_mesh)
     density = dens.compute_density(sol.residual, sol.u, trace_mesh)
-    report = est.estimate(mesh, dofmap, patches, problem, sol.u, density,
-                          c0=params.c0)
+    report = est.estimate(dofmap, patches, problem, sol.u, density, c0=params.c0)
     checks = _level_checks(system, sol, density)
     return dofmap, sol, density, report, checks
 

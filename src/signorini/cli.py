@@ -35,13 +35,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    problem = prb.get_problem(args.problem)
-    if problem.exact is not None:
-        prb.verify_manufactured(problem)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     params = adaptive.AdaptiveParams(
         levels=args.levels, theta=args.theta, c0=args.c0,
         n0=args.n0, uniform=args.uniform)
+    try:
+        params.validate()
+        problem = prb.get_problem(args.problem)
+    except ValueError as exc:   # bad input; errors during the run keep their traceback
+        parser.error(str(exc))
+    if problem.exact is not None:
+        prb.verify_manufactured(problem)
     result = adaptive.adapt(problem, params, out_dir=args.out, write_trace=args.trace)
     last = result.records[-1]
     print(f"{problem.name}: {len(result.records)} levels, "

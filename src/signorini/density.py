@@ -12,9 +12,16 @@ functions psi_p on the split mesh define the lumped pairing
 
 and the nodal density is the discrete residual divided by the hat weight:
 lambda_n(p) = m_p / weight(p) in the contact-normal direction (nonnegative at
-a converged solve) and lambda_t(p) in the tangential direction (zero).  The
-quasi-density extends this to arbitrary fields through weighted node averages
-e_p and stays nonnegative on fields with nonnegative normal component.
+a converged solve) and lambda_t(p) in the tangential direction (zero).
+
+The quasi-density extends this to arbitrary fields through the node averages
+e_p, all computed at once by ``node_averages`` from the fixed tables
+W[a, q] = w_q phi_a(x_q) on a triangle and H[j, q] (hats psi_j times weights)
+on a contact edge; v_T and v_k are the values of v at their quadrature points:
+
+    e_p(v) = sum_T |T| (W v_T)[a_T] / sum_T |T| (W 1)[a_T]   (p is node a_T of T)
+    e_p(v) = (H v_k)[j] at a contact node p, node j of its edge k; 0 if Dirichlet
+    <quasi-density, v> = sum_p lambda_n(p) e_p(v_n) weight(p)  >= 0 if v_n >= 0
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ class ContactTraceMesh:
     edge_ids    (nc,) mesh edge ids of the contact edges, ascending
     edge_nodes  (nc, 3) node ids (vertex, midpoint, vertex) per contact edge
     edge_pos    (nc, 3) position in ``nodes`` of each entry of edge_nodes
-    lengths     (nc,) edge lengths
     nodes       (ncon,) sorted contact node ids
     weight      (ncon,) hat weight per contact node, aligned with ``nodes``
     node_edges  (ncon, 2) indices into edge_ids of the contact edges holding
@@ -54,7 +60,6 @@ class ContactTraceMesh:
     edge_ids: np.ndarray
     edge_nodes: np.ndarray
     edge_pos: np.ndarray
-    lengths: np.ndarray
     nodes: np.ndarray
     weight: np.ndarray
     node_edges: np.ndarray
@@ -74,12 +79,6 @@ class ContactTraceMesh:
     @property
     def size(self):
         return self.nodes.size
-
-    def index_of(self, node):
-        i = np.searchsorted(self.nodes, node)
-        if i == self.nodes.size or self.nodes[i] != node:
-            raise KeyError(f"node {node} is not a contact node")
-        return i
 
 
 def build_trace_mesh(dofmap, problem):
@@ -104,8 +103,7 @@ def build_trace_mesh(dofmap, problem):
     edge_nodes = np.column_stack([ev[:, 0], nv + edge_ids, ev[:, 1]])
 
     nodes, inv = np.unique(edge_nodes.ravel(), return_inverse=True)
-    weight = np.zeros(nodes.size)
-    np.add.at(weight, inv, (lengths[:, None] * _HAT_SHARE).ravel())
+    weight = np.bincount(inv, (lengths[:, None] * _HAT_SHARE).ravel())
     # entries grouped by node, edges ascending within a group
     order = np.argsort(inv, kind="stable")
     count = np.bincount(inv)
@@ -115,7 +113,7 @@ def build_trace_mesh(dofmap, problem):
     node_edges = np.column_stack([order[last - count + 1], order[last]]) // 3
     gap = problem.chi(dofmap.coords[nodes])
     return ContactTraceMesh(edge_ids, edge_nodes, inv.reshape(edge_nodes.shape),
-                            lengths, nodes, weight, node_edges,
+                            nodes, weight, node_edges,
                             problem.normal_comp, problem.normal_sign, gap)
 
 
@@ -178,73 +176,42 @@ def classify_nodes(u, trace, tol=None):
 
 # -- weighted node averages ---------------------------------------------------
 
-def _hat_on_edge(local, s):
-    """psi_p along one contact edge for p = vertex0/midpoint/vertex1 (local 0/1/2).
-
-    The hat lives on the split mesh: linear on [0, 1/2] and on [1/2, 1].
-    """
-    s = np.asarray(s, dtype=float)
-    if local == 0:
-        return np.clip(1.0 - 2.0 * s, 0.0, None)
-    if local == 2:
-        return np.clip(2.0 * s - 1.0, 0.0, None)
-    return np.where(s <= 0.5, 2.0 * s, 2.0 * (1.0 - s))
+# W[a, q] = w_q phi_a(x_q) on one triangle: the linear hat at a vertex (its
+# P2 basis has zero element mean), the P2 basis at a midpoint
+_VOLUME_W = fem.TRI_QW * np.vstack([fem.TRI_QP.T, fem.shape_values(fem.TRI_QP).T[3:]])
+# H[j, q]: hat psi_j of (vertex, midpoint, vertex) on a contact edge times the
+# weight of 3-point Gauss per half-edge at s_q, normalised per hat
+_HALF_EDGE_S = np.r_[0.5 * fem.EDGE_QT, 0.5 + 0.5 * fem.EDGE_QT]
+_HAT_W = np.clip([1 - 2 * _HALF_EDGE_S, 1 - np.abs(2 * _HALF_EDGE_S - 1),
+                  2 * _HALF_EDGE_S - 1], 0.0, None) * np.tile(fem.EDGE_QW, 2)
+_HAT_W /= _HAT_W.sum(axis=1, keepdims=True)
 
 
-def boundary_average(mesh, trace, k, local, v):
-    """psi_p-weighted average of scalar field ``v`` over contact edge k.
-
-    Exact for the polynomial degrees in play: 3-point Gauss per half-edge.
-    """
-    a, b = mesh.edges[trace.edge_ids[k]]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    num = 0.0
-    den = 0.0
-    for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
-        s = lo + (hi - lo) * fem.EDGE_QT
-        pts = pa[None, :] * (1 - s)[:, None] + pb[None, :] * s[:, None]
-        w = fem.EDGE_QW * (hi - lo) * trace.lengths[k]
-        hats = _hat_on_edge(local, s)
-        num += float(np.sum(w * hats * np.asarray(v(pts), dtype=float)))
-        den += float(np.sum(w * hats))
-    return num / den
+def _contact_averages(mesh, trace, v, edge):
+    """psi_p average of scalar field ``v`` for each contact node p over its
+    contact edge ``edge`` (indices into trace.edge_ids)."""
+    pa, pb = mesh.vertices[trace.edge_nodes[:, [0]]], mesh.vertices[trace.edge_nodes[:, [2]]]
+    s = _HALF_EDGE_S[:, None]
+    vals = np.asarray(v((pa * (1 - s) + pb * s).reshape(-1, 2)), dtype=float)
+    avg = vals.reshape(-1, s.size) @ _HAT_W.T
+    local = np.argmax(trace.edge_pos[edge] == np.arange(trace.size)[:, None], axis=1)
+    return avg[edge, local]
 
 
-def volume_average(mesh, patches, p, v):
-    """Nonnegative-weight average of ``v`` over the patch of node p.
-
-    Midpoint nodes use their own quadratic basis (nonnegative on the patch).
-    The quadratic vertex basis has zero element mean, so vertex nodes use the
-    linear hat instead, which shares its support and sign.
-    """
-    tris = patches.tris(p)
-    pts = fem.barycentric_to_xy(mesh, fem.TRI_QP)[tris]          # (k, 6, 2)
-    areas = mesh.areas[tris]
-    if p < mesh.num_vertices:
-        local = np.array([int(np.flatnonzero(mesh.triangles[t] == p)[0]) for t in tris])
-        weights = fem.TRI_QP[:, local].T                          # hat = barycentric coord
-    else:
-        e = p - mesh.num_vertices
-        local = np.array([int(np.flatnonzero(mesh.tri_edges[t] == e)[0]) for t in tris])
-        weights = fem.shape_values(fem.TRI_QP)[:, 3 + local].T
-    vv = np.asarray(v(pts.reshape(-1, 2)), dtype=float).reshape(len(tris), 6)
-    num = float(np.einsum("k,q,kq,kq->", areas, fem.TRI_QW, weights, vv))
-    den = float(np.einsum("k,q,kq->", areas, fem.TRI_QW, weights))
-    return num / den
-
-
-def node_average(mesh, dofmap, patches, trace, p, v, selected_edge=None):
-    """The e_p average of a scalar field: zero on Dirichlet nodes, a
-    boundary hat average on contact nodes, a volume average elsewhere."""
-    kind = dofmap.kind[p]
-    if kind == msh.DIRICHLET:
-        return 0.0
-    if kind == msh.CONTACT and trace is not None:
-        i = trace.index_of(p)
-        k = trace.node_edges[i][0] if selected_edge is None else selected_edge
-        local = int(np.flatnonzero(trace.edge_nodes[k] == p)[0])
-        return boundary_average(mesh, trace, k, local, v)
-    return volume_average(mesh, patches, p, v)
+def node_averages(dofmap, trace, v, selected_edge=None):
+    """e_p of scalar field ``v`` at every node (see the module docstring); a
+    contact node averages over ``selected_edge``, default trace.node_edges[:, 0]."""
+    mesh = dofmap.mesh
+    pts = fem.barycentric_to_xy(mesh, fem.TRI_QP).reshape(-1, 2)
+    vals = np.asarray(v(pts), dtype=float).reshape(mesh.num_triangles, -1)
+    nodes = mesh.element_nodes.ravel()
+    num = np.bincount(nodes, (mesh.areas[:, None] * (vals @ _VOLUME_W.T)).ravel())
+    den = np.bincount(nodes, np.outer(mesh.areas, _VOLUME_W.sum(axis=1)).ravel())
+    e = num / den
+    edge = trace.node_edges[:, 0] if selected_edge is None else selected_edge
+    e[trace.nodes] = _contact_averages(mesh, trace, v, edge)
+    e[dofmap.kind == msh.DIRICHLET] = 0.0
+    return e
 
 
 def apply_quasi_density(mesh, density, v):
@@ -258,14 +225,8 @@ def apply_quasi_density(mesh, density, v):
     def v_n(pts):
         return trace.sign * np.asarray(v(pts), dtype=float)[:, trace.comp]
 
-    total = 0.0
-    for i, p in enumerate(trace.nodes):
-        if density.normal[i] == 0.0:
-            continue
-        k = density.selected_edge[i]
-        local = int(np.flatnonzero(trace.edge_nodes[k] == p)[0])
-        total += density.normal[i] * boundary_average(mesh, trace, k, local, v_n) * trace.weight[i]
-    return total
+    e = _contact_averages(mesh, trace, v_n, density.selected_edge)
+    return float(np.sum(density.normal * e * trace.weight))
 
 
 def write_density_csv(path, dofmap, density):

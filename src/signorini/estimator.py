@@ -70,10 +70,10 @@ def _abs_max(arr, axis=None):
     return np.abs(arr).max(axis=axis) if arr.size else 0.0
 
 
-def estimate(mesh, dofmap, patches, problem, u, density, c0=0.45):
-    """Evaluate all estimator contributions for one solved level; the
-    contact record is ``density.trace``."""
-    trace = density.trace
+def estimate(dofmap, patches, problem, u, density, c0=0.45):
+    """Evaluate all estimator contributions for one solved level; the mesh
+    is ``dofmap.mesh`` and the contact record ``density.trace``."""
+    mesh, trace = dofmap.mesh, density.trace
     h_p = patches.diameter
     S = _element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
@@ -81,7 +81,7 @@ def estimate(mesh, dofmap, patches, problem, u, density, c0=0.45):
     J = _interior_jumps(mesh, sig)                               # (ne,), nan off interior
     R = _neumann_residual(mesh, sig, problem)                    # (ne,), nan off Neumann
     Tn, Tt = _contact_tractions(mesh, sig, trace)                # (ne,), nan off contact
-    pen_e, gap_e = _consistency_per_edge(mesh, dofmap, problem, u, trace)
+    pen_e, gap_e = _consistency_per_edge(dofmap, problem, u, trace)
 
     # active-density region: contact edges of nodes with positive lumped density
     m = density.normal * trace.weight
@@ -228,7 +228,7 @@ def _contact_tractions(mesh, sig, trace):
     return Tn, Tt
 
 
-def _consistency_per_edge(mesh, dofmap, problem, u, trace):
+def _consistency_per_edge(dofmap, problem, u, trace):
     """Penetration and gap sups per contact edge.
 
     The trace of u_n is quadratic along the edge; the obstacle is sampled
@@ -237,7 +237,7 @@ def _consistency_per_edge(mesh, dofmap, problem, u, trace):
     per half-edge.  A candidate outside its half-edge is replaced by s = 0,
     already a sample.
     """
-    ne = mesh.edges.shape[0]
+    ne = dofmap.mesh.edges.shape[0]
     pen = np.full(ne, np.nan)
     gapv = np.full(ne, np.nan)
     nodes = trace.edge_nodes

@@ -182,12 +182,9 @@ class DofMap:
     def ndof(self):
         return 2 * self.n_nodes
 
-    def nodes_of(self, kind):
-        return np.flatnonzero(self.kind == kind)
-
     @property
     def dirichlet_nodes(self):
-        return self.nodes_of(msh.DIRICHLET)
+        return np.flatnonzero(self.kind == msh.DIRICHLET)
 
     @property
     def dirichlet_dofs(self):
@@ -316,17 +313,17 @@ def _stiffness_matrix(mesh, material):
     return sp.csr_matrix((data, indices, indptr), shape=(2 * n_nodes, 2 * n_nodes))
 
 
-def assemble(mesh, dofmap, material, problem):
+def assemble(dofmap, problem):
     """Build the elasticity stiffness matrix and load vector.
 
-    ``problem`` provides vectorized callables f(points) -> (n, 2) and
-    g(points) -> (n, 2) plus Dirichlet data; any of them may be None for zero
-    data.
+    ``problem`` provides the material, vectorized callables f(points) -> (n, 2)
+    and g(points) -> (n, 2) and Dirichlet data; the last three may be None.
     """
+    mesh, material = dofmap.mesh, problem.material
     nt = mesh.num_triangles
     K = _stiffness_matrix(mesh, material)
 
-    if problem is not None and problem.f is not None:
+    if problem.f is not None:
         xy = barycentric_to_xy(mesh, TRI_QP)
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
         # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
@@ -335,15 +332,14 @@ def assemble(mesh, dofmap, material, problem):
     else:
         F = np.zeros(dofmap.ndof)
 
-    if problem is not None and problem.g is not None:
+    if problem.g is not None:
         _add_neumann_load(mesh, F, problem.g)
 
+    # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p
     d_dofs = dofmap.dirichlet_dofs
-    if problem is not None and problem.dirichlet is not None and d_dofs.size:
-        vals = problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes])
-        d_values = np.empty(d_dofs.size)
-        d_values[0::2] = vals[:, 0]
-        d_values[1::2] = vals[:, 1]
+    if problem.dirichlet is not None and d_dofs.size:
+        d_values = np.array(problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes]),
+                            dtype=float).ravel()
     else:
         d_values = np.zeros(d_dofs.size)
     return SparseSystem(K, F, d_dofs, d_values, material)
@@ -412,9 +408,6 @@ def divergence_stress(mesh, material, u):
 
 
 def interpolate(dofmap, func):
-    """Nodal interpolant of a vectorized field func(points) -> (n, 2)."""
-    vals = func(dofmap.coords)
-    u = np.empty(dofmap.ndof)
-    u[0::2] = vals[:, 0]
-    u[1::2] = vals[:, 1]
-    return u
+    """Nodal interpolant of a vectorized field func(points) -> (n, 2), as
+    dofs interleaved (2p, 2p + 1)."""
+    return np.array(func(dofmap.coords), dtype=float).ravel()

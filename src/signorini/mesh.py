@@ -347,10 +347,6 @@ class PatchTable:
     edge_nodes: np.ndarray
     diameter: np.ndarray
 
-    def tris(self, p):
-        """Triangle ids of the patch of node p, ascending."""
-        return np.flatnonzero((self.tri_nodes == p).any(axis=1))
-
     def tri_max(self, values):
         """Per node, the max of nonnegative per-triangle values over its patch."""
         return self._scatter_max(self.tri_nodes, values)

@@ -18,11 +18,13 @@ Two built-in benchmarks on the unit square:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import estimator as est
 from . import fem
 from . import mesh as msh
 
@@ -138,6 +140,9 @@ def get_problem(key):
     """Resolve a registry name or a JSON problem-file path."""
     if key in PROBLEMS:
         return PROBLEMS[key]()
+    if not os.path.isfile(key):
+        raise ValueError(f"unknown problem {key!r}: neither one of "
+                         f"{', '.join(PROBLEMS)} nor a problem file")
     return from_file(key)
 
 
@@ -283,16 +288,11 @@ def verify_manufactured(problem, n=100, seed=0, tol=1e-10):
 
 # -- error measurement --------------------------------------------------------
 
-# dense per-triangle sample: the 6 nodes, quadrature points, and the 15
-# strictly interior lattice points (i+j+k = 7, all positive)
+# dense per-triangle sample: the estimator's (the 6 nodes and the quadrature
+# points) and the 15 strictly interior lattice points (i+j+k = 7, all positive)
 _LATTICE = np.array([[i, j, 7 - i - j] for i in range(1, 6)
                      for j in range(1, 7 - i)], dtype=float) / 7.0
-ERROR_SAMPLE = np.vstack([
-    np.eye(3),
-    np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
-    fem.TRI_QP,
-    _LATTICE,
-])
+ERROR_SAMPLE = np.vstack([est.TRI_SAMPLE, _LATTICE])
 
 
 def measure_error(mesh, u, exact):

@@ -42,10 +42,6 @@ class VISolution:
     trace: list                 # (iteration, |A|, free residual) per iteration
     residual: np.ndarray        # F - K u of the final iterate
 
-    @property
-    def active_nodes(self):
-        return np.flatnonzero(self.active)
-
 
 def _solve_constrained(system, fixed_dofs, fixed_values):
     """Solve K u = F with the given dofs prescribed (symmetric elimination)."""

@@ -21,7 +21,7 @@ class SolvedState:
         self.mesh = problem.mesh(n)
         self.dofmap = fem.DofMap(self.mesh)
         self.patches = msh.build_patches(self.mesh)
-        self.system = fem.assemble(self.mesh, self.dofmap, problem.material, problem)
+        self.system = fem.assemble(self.dofmap, problem)
         self.trace = dens.build_trace_mesh(self.dofmap, problem)
         self.solution = vi.solve_vi(self.system, self.trace)
         self.residual = vi.residual_functional(self.system, self.solution.u)

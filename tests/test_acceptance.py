@@ -13,7 +13,10 @@ The ROADMAP.md item on criterion 1 holds the per-term evidence and the
 open hypotheses.
 """
 
+import dataclasses
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ import signorini.vi as vi
 from test_vi import brute_force_vi, random_contact_problem
 
 SLOPE_WINDOW = (-1.8, -1.2)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def announce(criterion, ok, detail):
@@ -47,6 +51,25 @@ def ex71_run():
 @pytest.fixture(scope="session")
 def ex72_run():
     return ad.adapt(prb.rigid_wedge_push(), ad.AdaptiveParams(levels=20, theta=0.5, n0=4))
+
+
+def test_runs_repeat_benchmark_reference_prefix(ex71_run, ex72_run, monkeypatch):
+    """The acceptance runs are prefixes of the benchmark's ex71 and ex72
+    workloads: their ndof and active-node sequences must equal the first
+    levels of the benchmark reference, and every level must pass the
+    benchmark's per-level gate."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gate
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]
+    for name, records in (("ex71-adapt", ex71_run[0].records),
+                          ("ex72-adapt", ex72_run.records)):
+        ref = reference[name]
+        assert [r.ndof for r in records] == ref["ndofs"][:len(records)], name
+        assert [r.active_nodes for r in records] == ref["active_nodes"][:len(records)], name
+        rows = [{"level": r.level, "active_nodes": r.active_nodes,
+                 "checks": dataclasses.asdict(r.checks)} for r in records]
+        assert gate.level_problems(rows) == [], name
 
 
 def slope(records, values):
@@ -149,7 +172,7 @@ def test_criterion_7_assembly_oracles():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    system = fem.assemble(dofmap, problem)
     u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     energy = u @ (system.K @ u)
     expected = problem.material.stress_scale * 1.0
@@ -181,14 +204,10 @@ def test_criterion_8_quasi_density_positivity(solved71):
         val = dens.apply_quasi_density(state.mesh, state.density, v)
         worst = min(worst, val)
         assert val >= 0.0
-    ones = lambda pts: np.ones(len(pts))
-    for p in range(state.dofmap.n_nodes):
-        e_p = dens.node_average(state.mesh, state.dofmap, state.patches,
-                               state.trace, p, ones)
-        if state.dofmap.kind[p] == msh.DIRICHLET:
-            assert e_p == 0.0
-        else:
-            assert abs(e_p - 1.0) <= 1e-12
+    e = dens.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
+    dirichlet = state.dofmap.kind == msh.DIRICHLET
+    assert (e[dirichlet] == 0.0).all()
+    assert np.abs(e[~dirichlet] - 1.0).max() <= 1e-12
     announce("8 (quasi-density positivity)", True,
              f"min pairing over 100 fields {worst:.3e}, unit averages exact")
 

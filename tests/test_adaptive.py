@@ -167,3 +167,34 @@ def test_cli_problem_file(tmp_path):
                    "--out", str(out), "--uniform"])
     assert rc == 0
     assert json.loads((out / "config.json").read_text())["uniform"] is True
+
+
+def cli_usage_error(tmp_path, capsys, *args):
+    """Run the CLI on bad input; return its one-line error message."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err.strip().splitlines()[-1]
+
+
+def test_cli_unknown_problem_is_a_usage_error(tmp_path, capsys):
+    line = cli_usage_error(tmp_path, capsys, "--problem", "ex73")
+    assert line.startswith("signorini: error: ")
+    assert "'ex73'" in line and "ex71" in line and "ex72" in line
+
+
+def test_cli_malformed_problem_file_names_file_and_key(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact",
+                                "material": {"E": "ten", "nu": 0.3}}))
+    line = cli_usage_error(tmp_path, capsys, "--problem", str(path))
+    assert line.startswith(f"signorini: error: problem file {path}: material.E ")
+
+
+def test_cli_rejects_zero_levels(tmp_path, capsys):
+    line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--levels", "0")
+    assert line == "signorini: error: need at least one level"

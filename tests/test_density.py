@@ -29,8 +29,9 @@ def test_trace_weights_uniform_mesh(solved71):
     assert np.allclose(trace.weight[is_mid], h / 2)
     assert np.allclose(trace.weight[inner_vertex], h / 2)
     assert np.allclose(trace.weight[endpoints], h / 4)
-    assert np.isclose(trace.weight.sum(), trace.lengths.sum(), atol=1e-14)
-    assert np.isclose(trace.lengths.sum(), 1.0)
+    lengths = mesh.edge_length(trace.edge_ids)
+    assert np.isclose(trace.weight.sum(), lengths.sum(), atol=1e-14)
+    assert np.isclose(lengths.sum(), 1.0)
 
 
 def chain_ends(mesh, trace, h):
@@ -82,7 +83,7 @@ def test_trace_disconnected_chains():
 
     mesh = msh.generate_unit_square(4, tagging)
     trace = trace_of(mesh)
-    assert np.isclose(trace.lengths.sum(), 0.5)
+    assert np.isclose(mesh.edge_length(trace.edge_ids).sum(), 0.5)
     assert np.isclose(trace.weight.sum(), 0.5)
     # the chain ends, and only they, carry the single half-hat weight h/4
     ends = chain_ends(mesh, trace, 0.25)
@@ -159,7 +160,7 @@ def test_density_against_independent_quadrature():
         dirichlet=None, normal_comp=1, normal_sign=-1.0)
     mesh = problem.mesh(1)
     dofmap = fem.DofMap(mesh)
-    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
     sol = vi.solve_vi(system, trace)
     den = dens.compute_density(vi.residual_functional(system, sol.u), sol.u, trace)
@@ -230,11 +231,11 @@ def test_classification_synthetic(solved71):
     mid = trace.nodes[trace.nodes >= state.mesh.num_vertices][0]
     u[2 * mid + trace.comp] -= 0.05 * trace.sign  # u_n -= 0.05
     classes, _ = dens.classify_nodes(u, trace)
-    i_mid = trace.index_of(mid)
+    i_mid = np.searchsorted(trace.nodes, mid)
     assert classes[i_mid] == dens.NO_CONTACT
     k = trace.node_edges[i_mid][0]
-    for v in (trace.edge_nodes[k][0], trace.edge_nodes[k][2]):
-        assert classes[trace.index_of(v)] == dens.SEMI_CONTACT
+    ends = np.searchsorted(trace.nodes, trace.edge_nodes[k][[0, 2]])
+    assert (classes[ends] == dens.SEMI_CONTACT).all()
 
 
 def test_no_contact_classification(solved72):
@@ -249,23 +250,20 @@ def test_no_contact_classification(solved72):
 
 def test_node_average_constant_is_one(solved71):
     state = solved71
-    ones = lambda pts: np.ones(len(pts))
-    for p in range(state.dofmap.n_nodes):
-        e_p = dens.node_average(state.mesh, state.dofmap, state.patches,
-                               state.trace, p, ones)
-        if state.dofmap.kind[p] == msh.DIRICHLET:
-            assert e_p == 0.0
-        else:
-            assert abs(e_p - 1.0) < 1e-12
+    e = dens.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
+    dirichlet = state.dofmap.kind == msh.DIRICHLET
+    assert dirichlet.any() and (e[dirichlet] == 0.0).all()
+    assert np.abs(e[~dirichlet] - 1.0).max() < 1e-12
 
 
 def test_node_average_linear_field_against_independent_rule(solved71):
     state = solved71
     mesh, dofmap, patches = state.mesh, state.dofmap, state.patches
     v = lambda pts: 0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2
+    got = dens.node_averages(dofmap, state.trace, v)
 
     def oracle_volume(p):
-        tris = patches.tris(p)
+        tris = np.flatnonzero((patches.tri_nodes == p).any(axis=1))
         num = den_ = 0.0
         for t in tris:
             pts = np.einsum("qk,kd->qd", _D3_B, mesh.vertices[mesh.triangles[t]])
@@ -283,16 +281,38 @@ def test_node_average_linear_field_against_independent_rule(solved71):
     for p in range(dofmap.n_nodes):
         if dofmap.kind[p] in (msh.DIRICHLET, msh.CONTACT):
             continue
-        got = dens.node_average(mesh, dofmap, patches, state.trace, p, v)
-        assert abs(got - oracle_volume(p)) < 1e-12
+        assert abs(got[p] - oracle_volume(p)) < 1e-12
         checked += 1
     assert checked > 10
     # symmetric interior vertex patch: the average of a linear field is its
     # value at the patch center
     interior = [q for q in range(mesh.num_vertices) if dofmap.kind[q] == "i"]
     q = interior[0]
-    assert abs(dens.node_average(mesh, dofmap, patches, state.trace, q, v)
-               - v(dofmap.coords[[q]])[0]) < 1e-12
+    assert abs(got[q] - v(dofmap.coords[[q]])[0]) < 1e-12
+
+
+def test_boundary_averages_quadratic_field_against_independent_rule(solved71, solved72):
+    """On every adjacent contact edge of every contact node, the hat average
+    equals a 4-point Gauss-Legendre integration over the two half-edges, with
+    psi_p interpolated from its nodal values (1 at p, 0 at the other two)."""
+    v = lambda pts: 1.3 * pts[:, 0] ** 2 - 0.4 * pts[:, 0] * pts[:, 1] + 0.9 * pts[:, 1] ** 2 + 0.1
+    t, w = np.polynomial.legendre.leggauss(4)
+    t, w = (t + 1) / 4, w / 4                      # on [0, 1/2]
+    for state in (solved71, solved72):
+        mesh, trace = state.mesh, state.trace
+        for col in (0, 1):
+            edge = trace.node_edges[:, col]
+            got = dens.node_averages(state.dofmap, trace, v, selected_edge=edge)
+            for i, p in enumerate(trace.nodes):
+                nodes = trace.edge_nodes[edge[i]]
+                pa, pb = mesh.vertices[nodes[0]], mesh.vertices[nodes[2]]
+                num = den_ = 0.0
+                for lo in (0.0, 0.5):
+                    s = lo + t
+                    psi = np.interp(s, [0.0, 0.5, 1.0], (nodes == p).astype(float))
+                    num += np.sum(w * psi * v(pa + np.outer(s, pb - pa)))
+                    den_ += np.sum(w * psi)
+                assert abs(got[p] - num / den_) < 1e-12
 
 
 def test_quasi_density_unit_field_total_force(solved71):

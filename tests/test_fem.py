@@ -87,7 +87,7 @@ def assembled():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    system = fem.assemble(dofmap, problem)
     return mesh, dofmap, system
 
 
@@ -227,7 +227,7 @@ def test_galerkin_pure_dirichlet_cubic_rate():
     for n in (2, 4, 8):
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
-        system = fem.assemble(mesh, dofmap, problem.material, problem)
+        system = fem.assemble(dofmap, problem)
         u = vi.solve_linear(system)
         errs.append(prb.measure_error(mesh, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -333,7 +333,7 @@ def test_stiffness_matches_coo_assembly(bisected):
     mesh, _ = bisected
     problem = prb.bottom_contact_benchmark()
     dofmap = fem.DofMap(mesh)
-    K = fem.assemble(mesh, dofmap, problem.material, problem).K
+    K = fem.assemble(dofmap, problem).K
     ref = _coo_stiffness(mesh, problem.material, dofmap.ndof)
     assert K.format == "csr" and K.indices.dtype == K.indptr.dtype == np.int32
     assert np.array_equal(K.indptr, ref.indptr)
@@ -346,7 +346,7 @@ def test_stiffness_exactly_symmetric(bisected):
     problem = prb.rigid_wedge_push()
     Ke = fem.element_stiffness(mesh, problem.material)
     assert np.array_equal(Ke, np.swapaxes(Ke, 1, 2))
-    K = fem.assemble(mesh, fem.DofMap(mesh), problem.material, problem).K
+    K = fem.assemble(fem.DofMap(mesh), problem).K
     KT = K.T.tocsr()
     assert np.array_equal(K.indptr, KT.indptr)
     assert np.array_equal(K.indices, KT.indices)

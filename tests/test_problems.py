@@ -39,6 +39,11 @@ def test_registry_keys():
     assert prb.get_problem("ex72").name == "ex72"
 
 
+def test_unknown_problem_names_the_registry_keys():
+    with pytest.raises(ValueError, match=r"'ex73'.*ex71, ex72"):
+        prb.get_problem("ex73")
+
+
 def test_problem_file_roundtrip(tmp_path):
     cfg = {"name": "pushdown", "tagging": "bottom_contact",
            "material": {"E": 10.0, "nu": 0.2},

@@ -69,7 +69,7 @@ def random_contact_problem(rng, n, style):
         chi=chi, dirichlet=None, normal_comp=comp, normal_sign=sign)
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
-    system = fem.assemble(mesh, dofmap, material, problem)
+    system = fem.assemble(dofmap, problem)
     return system, dens.build_trace_mesh(dofmap, problem)
 
 
@@ -175,7 +175,7 @@ def test_contact_solve_converges_at_p2_rate():
     for n in (2, 4, 8):
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
-        system = fem.assemble(mesh, dofmap, problem.material, problem)
+        system = fem.assemble(dofmap, problem)
         sol = vi.solve_vi(system, dens.build_trace_mesh(dofmap, problem))
         errs.append(prb.measure_error(mesh, sol.u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
@@ -188,7 +188,7 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
     for _ in range(3):
         mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
     dofmap = fem.DofMap(mesh)
-    system = fem.assemble(mesh, dofmap, problem.material, problem)
+    system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
     active = np.arange(trace.size) % 2 == 0
     fixed = np.concatenate([system.dirichlet_dofs, trace.dofs[active]])

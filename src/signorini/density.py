@@ -3,10 +3,11 @@
 The contact boundary is viewed as a piecewise-linear trace mesh whose cells
 are the half-edges [vertex, midpoint] and [midpoint, vertex] of every contact
 edge.  ``build_trace_mesh`` makes the level's one contact record from it: the
-contact nodes, their hat weights and edge incidences, the axis-aligned normal
-n = sign * e_comp and the nodal gap chi(p).  The active-set solver, the
-density, the node classes and the estimator all read this record.  Hat
-functions psi_p on the split mesh define the lumped pairing
+contact nodes, their hat weights and edge incidences, the normal frame and the
+nodal gap chi(p).  The frame comes from the mesh: the contact edges' common
+outward normal must be an axis direction n = sign * e_comp.  The active-set
+solver, the density, the node classes and the estimator all read this record.
+Hat functions psi_p on the split mesh define the lumped pairing
 
     <w, v>_h = sum_p w(p) . v(p) * weight(p),   weight(p) = int psi_p ds,
 
@@ -88,8 +89,9 @@ def build_trace_mesh(dofmap, problem):
     spans the two half-edges of its edge (weight h/2); a vertex hat spans
     one half-edge per adjacent contact edge (weight h/4 each), so h/4 marks
     the ends of each contact chain.  The contact boundary may have several
-    components; an empty one is an error, and so is a vertex on more than
-    two contact edges.  The gap is ``problem.chi`` at the contact nodes.
+    components; an empty one is an error, and so are a vertex on more than
+    two contact edges and contact edges whose outward normals are not one
+    axis direction.  The gap is ``problem.chi`` at the contact nodes.
     """
     mesh = dofmap.mesh
     nv = mesh.num_vertices
@@ -111,10 +113,14 @@ def build_trace_mesh(dofmap, problem):
         raise ValueError("a contact vertex lies on more than two contact edges")
     last = np.cumsum(count) - 1
     node_edges = np.column_stack([order[last - count + 1], order[last]]) // 3
+    normals = np.unique(mesh.outward_normals(edge_ids).round(12) + 0.0, axis=0)
+    if len(normals) > 1 or np.count_nonzero(normals[0]) != 1:
+        raise ValueError("the contact boundary must face one axis direction; "
+                         f"its outward normals are {normals.tolist()}")
+    comp = int(np.flatnonzero(normals[0])[0])
     gap = problem.chi(dofmap.coords[nodes])
     return ContactTraceMesh(edge_ids, edge_nodes, inv.reshape(edge_nodes.shape),
-                            nodes, weight, node_edges,
-                            problem.normal_comp, problem.normal_sign, gap)
+                            nodes, weight, node_edges, comp, float(normals[0, comp]), gap)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,6 @@ import numpy as np
 from . import fem
 from . import mesh as msh
 
-# vertices, edge midpoints, then the interior quadrature points
-TRI_SAMPLE = np.vstack([
-    np.eye(3),
-    np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
-    fem.TRI_QP,
-])
 EDGE_SAMPLE = np.unique(np.concatenate([
     np.array([0.0, 0.5, 1.0]), fem.EDGE_QT, np.linspace(0.0, 1.0, 21),
 ]))
@@ -78,20 +72,21 @@ def estimate(dofmap, patches, problem, u, density, c0=0.45):
     S = _element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
 
-    J = _interior_jumps(mesh, sig)                               # (ne,), nan off interior
-    R = _neumann_residual(mesh, sig, problem)                    # (ne,), nan off Neumann
-    Tn, Tt = _contact_tractions(mesh, sig, trace)                # (ne,), nan off contact
-    pen_e, gap_e = _consistency_per_edge(dofmap, problem, u, trace)
+    # each edge term is aligned with its own edge ids
+    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
+    con_ids = trace.edge_ids
+    J = _interior_jumps(mesh, sig, inner)
+    R = _neumann_residual(mesh, sig, problem, neu_ids)
+    Tn, Tt = _contact_tractions(mesh, sig, trace)
+    pen, gap = _consistency_per_edge(dofmap, problem, u, trace)
 
     # active-density region: contact edges of nodes with positive lumped density
     m = density.normal * trace.weight
     tol_active = 1e-12 * max(1.0, _abs_max(m))
-    hot = np.flatnonzero(m > tol_active)
-    lambda_edges = trace.edge_ids[np.unique(trace.node_edges[hot])]
+    hot = np.unique(trace.node_edges[m > tol_active])     # positions in con_ids
+    lambda_edges = con_ids[hot]
 
-    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
-    con_ids = trace.edge_ids
     eta_p = np.stack([
         h_p ** 2 * patches.tri_max(S),
         h_p * patches.edge_max(J, inner),
@@ -99,15 +94,15 @@ def estimate(dofmap, patches, problem, u, density, c0=0.45):
         h_p * patches.edge_max(Tt, con_ids),
         h_p * patches.edge_max(Tn, con_ids),
     ])
-    cons_p = patches.edge_max(pen_e, con_ids) + patches.edge_max(gap_e, lambda_edges)
+    cons_p = patches.edge_max(pen, con_ids) + patches.edge_max(gap[hot], lambda_edges)
 
     neu_node, con_node = dofmap.kind == msh.NEUMANN, dofmap.kind == msh.CONTACT
     glob = np.array([eta_p[0].max(), eta_p[1].max(), _abs_max(eta_p[2, neu_node]),
                      _abs_max(eta_p[3, con_node]), _abs_max(eta_p[4, con_node])])
     psi = float(glob.sum())
 
-    eta6 = float(pen_e[con_ids].max())
-    eta7 = float(gap_e[lambda_edges].max()) if lambda_edges.size else 0.0
+    eta6 = float(pen.max())
+    eta7 = float(gap[hot].max()) if hot.size else 0.0
 
     h_min = float(mesh.diameters.min())
     l_h = float(log_factor(h_min))
@@ -129,11 +124,11 @@ def _element_residual(mesh, problem, u):
     sample set."""
     nt = mesh.num_triangles
     div = fem.divergence_stress(mesh, problem.material, u)
-    xy = fem.barycentric_to_xy(mesh, TRI_SAMPLE)
+    xy = fem.barycentric_to_xy(mesh, fem.TRI_SAMPLE)
     if problem.f is not None:
-        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, TRI_SAMPLE.shape[0], 2)
+        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, fem.TRI_SAMPLE.shape[0], 2)
     else:
-        fv = np.zeros((nt, TRI_SAMPLE.shape[0], 2))
+        fv = np.zeros((nt, fem.TRI_SAMPLE.shape[0], 2))
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
@@ -142,94 +137,54 @@ def _locate(mesh, tris, vert):
     return np.argmax(mesh.triangles[tris] == vert[:, None], axis=1)
 
 
-def _unit_normals(mesh, ids):
-    """(k, 2) unit normals of the given edges, the edge tangent (second vertex
-    minus first) turned clockwise."""
-    tang = mesh.vertices[mesh.edges[ids, 1]] - mesh.vertices[mesh.edges[ids, 0]]
-    n = np.column_stack([tang[:, 1], -tang[:, 0]])
-    n /= np.linalg.norm(n, axis=1, keepdims=True)
-    return n
-
-
-def _interior_jumps(mesh, sig):
-    """Sup of the traction jump per interior edge (nan on boundary edges)."""
-    ne = mesh.edges.shape[0]
-    J = np.full(ne, np.nan)
-    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    if inner.size == 0:
-        return J
+def _interior_jumps(mesh, sig, inner):
+    """Sup of the traction jump per interior edge ``inner``."""
     t0, t1 = mesh.edge_tris[inner, 0], mesh.edge_tris[inner, 1]
-    a, b = mesh.edges[inner, 0], mesh.edges[inner, 1]
-    n = _unit_normals(mesh, inner)
+    n = mesh.outward_normals(inner)
     vals = []
-    for vert in (a, b):
+    for vert in mesh.edges[inner].T:
         s0 = sig[t0, _locate(mesh, t0, vert)]
         s1 = sig[t1, _locate(mesh, t1, vert)]
         vals.append(np.einsum("eij,ej->ei", s0 - s1, n))
-    jump = np.abs(np.stack(vals)).max(axis=(0, 2))
-    J[inner] = jump
-    return J
+    return np.abs(np.stack(vals)).max(axis=(0, 2))
 
 
 def _boundary_tractions(mesh, sig, ids):
-    """Linear traction profile on tagged boundary edges: endpoint values.
-
-    Returns the outward normals (k, 2), the tractions at both endpoints
-    (k, 2 ends, 2 comps) and the endpoint coordinates (k, 2) each.
-    """
+    """Linear traction profile on boundary edges ``ids``: sigma n with the
+    outward normal n at both endpoints, (k, 2 ends, 2 comps)."""
     t = mesh.edge_tris[ids, 0]
-    a, b = mesh.edges[ids, 0], mesh.edges[ids, 1]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    n = _unit_normals(mesh, ids)
-    la, lb = _locate(mesh, t, a), _locate(mesh, t, b)
-    opp = mesh.triangles[t, (3 - la - lb)]
-    flip = np.einsum("ej,ej->e", n, mesh.vertices[opp] - pa) > 0
-    n[flip] *= -1.0
-    tau = np.stack([
-        np.einsum("eij,ej->ei", sig[t, la], n),
-        np.einsum("eij,ej->ei", sig[t, lb], n),
-    ], axis=1)
-    return n, tau, pa, pb
+    n = mesh.outward_normals(ids)
+    return np.stack([np.einsum("eij,ej->ei", sig[t, _locate(mesh, t, vert)], n)
+                     for vert in mesh.edges[ids].T], axis=1)
 
 
-def _neumann_residual(mesh, sig, problem):
-    """Sup of |g - sigma(u_h) n| per Neumann edge (nan on other edges)."""
-    R = np.full(mesh.edges.shape[0], np.nan)
-    ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
-    if ids.size == 0:
-        return R
-    _, tau, pa, pb = _boundary_tractions(mesh, sig, ids)
-    s = EDGE_SAMPLE
-    pts = pa[:, None, :] * (1 - s)[None, :, None] + pb[:, None, :] * s[None, :, None]
+def _neumann_residual(mesh, sig, problem, ids):
+    """Sup of |g - sigma(u_h) n| per Neumann edge ``ids``."""
+    tau = _boundary_tractions(mesh, sig, ids)
+    s = EDGE_SAMPLE[:, None]
+    ends = mesh.vertices[mesh.edges[ids]]                        # (k, 2 ends, 2)
+    pts = ends[:, :1] * (1 - s) + ends[:, 1:] * s
     if problem.g is not None:
-        gv = problem.g(pts.reshape(-1, 2)).reshape(ids.size, s.size, 2)
+        gv = problem.g(pts.reshape(-1, 2)).reshape(pts.shape)
     else:
-        gv = np.zeros((ids.size, s.size, 2))
-    tau_s = tau[:, 0, None, :] * (1 - s)[None, :, None] + tau[:, 1, None, :] * s[None, :, None]
-    R[ids] = np.abs(gv - tau_s).max(axis=(1, 2))
-    return R
+        gv = np.zeros(pts.shape)
+    tau_s = tau[:, :1] * (1 - s) + tau[:, 1:] * s
+    return np.abs(gv - tau_s).max(axis=(1, 2))
 
 
 def _contact_tractions(mesh, sig, trace):
-    """Per contact edge: sup of normal and tangential traction components,
-    in the normal frame of the contact record ``trace``."""
-    ne = mesh.edges.shape[0]
-    Tn = np.full(ne, np.nan)
-    Tt = np.full(ne, np.nan)
-    ids = trace.edge_ids
-    _, tau, _, _ = _boundary_tractions(mesh, sig, ids)
+    """Per contact edge of ``trace``: sups of the normal and tangential
+    traction components in the record's normal frame (the traction is
+    linear along the edge, so its endpoints suffice)."""
+    tau = _boundary_tractions(mesh, sig, trace.edge_ids)
     nf = np.zeros(2)
     nf[trace.comp] = trace.sign
     tf = np.array([-nf[1], nf[0]])
-    tau_n = tau @ nf
-    tau_t = tau @ tf
-    Tn[ids] = np.abs(tau_n).max(axis=1)     # traction linear: endpoints suffice
-    Tt[ids] = np.abs(tau_t).max(axis=1)
-    return Tn, Tt
+    return np.abs(tau @ nf).max(axis=1), np.abs(tau @ tf).max(axis=1)
 
 
 def _consistency_per_edge(dofmap, problem, u, trace):
-    """Penetration and gap sups per contact edge.
+    """Penetration and gap sups per contact edge of ``trace``.
 
     The trace of u_n is quadratic along the edge; the obstacle is sampled
     densely and the vertex of the parabola (u_n minus the locally affine
@@ -237,9 +192,6 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     per half-edge.  A candidate outside its half-edge is replaced by s = 0,
     already a sample.
     """
-    ne = dofmap.mesh.edges.shape[0]
-    pen = np.full(ne, np.nan)
-    gapv = np.full(ne, np.nan)
     nodes = trace.edge_nodes
     un = trace.sign * u[2 * nodes + trace.comp]
     pts_nodes = dofmap.coords[nodes]                             # (nc, 3, 2)
@@ -255,6 +207,4 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     pts = p0 * (1 - s)[:, :, None] + p1 * s[:, :, None]
     un_s = (A[:, None] * s + B[:, None]) * s + un[:, :1]
     diff = un_s - problem.chi(pts.reshape(-1, 2)).reshape(s.shape)
-    pen[trace.edge_ids] = np.maximum(diff.max(axis=1), 0.0) + 0.0
-    gapv[trace.edge_ids] = np.maximum((-diff).max(axis=1), 0.0) + 0.0
-    return pen, gapv
+    return np.maximum(diff.max(axis=1), 0.0) + 0.0, np.maximum((-diff).max(axis=1), 0.0) + 0.0

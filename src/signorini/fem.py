@@ -55,6 +55,12 @@ TRI_QP = np.array([
     [_A2, 1 - 2 * _A2, _A2],
     [_A2, _A2, 1 - 2 * _A2],
 ])
+# sup-norm sample: vertices, edge midpoints, then the quadrature points
+TRI_SAMPLE = np.vstack([
+    np.eye(3),
+    np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+    TRI_QP,
+])
 
 # 3-point Gauss on [0, 1] (degree 5).
 EDGE_QT = np.array([0.5 - np.sqrt(15) / 10, 0.5, 0.5 + np.sqrt(15) / 10])

@@ -161,6 +161,17 @@ class Mesh:
         v = self.edges[e]
         return np.linalg.norm(self.vertices[v[..., 1]] - self.vertices[v[..., 0]], axis=-1)
 
+    def outward_normals(self, ids):
+        """(k, 2) unit normals of the edges ``ids`` pointing out of their
+        first triangle: the edge tangent in that triangle's counter-clockwise
+        order, turned clockwise."""
+        t = self.edge_tris[ids, 0]
+        local = np.argmax(self.tri_edges[t] == np.asarray(ids)[:, None], axis=1)
+        ends = self.triangles[t[:, None], (local[:, None] + [1, 2]) % 3]
+        tang = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
+        n = np.column_stack([tang[:, 1], -tang[:, 0]])
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
+
     # -- checks ---------------------------------------------------------------
 
     def _validate(self):
@@ -352,9 +363,9 @@ class PatchTable:
         return self._scatter_max(self.tri_nodes, values)
 
     def edge_max(self, values, ids):
-        """Per node, the max of nonnegative per-edge values over the edges
-        ``ids`` lying on its patch, 0 where there are none."""
-        return self._scatter_max(self.edge_nodes[ids], values[ids])
+        """Per node, the max of nonnegative ``values`` of the edges ``ids``
+        (aligned with them) lying on its patch, 0 where there are none."""
+        return self._scatter_max(self.edge_nodes[ids], values)
 
     def _scatter_max(self, incidence, values):
         out = np.zeros(self.diameter.size)

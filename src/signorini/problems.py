@@ -1,8 +1,8 @@
 """Problem registry: benchmark configurations and error measurement.
 
-A ProblemSpec bundles the domain tagging rule, material, data fields and the
-contact-normal convention.  All field callables are vectorized: they take an
-(n, 2) array of points and return (n, 2) vectors or (n,) scalars.
+A ProblemSpec bundles the domain tagging rule, material and data fields.  All
+field callables are vectorized: they take an (n, 2) array of points and return
+(n, 2) vectors or (n,) scalars.
 
 Two built-in benchmarks on the unit square:
 
@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import estimator as est
 from . import fem
 from . import mesh as msh
 
@@ -38,8 +37,6 @@ class ProblemSpec:
     g: Optional[Callable]          # Neumann traction
     chi: Callable                  # gap function on the contact boundary
     dirichlet: Optional[Callable]  # Dirichlet data
-    normal_comp: int               # contact normal n = sign * e_comp
-    normal_sign: float
     exact: Optional[Callable] = None
 
     def mesh(self, n):
@@ -102,8 +99,6 @@ def bottom_contact_benchmark():
         g=_ex71_g,
         chi=lambda pts: np.zeros(len(pts)),
         dirichlet=None,
-        normal_comp=1,
-        normal_sign=-1.0,
         exact=_ex71_exact,
     )
 
@@ -124,8 +119,6 @@ def rigid_wedge_push():
         g=None,
         chi=_wedge_chi,
         dirichlet=lambda pts: np.column_stack([np.full(len(pts), 0.1), np.zeros(len(pts))]),
-        normal_comp=0,
-        normal_sign=1.0,
         exact=None,
     )
 
@@ -147,8 +140,8 @@ def get_problem(key):
 
 
 _TAGGINGS = {
-    "bottom_contact": (msh.tag_bottom_contact, 1, -1.0),
-    "right_contact": (msh.tag_right_contact, 0, 1.0),
+    "bottom_contact": msh.tag_bottom_contact,
+    "right_contact": msh.tag_right_contact,
 }
 
 
@@ -160,11 +153,14 @@ def from_file(path):
                   "f": [fx, fy], "g": [gx, gy], "chi": c,
                   "dirichlet": [dx, dy]}  (data keys optional, default zero)
     """
-    with open(path) as src:
-        cfg = json.load(src)
-
     def bad(key, why):
         return ValueError(f"problem file {path}: {key} {why}")
+
+    with open(path) as src:
+        try:
+            cfg = json.load(src)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise bad("JSON", f"syntax error: {exc}") from exc
 
     def is_number(val):
         return isinstance(val, (int, float)) and not isinstance(val, bool)
@@ -180,7 +176,7 @@ def from_file(path):
     if not isinstance(cfg, dict):
         raise bad("the top level", "must be a JSON object")
     try:
-        tagging, comp, sign = _TAGGINGS[cfg["tagging"]]
+        tagging = _TAGGINGS[cfg["tagging"]]
     except (KeyError, TypeError) as exc:
         raise bad("tagging", f"must be one of {sorted(_TAGGINGS)}") from exc
     mat_cfg = cfg.get("material", {})
@@ -218,8 +214,6 @@ def from_file(path):
         g=const_vec("g"),
         chi=lambda pts: np.full(len(pts), chi_val),
         dirichlet=dirichlet,
-        normal_comp=comp,
-        normal_sign=sign,
     )
 
 
@@ -288,11 +282,11 @@ def verify_manufactured(problem, n=100, seed=0, tol=1e-10):
 
 # -- error measurement --------------------------------------------------------
 
-# dense per-triangle sample: the estimator's (the 6 nodes and the quadrature
+# dense per-triangle sample: fem.TRI_SAMPLE (the 6 nodes and the quadrature
 # points) and the 15 strictly interior lattice points (i+j+k = 7, all positive)
 _LATTICE = np.array([[i, j, 7 - i - j] for i in range(1, 6)
                      for j in range(1, 7 - i)], dtype=float) / 7.0
-ERROR_SAMPLE = np.vstack([est.TRI_SAMPLE, _LATTICE])
+ERROR_SAMPLE = np.vstack([fem.TRI_SAMPLE, _LATTICE])
 
 
 def measure_error(mesh, u, exact):

@@ -37,7 +37,6 @@ class SolverError(RuntimeError):
 class VISolution:
     u: np.ndarray
     active: np.ndarray          # bool per constrained node
-    multipliers: np.ndarray     # m_p per constrained node, >= 0 at convergence
     iterations: int
     trace: list                 # (iteration, |A|, free residual) per iteration
     residual: np.ndarray        # F - K u of the final iterate
@@ -105,7 +104,7 @@ def solve_vi(system, trace, c=None, max_iter=100):
         with np.errstate(invalid="ignore"):
             nxt = finite_gap & (m + c * (un - gap) > 0)
         if np.array_equal(nxt, active):
-            return VISolution(u, active, m, it + 1, trace, r)
+            return VISolution(u, active, it + 1, trace, r)
         active = nxt
     raise SolverError(
         f"active set did not settle in {max_iter} iterations; "

@@ -195,6 +195,15 @@ def test_cli_malformed_problem_file_names_file_and_key(tmp_path, capsys):
     assert line.startswith(f"signorini: error: problem file {path}: material.E ")
 
 
+@pytest.mark.parametrize("content", [b'{"tagging": "bottom_contact",', b'\xff{"tagging": 1}'],
+                         ids=["truncated", "not_utf8"])
+def test_cli_problem_file_syntax_error_names_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    line = cli_usage_error(tmp_path, capsys, "--problem", str(path))
+    assert line.startswith(f"signorini: error: problem file {path}:")
+
+
 def test_cli_rejects_zero_levels(tmp_path, capsys):
     line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--levels", "0")
     assert line == "signorini: error: need at least one level"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ def test_trace_rejects_vertex_on_four_contact_edges():
         trace_of(mesh)
 
 
+def test_trace_rejects_contact_on_two_sides():
+    # contact on the right side and on the right half of the bottom, Dirichlet
+    # on the left: the closures are disjoint, but the normals differ
+    def tagging(x, y):
+        if x > 1 - 1e-12 or (y < 1e-12 and x > 0.5):
+            return msh.CONTACT
+        if x < 1e-12:
+            return msh.DIRICHLET
+        return msh.NEUMANN
+
+    mesh = msh.generate_unit_square(4, tagging)
+    with pytest.raises(ValueError, match=re.escape("[[0.0, -1.0], [1.0, 0.0]]")):
+        trace_of(mesh)
+
+
 def test_trace_disconnected_chains():
     # contact on the two outer quarters of the bottom edge, Neumann between
     def tagging(x, y):
@@ -90,8 +106,10 @@ def test_trace_disconnected_chains():
     assert np.array_equal(np.sort(mesh.vertices[ends, 0]), [0.0, 0.25, 0.75, 1.0])
 
 
-@pytest.mark.parametrize("key", ["ex71", "ex72", "right_contact.json"])
-def test_contact_record_is_the_dofmap_contact_set(key, tmp_path):
+@pytest.mark.parametrize("key, frame", [("ex71", (1, -1.0)), ("ex72", (0, 1.0)),
+                                        ("right_contact.json", (0, 1.0))],
+                         ids=["ex71", "ex72", "right_contact.json"])
+def test_contact_record_is_the_dofmap_contact_set(key, frame, tmp_path):
     """After mixed bisection, the record's nodes are the dofmap's contact
     nodes, its gap is chi there bit for bit, and its dofs are the
     interleaved (2p, 2p + 1) pairs split into normal and tangential."""
@@ -114,8 +132,8 @@ def test_contact_record_is_the_dofmap_contact_set(key, tmp_path):
     gap = problem.chi(dofmap.coords[trace.nodes])
     assert trace.gap.dtype == gap.dtype and trace.gap.tobytes() == gap.tobytes()
     assert np.array_equal(trace.nodes[trace.edge_pos], trace.edge_nodes)
-    comp = problem.normal_comp
-    assert (trace.comp, trace.sign) == (comp, problem.normal_sign)
+    comp = frame[0]
+    assert (trace.comp, trace.sign) == frame
     pairs = 2 * trace.nodes[:, None] + np.array([0, 1])
     assert np.array_equal(trace.dofs, pairs[:, comp])
     assert np.array_equal(trace.tangential_dofs, pairs[:, 1 - comp])
@@ -133,7 +151,8 @@ def test_density_sign_property(solved71, solved72):
 def test_density_multiplier_relation(solved71):
     # lambda_n(p) = m_p / w_p links the density to the solver multipliers
     den, trace, sol = solved71.density, solved71.trace, solved71.solution
-    assert np.allclose(den.normal * trace.weight, sol.multipliers, atol=1e-12)
+    assert np.allclose(den.normal * trace.weight, trace.sign * sol.residual[trace.dofs],
+                       atol=1e-12)
 
 
 def test_inactive_node_zero_density(solved72):
@@ -157,7 +176,7 @@ def test_density_against_independent_quadrature():
         f=lambda p: np.tile(fconst, (len(p), 1)),
         g=lambda p: np.tile(gconst, (len(p), 1)),
         chi=lambda p: np.full(len(p), 0.01),
-        dirichlet=None, normal_comp=1, normal_sign=-1.0)
+        dirichlet=None)
     mesh = problem.mesh(1)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
@@ -317,7 +336,7 @@ def test_boundary_averages_quadratic_field_against_independent_rule(solved71, so
 
 def test_quasi_density_unit_field_total_force(solved71):
     state = solved71
-    nsum = state.solution.multipliers.sum()
+    nsum = (state.trace.sign * state.solution.residual[state.trace.dofs]).sum()
     ones = lambda pts: np.tile([0.0, -1.0], (len(pts), 1))   # v_n = 1 in this frame
     got = dens.apply_quasi_density(state.mesh, state.density, ones)
     assert abs(got - nsum) < 1e-12 * max(1.0, nsum)

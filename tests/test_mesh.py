@@ -150,6 +150,22 @@ def test_refine_keeps_loop_order(tagging):
     assert m.levels.max() >= 6
 
 
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_outward_normals_of_boundary_edges(tagging):
+    m = msh.generate_unit_square(3, tagging)
+    for k in range(4):
+        m = msh.refine(m, np.arange(k % 3, m.num_triangles, 3))
+    assert m.levels.max() > m.levels.min()
+    ids = m.boundary_edge_ids
+    n = m.outward_normals(ids)
+    a, b = m.vertices[m.edges[ids, 0]], m.vertices[m.edges[ids, 1]]
+    tri = m.triangles[m.edge_tris[ids, 0]]
+    opp = tri[(tri != m.edges[ids, 0, None]) & (tri != m.edges[ids, 1, None])]
+    assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-15)
+    assert np.abs(((b - a) * n).sum(axis=1)).max() < 1e-15
+    assert (((m.vertices[opp] - a) * n).sum(axis=1) < 0).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=0, max_size=12),
        st.integers(min_value=1, max_value=3))

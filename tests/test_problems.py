@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import signorini.adaptive as ad
+import signorini.density as dens
 import signorini.fem as fem
 import signorini.problems as prb
 
@@ -52,7 +53,8 @@ def test_problem_file_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg))
     p = prb.get_problem(str(path))
     assert p.name == "pushdown"
-    assert p.normal_comp == 1 and p.normal_sign == -1.0
+    trace = dens.build_trace_mesh(fem.DofMap(p.mesh(2)), p)
+    assert (trace.comp, trace.sign) == (1, -1.0)
     pts = np.zeros((3, 2))
     assert np.allclose(p.f(pts), [[0.0, -1.0]] * 3)
     assert p.g is None

@@ -52,11 +52,9 @@ def random_contact_problem(rng, n, style):
     gconst = rng.uniform(-0.5, 0.5, 2) * E * 0.1
     a, b, c = rng.uniform(-0.03, 0.06), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
     if style == "bottom":
-        tagging, comp, sign = msh.tag_bottom_contact, 1, -1.0
-        coord = 0
+        tagging, coord = msh.tag_bottom_contact, 0
     else:
-        tagging, comp, sign = msh.tag_right_contact, 0, 1.0
-        coord = 1
+        tagging, coord = msh.tag_right_contact, 1
 
     def chi(pts):
         t = pts[:, coord]
@@ -66,7 +64,7 @@ def random_contact_problem(rng, n, style):
         name="random", tagging=tagging, material=material,
         f=lambda p: np.tile(fconst, (len(p), 1)),
         g=lambda p: np.tile(gconst, (len(p), 1)),
-        chi=chi, dirichlet=None, normal_comp=comp, normal_sign=sign)
+        chi=chi, dirichlet=None)
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
@@ -87,13 +85,14 @@ def test_benchmark_solve_contact_structure(solved71):
     con = solved71.trace
     assert sol.active.sum() > 0
     un = con.sign * sol.u[con.dofs]
+    m = con.sign * sol.residual[con.dofs]
     scale = 1.0 + np.abs(un).max()
     # positive multiplier forces exact touch
-    pos = sol.multipliers > 1e-12
+    pos = m > 1e-12
     assert np.abs(un[pos] - con.gap[pos]).max() < 1e-9 * scale
     # feasibility and sign everywhere
     assert (un <= con.gap + 1e-10 * scale).all()
-    assert sol.multipliers.min() >= -1e-10 * max(1.0, sol.multipliers.max())
+    assert m.min() >= -1e-10 * max(1.0, m.max())
 
 
 def test_residual_identities_at_contact_rows(solved71):

@@ -126,52 +126,24 @@ def _point_segment_distance(points, seg_a, seg_b):
     return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
 
 
-def _straight_runs(vertices, edges):
-    """Merge maximal runs of collinear adjacent edges into single segments.
+def _near_fraction(first, mesh, marked, radius=0.25):
+    """Fraction of the marked centroids of ``mesh`` within ``radius`` of the
+    contact boundary or of a Dirichlet-Neumann corner.
 
-    A vertex shared by exactly two of ``edges`` is dropped when the vectors
-    to their other ends have a zero cross product and a negative dot product
-    (the two edges continue one straight line); each run of edges joined
-    through dropped vertices becomes one segment between its two kept ends.
-    The merged segments cover the same point set as the edges.
+    Both are read from the run's first mesh ``first``: bisection never moves
+    the boundary, so its contact edges cover the same segments at every
+    level, and the corners stay vertices of the first mesh.
     """
-    slots = edges.ravel()                                # slot 2e + side of edge e
-    order = np.argsort(slots, kind="stable")
-    first, second = order[:-1], order[1:]
-    pair = (slots[first] == slots[second]) & (np.bincount(slots)[slots[first]] == 2)
-    first, second = first[pair], second[pair]
-    v = vertices[slots[first]]
-    a = vertices[slots[first ^ 1]] - v                   # the other end of each edge
-    b = vertices[slots[second ^ 1]] - v
-    straight = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] == 0) & ((a * b).sum(axis=1) < 0)
-    partner = np.full(slots.size, -1)                    # slot across a dropped vertex
-    partner[first[straight]] = second[straight]
-    partner[second[straight]] = first[straight]
-    # a walk enters an edge through a slot and leaves through the other one;
-    # pointer doubling takes each entry slot to the entry of its run's last edge
-    ahead = partner[np.arange(slots.size) ^ 1]
-    last = np.where(ahead >= 0, ahead, np.arange(slots.size))
-    for _ in range(slots.size.bit_length()):
-        last = last[last]
-    start = np.flatnonzero(partner < 0)                  # the kept ends
-    end = last[start] ^ 1
-    once = start < end                                   # each run is seen from both ends
-    return vertices[np.column_stack([slots[start[once]], slots[end[once]]])]
-
-
-def _near_fraction(mesh, marked, radius=0.25):
-    """Fraction of marked centroids within ``radius`` of the contact boundary
-    or of a Dirichlet-Neumann corner."""
     centroids = mesh.vertices[mesh.triangles[marked]].mean(axis=1)
-    con = mesh.boundary_tags == msh.CONTACT
+    con = first.boundary_tags == msh.CONTACT
     dist = np.full(len(marked), np.inf)
     if con.any():
-        seg = _straight_runs(mesh.vertices, mesh.boundary_edges[con])
+        seg = first.vertices[first.boundary_edges[con]]
         dist = _point_segment_distance(centroids, seg[:, 0], seg[:, 1])
-    corners = np.intersect1d(mesh.boundary_edges[mesh.boundary_tags == msh.DIRICHLET],
-                             mesh.boundary_edges[mesh.boundary_tags == msh.NEUMANN])
+    corners = np.intersect1d(first.boundary_edges[first.boundary_tags == msh.DIRICHLET],
+                             first.boundary_edges[first.boundary_tags == msh.NEUMANN])
     if corners.size:
-        dc = np.linalg.norm(centroids[:, None, :] - mesh.vertices[corners][None, :, :],
+        dc = np.linalg.norm(centroids[:, None, :] - first.vertices[corners][None, :, :],
                             axis=2).min(axis=1)
         dist = np.minimum(dist, dc)
     return float(np.mean(dist <= radius))
@@ -232,7 +204,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         cfg = {"problem": problem.name, **asdict(params)}
         (out / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    mesh = problem.mesh(params.n0)
+    mesh = first = problem.mesh(params.n0)
     records = []
     state = None
     for level in range(params.levels):
@@ -252,7 +224,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             raise RuntimeError("degrees of freedom did not increase between levels")
         records.append(rec)
         state = (mesh, dofmap, sol, report, density.trace)
-        for row in sol.trace:
+        for row in sol.history:
             pdas_lines.append(f"{level},{row[0]},{row[1]},{row[2]:.17g}")
 
         if level < params.levels - 1:
@@ -261,7 +233,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             else:
                 marked = mark(report.indicator, params.theta, mesh.diameters)
             rec.n_marked = marked.size
-            rec.marked_near_fraction = _near_fraction(mesh, marked)
+            rec.marked_near_fraction = _near_fraction(first, mesh, marked)
             next_mesh = msh.refine(mesh, marked)
         else:
             next_mesh = None

@@ -196,10 +196,9 @@ _HAT_W /= _HAT_W.sum(axis=1, keepdims=True)
 def _contact_averages(mesh, trace, v, edge):
     """psi_p average of scalar field ``v`` for each contact node p over its
     contact edge ``edge`` (indices into trace.edge_ids)."""
-    pa, pb = mesh.vertices[trace.edge_nodes[:, [0]]], mesh.vertices[trace.edge_nodes[:, [2]]]
-    s = _HALF_EDGE_S[:, None]
-    vals = np.asarray(v((pa * (1 - s) + pb * s).reshape(-1, 2)), dtype=float)
-    avg = vals.reshape(-1, s.size) @ _HAT_W.T
+    pts = mesh.edge_points(trace.edge_ids, _HALF_EDGE_S)
+    vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float)
+    avg = vals.reshape(-1, _HALF_EDGE_S.size) @ _HAT_W.T
     local = np.argmax(trace.edge_pos[edge] == np.arange(trace.size)[:, None], axis=1)
     return avg[edge, local]
 

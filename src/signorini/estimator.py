@@ -132,42 +132,29 @@ def _element_residual(mesh, problem, u):
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
-def _locate(mesh, tris, vert):
-    """Local corner index of each vertex id within its triangle."""
-    return np.argmax(mesh.triangles[tris] == vert[:, None], axis=1)
-
-
 def _interior_jumps(mesh, sig, inner):
-    """Sup of the traction jump per interior edge ``inner``."""
-    t0, t1 = mesh.edge_tris[inner, 0], mesh.edge_tris[inner, 1]
-    n = mesh.outward_normals(inner)
-    vals = []
-    for vert in mesh.edges[inner].T:
-        s0 = sig[t0, _locate(mesh, t0, vert)]
-        s1 = sig[t1, _locate(mesh, t1, vert)]
-        vals.append(np.einsum("eij,ej->ei", s0 - s1, n))
-    return np.abs(np.stack(vals)).max(axis=(0, 2))
+    """Sup of the traction jump per interior edge ``inner``, at both ends."""
+    side = sig[mesh.edge_tris[inner][:, :, None], mesh.edge_corners[inner]]  # (k, 2, 2, 2, 2)
+    jump = np.einsum("keij,kj->kei", side[:, 0] - side[:, 1], mesh.outward_normals(inner))
+    return np.abs(jump).max(axis=(1, 2))
 
 
 def _boundary_tractions(mesh, sig, ids):
     """Linear traction profile on boundary edges ``ids``: sigma n with the
     outward normal n at both endpoints, (k, 2 ends, 2 comps)."""
-    t = mesh.edge_tris[ids, 0]
-    n = mesh.outward_normals(ids)
-    return np.stack([np.einsum("eij,ej->ei", sig[t, _locate(mesh, t, vert)], n)
-                     for vert in mesh.edges[ids].T], axis=1)
+    end_sig = sig[mesh.edge_tris[ids, :1], mesh.edge_corners[ids, 0]]      # (k, 2, 2, 2)
+    return np.einsum("keij,kj->kei", end_sig, mesh.outward_normals(ids))
 
 
 def _neumann_residual(mesh, sig, problem, ids):
     """Sup of |g - sigma(u_h) n| per Neumann edge ``ids``."""
     tau = _boundary_tractions(mesh, sig, ids)
-    s = EDGE_SAMPLE[:, None]
-    ends = mesh.vertices[mesh.edges[ids]]                        # (k, 2 ends, 2)
-    pts = ends[:, :1] * (1 - s) + ends[:, 1:] * s
+    pts = mesh.edge_points(ids, EDGE_SAMPLE)
     if problem.g is not None:
         gv = problem.g(pts.reshape(-1, 2)).reshape(pts.shape)
     else:
         gv = np.zeros(pts.shape)
+    s = EDGE_SAMPLE[:, None]
     tau_s = tau[:, :1] * (1 - s) + tau[:, 1:] * s
     return np.abs(gv - tau_s).max(axis=(1, 2))
 
@@ -194,7 +181,6 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     """
     nodes = trace.edge_nodes
     un = trace.sign * u[2 * nodes + trace.comp]
-    pts_nodes = dofmap.coords[nodes]                             # (nc, 3, 2)
     A, B = fem.trace_coefficients(un[:, 0], un[:, 1], un[:, 2])  # u_n(s) = (A s + B) s + C
     chi_nodes = trace.gap[trace.edge_pos]
     slope = 2.0 * np.diff(chi_nodes, axis=1)                     # per half-edge
@@ -203,8 +189,7 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     applies = (A != 0.0)[:, None] & (lo < s_star) & (s_star < lo + 0.5)
     s = np.hstack([np.broadcast_to(EDGE_SAMPLE, (A.size, EDGE_SAMPLE.size)),
                    np.where(applies, s_star, 0.0)])
-    p0, p1 = pts_nodes[:, None, 0], pts_nodes[:, None, 2]
-    pts = p0 * (1 - s)[:, :, None] + p1 * s[:, :, None]
+    pts = dofmap.mesh.edge_points(trace.edge_ids, s)
     un_s = (A[:, None] * s + B[:, None]) * s + un[:, :1]
     diff = un_s - problem.chi(pts.reshape(-1, 2)).reshape(s.shape)
     return np.maximum(diff.max(axis=1), 0.0) + 0.0, np.maximum((-diff).max(axis=1), 0.0) + 0.0

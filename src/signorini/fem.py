@@ -356,13 +356,8 @@ def _add_neumann_load(mesh, F, g):
     ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     if ids.size == 0:
         return
-    v0 = mesh.vertices[mesh.edges[ids, 0]]
-    v1 = mesh.vertices[mesh.edges[ids, 1]]
-    length = np.linalg.norm(v1 - v0, axis=1)
-    t = EDGE_QT
-    pts = v0[:, None, :] * (1 - t)[None, :, None] + v1[:, None, :] * t[None, :, None]
-    gv = g(pts.reshape(-1, 2)).reshape(ids.size, t.size, 2)
-    contrib = (_EDGE_LOAD_REF @ gv) * length[:, None, None]      # (ne, 3, 2)
+    gv = g(mesh.edge_points(ids, EDGE_QT).reshape(-1, 2)).reshape(ids.size, EDGE_QT.size, 2)
+    contrib = (_EDGE_LOAD_REF @ gv) * mesh.edge_length(ids)[:, None, None]   # (ne, 3, 2)
     # (node kind, edge, component) order: first ends, second ends, midpoints
     nodes = np.stack([mesh.edges[ids, 0], mesh.edges[ids, 1], nv + ids])
     np.add.at(F, 2 * nodes[:, :, None] + np.arange(2), contrib.transpose(1, 0, 2))

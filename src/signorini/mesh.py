@@ -19,6 +19,12 @@ CONTACT = "C"
 TAGS = (DIRICHLET, NEUMANN, CONTACT)
 
 
+# Entry 3 t + j of the edge table is the edge from corner j + 1 to corner
+# j + 2 (mod 3) of triangle t.  Row 2 j + swap holds those two corners in the
+# order of the edge's ends (min, max); swap is 1 where that order reverses them.
+_EDGE_CORNERS = np.array([[1, 2], [2, 1], [2, 0], [0, 2], [0, 1], [1, 0]])
+
+
 class MeshError(ValueError):
     pass
 
@@ -69,10 +75,12 @@ class Mesh:
 
     @cached_property
     def _edge_table(self):
-        """Edges, triangle-edge ids and edge-triangle adjacency from one
-        stable sort of the triangle-edge keys: each run of equal keys is one
-        edge, and its 1 or 2 entries are its triangles in ascending order."""
-        pairs, key = self._edge_key(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2))
+        """Edges, triangle-edge ids, edge-triangle adjacency and edge corners
+        from one stable sort of the triangle-edge keys: each run of equal
+        keys is one edge, and its 1 or 2 entries are its triangles in
+        ascending order."""
+        ends = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
+        pairs, key = self._edge_key(ends)
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         first = np.ones(key.size, dtype=bool)
@@ -83,11 +91,12 @@ class Mesh:
             raise MeshError(f"edge {int(np.argmax(count))} shared by more than two triangles")
         tri_edges = np.empty(key.size, dtype=np.int64)
         tri_edges[order] = np.cumsum(first) - 1
-        edge_tris = np.full((starts.size, 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = order[starts] // 3
-        inner = count == 2
-        edge_tris[inner, 1] = order[starts[inner] + 1] // 3
-        return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris
+        outer = count == 1
+        entry = order[np.column_stack([starts, starts + ~outer])]  # a boundary edge repeats side 0
+        edge_tris = entry // 3
+        edge_corners = _EDGE_CORNERS[2 * (entry % 3) + (ends[entry, 0] > ends[entry, 1])]
+        edge_tris[outer, 1] = edge_corners[outer, 1] = -1
+        return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris, edge_corners
 
     @property
     def edges(self):
@@ -105,6 +114,13 @@ class Mesh:
         edge is boundary."""
         return self._edge_table[2]
 
+    @property
+    def edge_corners(self):
+        """(ne, 2 sides, 2 ends) local corner of ``edges[e, end]`` in triangle
+        ``edge_tris[e, side]``, -1 on the missing side of a boundary edge.
+        The corner opposite the edge is 3 minus the sum of its two corners."""
+        return self._edge_table[3]
+
     @cached_property
     def boundary_edge_ids(self):
         """(nb,) index into ``edges`` of each tagged boundary edge."""
@@ -115,13 +131,6 @@ class Mesh:
         if missing.any():
             raise MeshError(f"boundary edge {tuple(pairs[np.argmax(missing)])} not found in mesh")
         return ids
-
-    @cached_property
-    def edge_tag(self):
-        """(ne,) boundary tag per edge, '' for interior edges."""
-        tag = np.full(self.edges.shape[0], "", dtype="<U1")
-        tag[self.boundary_edge_ids] = self.boundary_tags
-        return tag
 
     @cached_property
     def element_nodes(self):
@@ -161,13 +170,20 @@ class Mesh:
         v = self.edges[e]
         return np.linalg.norm(self.vertices[v[..., 1]] - self.vertices[v[..., 0]], axis=-1)
 
+    def edge_points(self, ids, s):
+        """(len(ids), npts, 2) points a (1 - s) + b s of the edges ``ids`` = (a, b),
+        at parameters ``s`` of shape (npts,) or (len(ids), npts)."""
+        ends = self.vertices[self.edges[ids]]                    # (k, 2 ends, 2)
+        s = np.asarray(s, dtype=float)[..., None]
+        return ends[:, :1] * (1 - s) + ends[:, 1:] * s
+
     def outward_normals(self, ids):
         """(k, 2) unit normals of the edges ``ids`` pointing out of their
         first triangle: the edge tangent in that triangle's counter-clockwise
         order, turned clockwise."""
         t = self.edge_tris[ids, 0]
-        local = np.argmax(self.tri_edges[t] == np.asarray(ids)[:, None], axis=1)
-        ends = self.triangles[t[:, None], (local[:, None] + [1, 2]) % 3]
+        opposite = 3 - self.edge_corners[ids, 0].sum(axis=1)
+        ends = self.triangles[t[:, None], (opposite[:, None] + [1, 2]) % 3]
         tang = self.vertices[ends[:, 1]] - self.vertices[ends[:, 0]]
         n = np.column_stack([tang[:, 1], -tang[:, 0]])
         return n / np.linalg.norm(n, axis=1, keepdims=True)
@@ -395,9 +411,11 @@ def build_patches(mesh):
     v_corners = np.repeat(np.arange(nv)[:, None], counts.max() + 1, axis=1)
     v_corners[src[order], 1 + rank] = dst[order]
 
-    adj = np.where(edge_tris < 0, edge_tris[:, :1], edge_tris)
-    local = np.argmax(mesh.tri_edges[adj] == np.arange(ne)[:, None, None], axis=2)
-    e_corners = np.hstack([mesh.edges, mesh.triangles[adj, local]])
+    missing = edge_tris < 0
+    adj = np.where(missing, edge_tris[:, :1], edge_tris)
+    opposite = 3 - mesh.edge_corners.sum(axis=2)
+    opposite = np.where(missing, opposite[:, :1], opposite)
+    e_corners = np.hstack([mesh.edges, mesh.triangles[adj, opposite]])
 
     diam = []
     for corners in (v_corners, e_corners):

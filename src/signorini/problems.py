@@ -145,13 +145,18 @@ _TAGGINGS = {
 }
 
 
+_FILE_KEYS = ("name", "tagging", "material", "f", "g", "chi", "dirichlet")
+
+
 def from_file(path):
     """Declarative problem with constant f, g, chi and Dirichlet data.
 
-    JSON schema: {"tagging": "bottom_contact"|"right_contact",
+    JSON schema: {"name": .., "tagging": "bottom_contact"|"right_contact",
                   "material": {"E":..,"nu":..} or {"mu":..,"lam":..},
                   "f": [fx, fy], "g": [gx, gy], "chi": c,
                   "dirichlet": [dx, dy]}  (data keys optional, default zero)
+    An unknown key, at the top level or in the material, is an error, and so
+    is a material that mixes the two pairs.
     """
     def bad(key, why):
         return ValueError(f"problem file {path}: {key} {why}")
@@ -175,6 +180,9 @@ def from_file(path):
 
     if not isinstance(cfg, dict):
         raise bad("the top level", "must be a JSON object")
+    for key in cfg:
+        if key not in _FILE_KEYS:
+            raise bad(key, f"is not a problem-file key; expected one of {list(_FILE_KEYS)}")
     try:
         tagging = _TAGGINGS[cfg["tagging"]]
     except (KeyError, TypeError) as exc:
@@ -182,7 +190,14 @@ def from_file(path):
     mat_cfg = cfg.get("material", {})
     if not isinstance(mat_cfg, dict):
         raise bad("material", "must be a JSON object")
-    if "E" in mat_cfg:
+    young = "E" in mat_cfg or "nu" in mat_cfg
+    for key in mat_cfg:
+        if key not in ("E", "nu", "mu", "lam"):
+            raise bad(f"material.{key}", "is not a material key; expected E and nu, "
+                      "or mu and lam")
+        if young and key in ("mu", "lam"):
+            raise bad(f"material.{key}", "cannot be given together with E and nu")
+    if young:
         law = fem.MaterialLaw.from_young_poisson
         args = number(mat_cfg, "material.E"), number(mat_cfg, "material.nu")
     else:

@@ -38,7 +38,7 @@ class VISolution:
     u: np.ndarray
     active: np.ndarray          # bool per constrained node
     iterations: int
-    trace: list                 # (iteration, |A|, free residual) per iteration
+    history: list               # (iteration, |A|, free residual) per iteration
     residual: np.ndarray        # F - K u of the final iterate
 
 
@@ -67,11 +67,6 @@ def solve_linear(system):
     return u
 
 
-def residual_functional(system, u):
-    """Algebraic residual r_a = L(phi_a) - a(u_h, phi_a) = (F - K u)_a."""
-    return system.F - system.K @ u
-
-
 def solve_vi(system, trace, c=None, max_iter=100):
     """Primal-dual active-set iteration, starting from the empty active set.
 
@@ -91,21 +86,21 @@ def solve_vi(system, trace, c=None, max_iter=100):
     finite_gap = np.isfinite(gap)
 
     active = np.zeros(gap.size, dtype=bool)
-    trace = []
+    history = []
     for it in range(max_iter):
         fixed_dofs = np.concatenate([system.dirichlet_dofs, con_dofs[active]])
         fixed_vals = np.concatenate([system.dirichlet_values, sign * gap[active]])
         u, free_idx = _solve_constrained(system, fixed_dofs, fixed_vals)
-        r = residual_functional(system, u)
+        r = system.F - system.K @ u
         m = sign * r[con_dofs]
         un = sign * u[con_dofs]
         free_res = np.abs(r[free_idx]).max() if free_idx.size else 0.0
-        trace.append((it, int(active.sum()), float(free_res)))
+        history.append((it, int(active.sum()), float(free_res)))
         with np.errstate(invalid="ignore"):
             nxt = finite_gap & (m + c * (un - gap) > 0)
         if np.array_equal(nxt, active):
-            return VISolution(u, active, it + 1, trace, r)
+            return VISolution(u, active, it + 1, history, r)
         active = nxt
     raise SolverError(
         f"active set did not settle in {max_iter} iterations; "
-        f"history={[row[1] for row in trace]}")
+        f"history={[row[1] for row in history]}")

@@ -24,7 +24,7 @@ class SolvedState:
         self.system = fem.assemble(self.dofmap, problem)
         self.trace = dens.build_trace_mesh(self.dofmap, problem)
         self.solution = vi.solve_vi(self.system, self.trace)
-        self.residual = vi.residual_functional(self.system, self.solution.u)
+        self.residual = self.solution.residual
         self.density = dens.compute_density(self.residual, self.solution.u,
                                             self.trace)
 

@@ -7,6 +7,7 @@ import pytest
 import signorini.adaptive as ad
 import signorini.cli as cli
 import signorini.fem as fem
+import signorini.mesh as msh
 import signorini.problems as prb
 
 
@@ -117,25 +118,28 @@ def test_error_column_nan_without_exact(tmp_path):
     assert np.isnan(res.records[0].eff_index)
 
 
-def test_straight_runs_keep_contact_distances():
-    # a polyline (0,0)-(1,0)-(1,1)-(2,2) with two straight runs split into
-    # unequal pieces, edges listed out of order and in both orientations
-    vertices = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [1.0, 0.0],
-                         [1.0, 0.375], [1.0, 1.0], [2.0, 2.0], [9.0, 9.0]])
-    edges = np.array([[2, 1], [4, 5], [3, 2], [5, 6], [0, 1], [3, 4]])
-    seg = ad._straight_runs(vertices, edges)
-    as_sets = sorted(sorted(map(tuple, s)) for s in seg)
-    assert as_sets == [[(0.0, 0.0), (1.0, 0.0)], [(1.0, 0.0), (1.0, 1.0)],
-                       [(1.0, 1.0), (2.0, 2.0)]]
-    pts = np.random.default_rng(5).uniform(-1.0, 3.0, size=(200, 2))
-    merged = ad._point_segment_distance(pts, seg[:, 0], seg[:, 1])
-    per_edge = ad._point_segment_distance(pts, vertices[edges[:, 0]], vertices[edges[:, 1]])
-    assert np.allclose(merged, per_edge, rtol=1e-14, atol=1e-15)
-    # both registry contact boundaries are one straight side
-    for name in ("ex71", "ex72"):
-        mesh = prb.get_problem(name).mesh(4)
-        contact = mesh.boundary_edges[mesh.boundary_tags == "C"]
-        assert ad._straight_runs(mesh.vertices, contact).shape == (1, 2, 2)
+@pytest.mark.parametrize("name", ["ex71", "ex72"])
+def test_first_mesh_keeps_contact_distances_and_corners(name):
+    # _near_fraction reads the contact edges and the Dirichlet-Neumann corners
+    # of the run's first mesh: bisection must leave both in place
+    first = prb.get_problem(name).mesh(4)
+    mesh = first
+    for k in range(4):
+        mesh = msh.refine(mesh, np.arange(k % 3, mesh.num_triangles, 3))
+    pts = np.random.default_rng(5).uniform(-1.0, 2.0, size=(200, 2))
+
+    def contact_distance(m):
+        seg = m.vertices[m.boundary_edges[m.boundary_tags == msh.CONTACT]]
+        return ad._point_segment_distance(pts, seg[:, 0], seg[:, 1])
+
+    def corners(m):
+        return np.intersect1d(m.boundary_edges[m.boundary_tags == msh.DIRICHLET],
+                              m.boundary_edges[m.boundary_tags == msh.NEUMANN])
+
+    assert (mesh.boundary_tags == msh.CONTACT).sum() > (first.boundary_tags == msh.CONTACT).sum()
+    assert np.allclose(contact_distance(mesh), contact_distance(first), rtol=1e-14, atol=1e-15)
+    assert np.array_equal(corners(mesh), corners(first))
+    assert np.array_equal(mesh.vertices[corners(mesh)], first.vertices[corners(first)])
 
 
 def test_params_validation():

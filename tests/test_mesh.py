@@ -150,12 +150,18 @@ def test_refine_keeps_loop_order(tagging):
     assert m.levels.max() >= 6
 
 
-@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
-def test_outward_normals_of_boundary_edges(tagging):
+def mixed_mesh(tagging):
+    """Four rounds of bisection of every third triangle: mixed levels."""
     m = msh.generate_unit_square(3, tagging)
     for k in range(4):
         m = msh.refine(m, np.arange(k % 3, m.num_triangles, 3))
     assert m.levels.max() > m.levels.min()
+    return m
+
+
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_outward_normals_of_boundary_edges(tagging):
+    m = mixed_mesh(tagging)
     ids = m.boundary_edge_ids
     n = m.outward_normals(ids)
     a, b = m.vertices[m.edges[ids, 0]], m.vertices[m.edges[ids, 1]]
@@ -164,6 +170,29 @@ def test_outward_normals_of_boundary_edges(tagging):
     assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-15)
     assert np.abs(((b - a) * n).sum(axis=1)).max() < 1e-15
     assert (((m.vertices[opp] - a) * n).sum(axis=1) < 0).all()
+
+
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_edge_corners_hold_the_edge_ends(tagging):
+    m = mixed_mesh(tagging)
+    for side in (0, 1):
+        has = m.edge_tris[:, side] >= 0
+        tris = m.edge_tris[has, side, None]
+        assert np.array_equal(m.triangles[tris, m.edge_corners[has, side]], m.edges[has])
+    assert np.array_equal(m.edge_corners[m.boundary_edge_ids, 1],
+                          np.full((m.boundary_edge_ids.size, 2), -1))
+
+
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_edge_points_give_ends_and_midpoints(tagging):
+    m = mixed_mesh(tagging)
+    ids = np.random.default_rng(3).permutation(m.edges.shape[0])[: m.edges.shape[0] // 2]
+    s = np.array([0.0, 0.5, 1.0])
+    pts = m.edge_points(ids, s)
+    assert np.array_equal(pts[:, 0], m.vertices[m.edges[ids, 0]])
+    assert np.array_equal(pts[:, 1], fem.DofMap(m).coords[m.num_vertices + ids])
+    assert np.array_equal(pts[:, 2], m.vertices[m.edges[ids, 1]])
+    assert np.array_equal(m.edge_points(ids, np.tile(s, (ids.size, 1))), pts)
 
 
 @settings(max_examples=25, deadline=None)

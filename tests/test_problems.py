@@ -82,6 +82,10 @@ def test_problem_file_rejects_unknown_tagging(tmp_path):
     ("g", {"g": 3.0}),
     ("dirichlet", {"dirichlet": [0.0, None]}),
     ("chi", {"chi": [0.0]}),
+    ("F", {"F": [0.0, -1.0]}),
+    ("material.young", {"material": {"young": 10.0, "poisson": 0.3}}),
+    ("material.mu", {"material": {"E": 10.0, "nu": 0.3, "mu": 1.0}}),
+    ("material.E", {"material": {"nu": 0.3}}),
 ])
 def test_problem_file_names_file_and_key(tmp_path, key, entry):
     path = tmp_path / "bad.json"

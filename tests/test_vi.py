@@ -114,7 +114,7 @@ def test_pdas_deterministic(solved71):
     sol2 = vi.solve_vi(solved71.system, solved71.trace)
     assert (sol2.active == solved71.solution.active).all()
     assert (sol2.u == solved71.solution.u).all()
-    assert sol2.trace == solved71.solution.trace
+    assert sol2.history == solved71.solution.history
 
 
 def test_pdas_weight_invariance(solved71):
@@ -161,9 +161,9 @@ def test_pdas_matches_bruteforce_enumeration(seed, style):
 
 def test_trace_rows_collected(solved72):
     sol = vi.solve_vi(solved72.system, solved72.trace)
-    assert len(sol.trace) == sol.iterations
-    assert [row[0] for row in sol.trace] == list(range(sol.iterations))
-    assert sol.trace[-1][1] == int(sol.active.sum())
+    assert len(sol.history) == sol.iterations
+    assert [row[0] for row in sol.history] == list(range(sol.iterations))
+    assert sol.history[-1][1] == int(sol.active.sum())
 
 
 def test_contact_solve_converges_at_p2_rate():

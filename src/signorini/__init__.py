@@ -2,7 +2,7 @@
 
 from .mesh import Mesh, generate_unit_square, refine, build_patches
 from .fem import MaterialLaw, DofMap, assemble
-from .vi import solve_vi, solve_linear
+from .vi import solve_vi
 from .density import build_trace_mesh, compute_density, apply_quasi_density
 from .estimator import estimate
 from .problems import get_problem, measure_error
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh", "generate_unit_square", "refine", "build_patches",
     "MaterialLaw", "DofMap", "assemble",
-    "solve_vi", "solve_linear",
+    "solve_vi",
     "build_trace_mesh", "compute_density", "apply_quasi_density",
     "estimate", "get_problem", "measure_error",
     "AdaptiveParams", "adapt", "mark",

@@ -41,6 +41,8 @@ class AdaptiveParams:
             raise ValueError("need at least one level")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta}")
+        if not 0.0 < self.c0 < np.inf:
+            raise ValueError(f"c0 must be finite and positive, got {self.c0}")
         if self.n0 < 1:
             raise ValueError("initial subdivision must be >= 1")
 

@@ -77,8 +77,8 @@ class MaterialLaw:
     lam: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.lam < 0:
-            raise ValueError(f"need mu > 0 and lam >= 0, got mu={self.mu}, lam={self.lam}")
+        if not (0 < self.mu < np.inf and 0 <= self.lam < np.inf):
+            raise ValueError(f"need finite mu > 0 and lam >= 0, got mu={self.mu}, lam={self.lam}")
 
     @classmethod
     def from_young_poisson(cls, E, nu):
@@ -269,15 +269,6 @@ def _upper_stiffness(mesh, material):
     return (mesh.areas[:, None] * jj.reshape(nt, 16)) @ table
 
 
-def element_stiffness(mesh, material):
-    """(nt, 12, 12) element stiffness matrices in (node, component) dof order.
-
-    Only the entries on and above the diagonal are computed; those below
-    copy them, so every matrix is exactly symmetric.
-    """
-    return np.take(_upper_stiffness(mesh, material), _FROM_UPPER, axis=1)
-
-
 def _stiffness_matrix(mesh, material):
     """K in CSR with sorted int32 indices, exactly symmetric.
 
@@ -407,8 +398,3 @@ def divergence_stress(mesh, material, u):
     grad_div = Hu[:, 0, 0, :] + Hu[:, 1, 1, :]
     return mu * lap + (mu + lam) * grad_div
 
-
-def interpolate(dofmap, func):
-    """Nodal interpolant of a vectorized field func(points) -> (n, 2), as
-    dofs interleaved (2p, 2p + 1)."""
-    return np.array(func(dofmap.coords), dtype=float).ravel()

@@ -205,17 +205,6 @@ class Mesh:
         if np.intersect1d(d_verts, c_verts).size:
             raise MeshError("Dirichlet and contact boundary closures intersect")
 
-    def min_angle(self):
-        """Smallest interior angle over all triangles, in radians."""
-        p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosv = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        return float(np.min(angles))
-
 
 # -- structured generation ----------------------------------------------------
 
@@ -235,10 +224,6 @@ def tag_right_contact(x, y):
     if x < 1e-12:
         return DIRICHLET
     return NEUMANN
-
-
-def tag_all_dirichlet(x, y):
-    return DIRICHLET
 
 
 def generate_unit_square(n, tagging):
@@ -347,12 +332,6 @@ def refine(mesh, marked):
                 new_levels)
 
 
-def uniform_refine(mesh, times=1):
-    for _ in range(times):
-        mesh = refine(mesh, np.arange(mesh.num_triangles))
-    return mesh
-
-
 # -- patches ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -425,32 +404,7 @@ def build_patches(mesh):
     return PatchTable(mesh.element_nodes, edge_nodes, np.concatenate(diam))
 
 
-# -- file formats -------------------------------------------------------------
-
-def write_native(mesh, path):
-    """Plain-text format: 'nv nt nb' header, vertices, triangles, tagged edges."""
-    with open(path, "w") as out:
-        out.write(f"{mesh.num_vertices} {mesh.num_triangles} {len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            out.write(f"{x:.17g} {y:.17g}\n")
-        for a, b, c in mesh.triangles:
-            out.write(f"{a} {b} {c}\n")
-        for (u, v), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            out.write(f"{u} {v} {tag}\n")
-
-
-def read_native(path):
-    with open(path) as src:
-        nv, nt, nb = map(int, src.readline().split())
-        vertices = np.array([list(map(float, src.readline().split())) for _ in range(nv)])
-        triangles = np.array([list(map(int, src.readline().split())) for _ in range(nt)])
-        b_edges, b_tags = [], []
-        for _ in range(nb):
-            u, v, tag = src.readline().split()
-            b_edges.append((int(u), int(v)))
-            b_tags.append(tag)
-    return Mesh(vertices, triangles, np.array(b_edges), np.array(b_tags))
-
+# -- VTK output ---------------------------------------------------------------
 
 def write_vtk(mesh, path, point_data=None, cell_data=None):
     """Legacy ASCII VTK unstructured grid (cell type 5).

@@ -163,26 +163,29 @@ def from_file(path):
 
     with open(path) as src:
         try:
-            cfg = json.load(src)
+            cfg = json.load(src, parse_int=float)   # an integer too large for a float reads as inf
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise bad("JSON", f"syntax error: {exc}") from exc
 
     def is_number(val):
-        return isinstance(val, (int, float)) and not isinstance(val, bool)
+        return isinstance(val, float) and np.isfinite(val)
 
     def number(section, name, default=None):
         val = section.get(name.rsplit(".", 1)[-1], default)
         if val is None:
             raise bad(name, "is missing")
         if not is_number(val):
-            raise bad(name, f"must be a number, got {val!r}")
-        return float(val)
+            raise bad(name, f"must be a finite number, got {val!r}")
+        return val
 
     if not isinstance(cfg, dict):
         raise bad("the top level", "must be a JSON object")
     for key in cfg:
         if key not in _FILE_KEYS:
             raise bad(key, f"is not a problem-file key; expected one of {list(_FILE_KEYS)}")
+    name = cfg.get("name", "custom")
+    if not isinstance(name, str):
+        raise bad("name", f"must be a string, got {name!r}")
     try:
         tagging = _TAGGINGS[cfg["tagging"]]
     except (KeyError, TypeError) as exc:
@@ -213,8 +216,8 @@ def from_file(path):
         if val is None:
             return None
         if not (isinstance(val, list) and len(val) == 2 and all(map(is_number, val))):
-            raise bad(key, f"must be a list of two numbers, got {val!r}")
-        vx, vy = float(val[0]), float(val[1])
+            raise bad(key, f"must be a list of two finite numbers, got {val!r}")
+        vx, vy = val
         if vx == 0 and vy == 0:
             return None
         return lambda pts: np.column_stack([np.full(len(pts), vx), np.full(len(pts), vy)])
@@ -222,7 +225,7 @@ def from_file(path):
     chi_val = number(cfg, "chi", 0.0)
     dirichlet = const_vec("dirichlet")
     return ProblemSpec(
-        name=cfg.get("name", "custom"),
+        name=name,
         tagging=tagging,
         material=material,
         f=const_vec("f"),

@@ -42,31 +42,6 @@ class VISolution:
     residual: np.ndarray        # F - K u of the final iterate
 
 
-def _solve_constrained(system, fixed_dofs, fixed_values):
-    """Solve K u = F with the given dofs prescribed (symmetric elimination)."""
-    ndof = system.ndof
-    u = np.zeros(ndof)
-    u[fixed_dofs] = fixed_values
-    free = np.ones(ndof, dtype=bool)
-    free[fixed_dofs] = False
-    free_idx = np.flatnonzero(free)
-    rhs = (system.F - system.K @ u)[free_idx]
-    Kff = system.K[free_idx][:, free_idx]
-    try:
-        # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
-        lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))
-        u[free_idx] = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"singular constrained system ({exc})") from exc
-    return u, free_idx
-
-
-def solve_linear(system):
-    """Unconstrained (pure boundary-value) solve."""
-    u, _ = _solve_constrained(system, system.dirichlet_dofs, system.dirichlet_values)
-    return u
-
-
 def solve_vi(system, trace, c=None, max_iter=100):
     """Primal-dual active-set iteration, starting from the empty active set.
 
@@ -88,9 +63,21 @@ def solve_vi(system, trace, c=None, max_iter=100):
     active = np.zeros(gap.size, dtype=bool)
     history = []
     for it in range(max_iter):
-        fixed_dofs = np.concatenate([system.dirichlet_dofs, con_dofs[active]])
-        fixed_vals = np.concatenate([system.dirichlet_values, sign * gap[active]])
-        u, free_idx = _solve_constrained(system, fixed_dofs, fixed_vals)
+        u = np.zeros(system.ndof)
+        u[system.dirichlet_dofs] = system.dirichlet_values
+        u[con_dofs[active]] = sign * gap[active]
+        free = system.free_mask()
+        free[con_dofs[active]] = False
+        free_idx = np.flatnonzero(free)
+        rhs = (system.F - system.K @ u)[free_idx]
+        Kff = system.K[free_idx][:, free_idx]
+        try:
+            # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
+            lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))
+            u[free_idx] = lu.solve(rhs)
+        except RuntimeError as exc:
+            raise SolverError(f"singular constrained system ({exc})") from exc
+        del Kff, lu     # freed before the next iteration factors its own block
         r = system.F - system.K @ u
         m = sign * r[con_dofs]
         un = sign * u[con_dofs]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import settings
 
 import signorini.density as dens
@@ -11,6 +12,27 @@ import signorini.vi as vi
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+def interpolate(dofmap, func):
+    """Nodal interpolant of a vectorized field func(points) -> (n, 2), as
+    dofs interleaved (2p, 2p + 1)."""
+    return np.array(func(dofmap.coords), dtype=float).ravel()
+
+
+def tag_all_dirichlet(x, y):
+    return msh.DIRICHLET
+
+
+def linear_solve(system):
+    """Pure boundary-value solve, independent of ``vi``: the Dirichlet
+    values move to the right-hand side and ``spsolve`` takes the free block."""
+    free = system.free_mask()
+    u = np.zeros(system.ndof)
+    u[system.dirichlet_dofs] = system.dirichlet_values
+    rhs = system.F[free] - system.K[free] @ u
+    u[free] = spla.spsolve(system.K[free][:, free], rhs)
+    return u
 
 
 class SolvedState:

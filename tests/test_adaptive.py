@@ -211,3 +211,9 @@ def test_cli_problem_file_syntax_error_names_file(tmp_path, capsys, content):
 def test_cli_rejects_zero_levels(tmp_path, capsys):
     line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--levels", "0")
     assert line == "signorini: error: need at least one level"
+
+
+@pytest.mark.parametrize("c0", ["-1", "0", "nan", "inf"])
+def test_cli_rejects_c0_not_finite_and_positive(tmp_path, capsys, c0):
+    line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--c0", c0)
+    assert line == f"signorini: error: c0 must be finite and positive, got {float(c0)}"

@@ -11,6 +11,8 @@ import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
 
+from conftest import tag_all_dirichlet
+
 # independent degree-3 triangle rule (not the rule used by the package)
 _D3_W = np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0
 _D3_B = np.array([[1 / 3, 1 / 3, 1 / 3],
@@ -57,7 +59,7 @@ def trace_of(mesh):
 
 
 def test_trace_requires_contact():
-    mesh = msh.generate_unit_square(2, msh.tag_all_dirichlet)
+    mesh = msh.generate_unit_square(2, tag_all_dirichlet)
     with pytest.raises(ValueError):
         trace_of(mesh)
 

@@ -10,6 +10,8 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
+from conftest import interpolate
+
 
 def zero_problem(tagging=msh.tag_bottom_contact, material=None):
     return prb.ProblemSpec(
@@ -32,7 +34,7 @@ def test_eta1_zero_for_linear_field():
     problem = zero_problem()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
     report, _, _ = report_for(problem, mesh, u)
     assert report.eta[0] < 1e-12
 
@@ -52,7 +54,7 @@ def test_eta2_zero_for_global_linear():
     problem = zero_problem()
     mesh = problem.mesh(3)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(dofmap, lambda p: np.column_stack(
         [0.3 * p[:, 0] + 0.1 * p[:, 1], 0.5 * p[:, 1]]))
     report, _, _ = report_for(problem, mesh, u)
     assert report.eta[1] < 1e-12
@@ -70,7 +72,7 @@ def test_eta2_hand_built_jump():
     problem = zero_problem()
     mesh = problem.mesh(1)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(dofmap, lambda p: np.column_stack(
         [alpha * np.maximum(p[:, 1] - p[:, 0], 0.0), np.zeros(len(p))]))
     report, dofmap, patches = report_for(problem, mesh, u)
     diag = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
@@ -107,7 +109,7 @@ def test_eta3_manufactured_quadratic_exact():
         exact=exact)
     mesh = problem.mesh(3)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, exact)
+    u = interpolate(dofmap, exact)
     report, _, _ = report_for(problem, mesh, u)
     scale = 1.0 + np.abs(u).max()
     assert report.eta[0] <= 1e-9 * scale
@@ -129,7 +131,7 @@ def test_eta45_uniaxial_contact_traction():
     problem = zero_problem(tagging=msh.tag_right_contact)
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     report, dofmap, patches = report_for(problem, mesh, u)
     contact_nodes = np.flatnonzero(dofmap.kind == msh.CONTACT)
     assert np.allclose(report.eta_p[4, contact_nodes],

@@ -9,7 +9,8 @@ import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
-import signorini.vi as vi
+
+from conftest import interpolate, linear_solve, tag_all_dirichlet
 
 
 def test_lame_from_young_poisson():
@@ -27,6 +28,15 @@ def test_lame_rejects_incompressible():
         fem.MaterialLaw.from_young_poisson(500.0, 0.5)
     with pytest.raises(ValueError):
         fem.MaterialLaw.from_young_poisson(-1.0, 0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lame_rejects_non_finite(bad):
+    for mu, lam in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            fem.MaterialLaw(mu, lam)
+    with pytest.raises(ValueError, match="finite"):
+        fem.MaterialLaw.from_young_poisson(bad, 0.3)
 
 
 def test_shape_lagrange_property():
@@ -51,12 +61,12 @@ def test_gradient_at_physical_gradients():
     pts = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
     tris = np.arange(mesh.num_triangles)
     # a constant field: values reproduce it, gradients vanish
-    const = fem.interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
+    const = interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
     assert np.allclose(fem.displacement_at(mesh, const, tris, pts),
                        [1.0, -2.0], atol=1e-14)
     assert np.abs(fem.gradient_at(mesh, const, tris, pts)).max() < 1e-13
     # gradients reproduce the exact gradient of an interpolated linear field
-    lin = fem.interpolate(dofmap, lambda p: np.column_stack(
+    lin = interpolate(dofmap, lambda p: np.column_stack(
         [2.0 * p[:, 0] - 0.5 * p[:, 1], p[:, 0] + 3.0 * p[:, 1]]))
     got = fem.gradient_at(mesh, lin, tris, pts)
     assert np.allclose(got, [[2.0, -0.5], [1.0, 3.0]], atol=1e-13)
@@ -93,7 +103,7 @@ def assembled():
 
 def test_energy_of_uniaxial_field(assembled):
     mesh, dofmap, system = assembled
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     energy = u @ (system.K @ u)
     expected = 2.0 * 1.0 + 1.0   # (2 mu + lam) |Omega|
     assert abs(energy - expected) < 1e-12 * expected
@@ -105,7 +115,7 @@ def test_rigid_body_kernel(assembled):
     for mode in (lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
                  lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
                  lambda p: np.column_stack([-p[:, 1], p[:, 0]])):
-        v = fem.interpolate(dofmap, mode)
+        v = interpolate(dofmap, mode)
         assert np.abs(system.K @ v).max() <= 1e-10 * kmax
 
 
@@ -141,7 +151,7 @@ def test_traction_uniaxial_hand_value():
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
     mat = fem.MaterialLaw(1.0, 1.0)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     edges = mesh.boundary_edge_ids[mesh.boundary_tags == "C"]   # on x = 1, n = (1, 0)
     sig = fem.corner_stress(mesh, mat, u)
     n = mesh.outward_normals(edges)
@@ -154,8 +164,8 @@ def test_traction_rigid_motion_zero():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
-                                                           np.full(len(p), -1.0)]))
+    u = interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
+                                                       np.full(len(p), -1.0)]))
     sig = fem.corner_stress(mesh, problem.material, u)
     tau = est._boundary_tractions(mesh, sig, mesh.boundary_edge_ids)
     assert np.abs(tau).max() < 1e-13
@@ -169,7 +179,7 @@ def test_traction_two_sided_consistency():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(dofmap, lambda p: np.column_stack(
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
     sig = fem.corner_stress(mesh, problem.material, u)
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
@@ -185,8 +195,8 @@ def test_element_residual_known_hessian():
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
     mat = fem.MaterialLaw(1.0, 1.0)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
-                                                           np.zeros(len(p))]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
+                                                       np.zeros(len(p))]))
     div = fem.divergence_stress(mesh, mat, u)
     assert np.allclose(div[:, 0], 6.0, atol=1e-11)
     assert np.abs(div[:, 1]).max() < 1e-11
@@ -196,8 +206,8 @@ def test_element_residual_linear_field_vanishes():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
-    u = fem.interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
-                                                           p[:, 1]]))
+    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
+                                                       p[:, 1]]))
     assert np.abs(fem.divergence_stress(mesh, problem.material, u)).max() < 1e-12
 
 
@@ -207,7 +217,7 @@ def test_element_residual_manufactured_interpolant_small():
     for n in sizes:
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
-        u = fem.interpolate(dofmap, problem.exact)
+        u = interpolate(dofmap, problem.exact)
         # s(u_h) = f + div sigma(u_h) at the degree-4 points of every element
         div = fem.divergence_stress(mesh, problem.material, u)
         xy = fem.barycentric_to_xy(mesh, fem.TRI_QP)
@@ -220,7 +230,7 @@ def test_element_residual_manufactured_interpolant_small():
 def test_galerkin_pure_dirichlet_cubic_rate():
     base = prb.bottom_contact_benchmark()
     problem = prb.ProblemSpec(
-        name="dirichlet-pretest", tagging=msh.tag_all_dirichlet,
+        name="dirichlet-pretest", tagging=tag_all_dirichlet,
         material=base.material, f=base.f, g=None,
         chi=lambda p: np.zeros(len(p)), dirichlet=base.exact,
         exact=base.exact)
@@ -229,7 +239,7 @@ def test_galerkin_pure_dirichlet_cubic_rate():
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         system = fem.assemble(dofmap, problem)
-        u = vi.solve_linear(system)
+        u = linear_solve(system)
         errs.append(prb.measure_error(mesh, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)
@@ -271,6 +281,12 @@ def _loop_element_stiffness(mesh, material):
     return Ke
 
 
+def element_stiffness(mesh, material):
+    """(nt, 12, 12) element matrices, each entry copied from the assembly's
+    on-or-above-diagonal table, so every matrix is exactly symmetric."""
+    return np.take(fem._upper_stiffness(mesh, material), fem._FROM_UPPER, axis=1)
+
+
 def _relative(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
@@ -279,7 +295,7 @@ def test_element_stiffness_matches_quadrature_loop(bisected):
     mesh, _ = bisected
     assert np.unique(np.round(mesh.inv_jac, 12), axis=0).shape[0] > 8
     for material in (fem.MaterialLaw(1.0, 1.0), fem.MaterialLaw.from_young_poisson(500.0, 0.3)):
-        got = fem.element_stiffness(mesh, material)
+        got = element_stiffness(mesh, material)
         assert got.shape == (mesh.num_triangles, 12, 12)
         assert _relative(got, _loop_element_stiffness(mesh, material)) <= 1e-14
 
@@ -323,7 +339,7 @@ def test_pointwise_evaluators_match_loops(bisected):
 
 def _coo_stiffness(mesh, material, ndof):
     # every element entry at its (row, column) dof pair, duplicates summed by scipy
-    Ke = fem.element_stiffness(mesh, material)
+    Ke = element_stiffness(mesh, material)
     dofs = fem.element_dofs(mesh)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
@@ -345,7 +361,7 @@ def test_stiffness_matches_coo_assembly(bisected):
 def test_stiffness_exactly_symmetric(bisected):
     mesh, _ = bisected
     problem = prb.rigid_wedge_push()
-    Ke = fem.element_stiffness(mesh, problem.material)
+    Ke = element_stiffness(mesh, problem.material)
     assert np.array_equal(Ke, np.swapaxes(Ke, 1, 2))
     K = fem.assemble(fem.DofMap(mesh), problem).K
     KT = K.T.tocsr()

@@ -10,6 +10,24 @@ def bottom_mesh(n):
     return msh.generate_unit_square(n, msh.tag_bottom_contact)
 
 
+def min_angle(mesh):
+    """Smallest interior angle over all triangles, in radians."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for k in range(3):
+        a = p[:, (k + 1) % 3] - p[:, k]
+        b = p[:, (k + 2) % 3] - p[:, k]
+        cosv = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
+    return float(np.min(angles))
+
+
+def uniform_refine(mesh, times):
+    for _ in range(times):
+        mesh = msh.refine(mesh, np.arange(mesh.num_triangles))
+    return mesh
+
+
 def test_unit_square_n1_counts_and_tags():
     m = bottom_mesh(1)
     assert m.num_triangles == 2
@@ -68,10 +86,10 @@ def test_refine_empty_returns_same_mesh():
 
 def test_min_angle_stable_over_ten_uniform_refinements():
     m = bottom_mesh(1)
-    base = m.min_angle()
+    base = min_angle(m)
     assert np.isclose(base, np.pi / 4, atol=1e-12)
-    m10 = msh.uniform_refine(m, 10)
-    assert abs(m10.min_angle() - base) < 1e-12
+    m10 = uniform_refine(m, 10)
+    assert abs(min_angle(m10) - base) < 1e-12
     assert np.isclose(m10.areas.sum(), 1.0, atol=1e-12)
 
 
@@ -200,13 +218,13 @@ def test_edge_points_give_ends_and_midpoints(tagging):
        st.integers(min_value=1, max_value=3))
 def test_refinement_keeps_invariants_under_random_marks(marks, rounds):
     m = bottom_mesh(2)
-    angle0 = m.min_angle()
+    angle0 = min_angle(m)
     for _ in range(rounds):
         marked = sorted({k % m.num_triangles for k in marks})
         m = msh.refine(m, marked)   # constructor re-validates conformity
         marks = [3 * k + 1 for k in marks]
     assert np.isclose(m.areas.sum(), 1.0, atol=1e-12)
-    assert m.min_angle() >= angle0 - 1e-12
+    assert min_angle(m) >= angle0 - 1e-12
     # boundary tags are inherited: the bottom stays contact, the top Dirichlet
     mids = m.vertices[m.boundary_edges].mean(axis=1)
     assert all(tag == ("C" if my < 1e-9 else "D" if my > 1 - 1e-9 else "N")
@@ -247,26 +265,16 @@ _BAD_MESHES = {
                                "DNC", "topological boundary"),
     "unknown_tag": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (3, 0)],
                     "DNXN", "unknown boundary tag"),
-    "native_file_interior_edge_tagged": (_SQUARE, _SQUARE_TRIS,
-                                         [(0, 1), (1, 2), (2, 3), (0, 2)],
-                                         "DNCN", "topological boundary"),
+    "interior_edge_tagged": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (0, 2)],
+                             "DNCN", "topological boundary"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MESHES))
-def test_mesh_rejects_bad_connectivity(case, tmp_path):
+def test_mesh_rejects_bad_connectivity(case):
     vertices, tris, edges, tags, match = _BAD_MESHES[case]
     with pytest.raises(msh.MeshError, match=match):
-        if case.startswith("native_file"):
-            lines = [f"{len(vertices)} {len(tris)} {len(edges)}"]
-            lines += [f"{x} {y}" for x, y in vertices]
-            lines += [f"{a} {b} {c}" for a, b, c in tris]
-            lines += [f"{u} {v} {t}" for (u, v), t in zip(edges, tags)]
-            path = tmp_path / "bad.mesh"
-            path.write_text("\n".join(lines) + "\n")
-            msh.read_native(path)
-        else:
-            msh.Mesh(vertices, tris, edges, list(tags))
+        msh.Mesh(vertices, tris, edges, list(tags))
 
 
 # -- patches -------------------------------------------------------------------
@@ -322,26 +330,7 @@ def test_patch_diameter_positive_and_consistent():
     assert np.isclose(patches.diameter[v], brute, atol=1e-15)
 
 
-# -- file formats ----------------------------------------------------------------
-
-def test_native_roundtrip(tmp_path):
-    m = msh.refine(bottom_mesh(2), [0, 5])
-    path = tmp_path / "mesh.txt"
-    msh.write_native(m, path)
-    back = msh.read_native(path)
-    assert np.allclose(back.vertices, m.vertices)
-    assert (back.triangles == m.triangles).all()
-    assert (np.sort(back.boundary_edges, axis=1) == np.sort(m.boundary_edges, axis=1)).all()
-    assert (back.boundary_tags == m.boundary_tags).all()
-
-
-def test_native_header(tmp_path):
-    m = bottom_mesh(1)
-    path = tmp_path / "mesh.txt"
-    msh.write_native(m, path)
-    first = path.read_text().splitlines()[0]
-    assert first == f"{m.num_vertices} {m.num_triangles} {len(m.boundary_edges)}"
-
+# -- VTK output ------------------------------------------------------------------
 
 def test_vtk_format(tmp_path):
     m = bottom_mesh(2)

@@ -9,6 +9,8 @@ import signorini.density as dens
 import signorini.fem as fem
 import signorini.problems as prb
 
+from conftest import interpolate
+
 
 def test_benchmark_exact_solution_boundary_values():
     p = prb.bottom_contact_benchmark()
@@ -86,6 +88,11 @@ def test_problem_file_rejects_unknown_tagging(tmp_path):
     ("material.young", {"material": {"young": 10.0, "poisson": 0.3}}),
     ("material.mu", {"material": {"E": 10.0, "nu": 0.3, "mu": 1.0}}),
     ("material.E", {"material": {"nu": 0.3}}),
+    ("chi", {"chi": float("nan")}),
+    ("material.E", {"material": {"E": float("inf"), "nu": 0.3}}),
+    ("f", {"f": [float("nan"), 0.0]}),
+    ("name", {"name": ["a", 1], "chi": 0.01}),
+    ("chi", {"chi": 10 ** 400}),
 ])
 def test_problem_file_names_file_and_key(tmp_path, key, entry):
     path = tmp_path / "bad.json"
@@ -110,7 +117,7 @@ def test_measure_error_interpolant_cubic_decay():
     for n in (2, 4, 8):
         mesh = p.mesh(n)
         dofmap = fem.DofMap(mesh)
-        u = fem.interpolate(dofmap, p.exact)
+        u = interpolate(dofmap, p.exact)
         errs.append(prb.measure_error(mesh, u, p.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
+
+from conftest import linear_solve
 
 
 def brute_force_vi(system, trace, feas_tol=1e-10):
@@ -77,7 +80,7 @@ def test_unconstrained_surrogate_matches_linear_solve(solved71):
                                 gap=np.full(solved71.trace.size, np.inf))
     sol = vi.solve_vi(system, loose)
     assert sol.active.sum() == 0
-    assert np.allclose(sol.u, vi.solve_linear(system), atol=1e-12)
+    assert np.allclose(sol.u, linear_solve(system), atol=1e-12)
 
 
 def test_benchmark_solve_contact_structure(solved71):
@@ -151,7 +154,7 @@ def test_pdas_matches_bruteforce_enumeration(seed, style):
     e_pdas = 0.5 * sol.u @ (system.K @ sol.u) - system.F @ sol.u
     assert abs(e_pdas - energy) <= 1e-9 * (1.0 + abs(energy))
     # the clamped unconstrained solution is feasible, hence no better
-    u_unc = vi.solve_linear(system)
+    u_unc = linear_solve(system)
     un = trace.sign * u_unc[trace.dofs]
     u_clamp = u_unc.copy()
     u_clamp[trace.dofs] = trace.sign * np.minimum(un, trace.gap)
@@ -189,9 +192,6 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
-    active = np.arange(trace.size) % 2 == 0
-    fixed = np.concatenate([system.dirichlet_dofs, trace.dofs[active]])
-    vals = np.concatenate([system.dirichlet_values, np.zeros(active.sum())])
     handed = []
     splu = vi.spla.splu
 
@@ -200,11 +200,37 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(vi.spla, "splu", spy)
-    u, free_idx = vi._solve_constrained(system, fixed, vals)
-    (A,) = handed
+    sol = vi.solve_vi(system, trace)
+    assert len(handed) == sol.iterations and sol.active.any()
+    # the last factorization is that of the final active set
+    fixed = np.concatenate([system.dirichlet_dofs, trace.dofs[sol.active]])
+    vals = np.concatenate([system.dirichlet_values, trace.sign * trace.gap[sol.active]])
+    free_idx = np.setdiff1d(np.arange(system.ndof), fixed)
+    A = handed[-1]
     ref = system.K[free_idx][:, free_idx].tocsc()
     assert A.format == "csc" and A.shape == ref.shape
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
     assert np.array_equal(A.data, ref.data)
-    assert np.array_equal(u[fixed], vals)
+    assert np.array_equal(sol.u[fixed], vals)
+
+
+def test_each_iteration_frees_its_factors(solved71, monkeypatch):
+    # the previous iteration's LU factors are gone when the next one starts,
+    # so a level never holds two factorizations at once
+    live = []
+    splu = vi.spla.splu
+
+    class Factors:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def spy(A, *args, **kwargs):
+        assert all(ref() is None for ref in live)
+        factors = Factors(splu(A, *args, **kwargs))
+        live.append(weakref.ref(factors))
+        return factors
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    sol = vi.solve_vi(solved71.system, solved71.trace)
+    assert len(live) == sol.iterations >= 2

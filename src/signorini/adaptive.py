@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +79,8 @@ class LevelRecord:
     active_nodes: int
     seconds: float
     checks: LevelChecks
-    n_marked: int = 0
-    marked_near_fraction: float = float("nan")
+    # triangles marked for refinement; none on the last level
+    marked: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def csv_row(self):
         nums = [self.h_min, self.l_h, *self.eta, self.eta6, self.eta7,
@@ -116,39 +116,6 @@ def mark(indicators, theta, diameters=None):
             raise ValueError("all indicators vanish and no diameters given")
         return np.array([int(np.argmax(diameters))])
     return np.flatnonzero(indicators >= theta * top)
-
-
-def _point_segment_distance(points, seg_a, seg_b):
-    """Distance of each point to the nearest of the given segments."""
-    d = seg_b - seg_a                                     # (k, 2)
-    len2 = (d * d).sum(axis=1)
-    diff = points[:, None, :] - seg_a[None, :, :]         # (m, k, 2)
-    t = np.clip(np.einsum("mkd,kd->mk", diff, d) / len2, 0.0, 1.0)
-    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
-
-
-def _near_fraction(first, mesh, marked, radius=0.25):
-    """Fraction of the marked centroids of ``mesh`` within ``radius`` of the
-    contact boundary or of a Dirichlet-Neumann corner.
-
-    Both are read from the run's first mesh ``first``: bisection never moves
-    the boundary, so its contact edges cover the same segments at every
-    level, and the corners stay vertices of the first mesh.
-    """
-    centroids = mesh.vertices[mesh.triangles[marked]].mean(axis=1)
-    con = first.boundary_tags == msh.CONTACT
-    dist = np.full(len(marked), np.inf)
-    if con.any():
-        seg = first.vertices[first.boundary_edges[con]]
-        dist = _point_segment_distance(centroids, seg[:, 0], seg[:, 1])
-    corners = np.intersect1d(first.boundary_edges[first.boundary_tags == msh.DIRICHLET],
-                             first.boundary_edges[first.boundary_tags == msh.NEUMANN])
-    if corners.size:
-        dc = np.linalg.norm(centroids[:, None, :] - first.vertices[corners][None, :, :],
-                            axis=2).min(axis=1)
-        dist = np.minimum(dist, dc)
-    return float(np.mean(dist <= radius))
 
 
 def _level_checks(system, sol, density):
@@ -206,10 +173,11 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         cfg = {"problem": problem.name, **asdict(params)}
         (out / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    mesh = first = problem.mesh(params.n0)
+    mesh = problem.mesh(params.n0)
     records = []
-    state = None
     for level in range(params.levels):
+        if level:
+            mesh = msh.refine(mesh, records[-1].marked)
         tic = time.perf_counter()
         dofmap, sol, density, report, checks = run_level(problem, mesh, params)
         err = prb.measure_error(mesh, sol.u, problem.exact) \
@@ -225,20 +193,12 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         if records and rec.ndof <= records[-1].ndof:
             raise RuntimeError("degrees of freedom did not increase between levels")
         records.append(rec)
-        state = (mesh, dofmap, sol, report, density.trace)
         for row in sol.history:
             pdas_lines.append(f"{level},{row[0]},{row[1]},{row[2]:.17g}")
 
         if level < params.levels - 1:
-            if params.uniform:
-                marked = np.arange(mesh.num_triangles)
-            else:
-                marked = mark(report.indicator, params.theta, mesh.diameters)
-            rec.n_marked = marked.size
-            rec.marked_near_fraction = _near_fraction(first, mesh, marked)
-            next_mesh = msh.refine(mesh, marked)
-        else:
-            next_mesh = None
+            rec.marked = (np.arange(mesh.num_triangles) if params.uniform
+                          else mark(report.indicator, params.theta, mesh.diameters))
 
         csv_lines.append(rec.csv_row())
         if out is not None:
@@ -247,12 +207,8 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             (out / "convergence.csv").write_text("\n".join(csv_lines) + "\n")
             if write_trace:
                 (out / "pdas_trace.csv").write_text("\n".join(pdas_lines) + "\n")
-        if next_mesh is None:
-            break
-        mesh = next_mesh
 
-    mesh, dofmap, sol, report, trace_mesh = state
-    return AdaptiveResult(problem, records, mesh, dofmap, sol, report, trace_mesh)
+    return AdaptiveResult(problem, records, mesh, dofmap, sol, report, density.trace)
 
 
 def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_trace):

@@ -51,8 +51,9 @@ class ContactTraceMesh:
     edge_pos    (nc, 3) position in ``nodes`` of each entry of edge_nodes
     nodes       (ncon,) sorted contact node ids
     weight      (ncon,) hat weight per contact node, aligned with ``nodes``
-    node_edges  (ncon, 2) indices into edge_ids of the contact edges holding
-                each node, ascending; a node on one edge repeats it
+    node_entries (ncon, 2) flat entries 3k + j of edge_nodes holding each
+                node (contact edge k, slot j), edges ascending; a node on one
+                edge repeats its entry
     comp, sign  contact normal n = sign * e_comp, so u_n = sign * u[2p + comp]
     gap         (ncon,) gap chi(p) per contact node; the constraint is
                 u_n(p) <= gap(p)
@@ -63,10 +64,16 @@ class ContactTraceMesh:
     edge_pos: np.ndarray
     nodes: np.ndarray
     weight: np.ndarray
-    node_edges: np.ndarray
+    node_entries: np.ndarray
     comp: int
     sign: float
     gap: np.ndarray
+
+    @property
+    def node_edges(self):
+        """(ncon, 2) indices into edge_ids of the contact edges holding each
+        node, ascending; a node on one edge repeats it."""
+        return self.node_entries // 3
 
     @property
     def dofs(self):
@@ -112,7 +119,7 @@ def build_trace_mesh(dofmap, problem):
     if count.max() > 2:
         raise ValueError("a contact vertex lies on more than two contact edges")
     last = np.cumsum(count) - 1
-    node_edges = np.column_stack([order[last - count + 1], order[last]]) // 3
+    node_entries = np.column_stack([order[last - count + 1], order[last]])
     normals = np.unique(mesh.outward_normals(edge_ids).round(12) + 0.0, axis=0)
     if len(normals) > 1 or np.count_nonzero(normals[0]) != 1:
         raise ValueError("the contact boundary must face one axis direction; "
@@ -120,7 +127,7 @@ def build_trace_mesh(dofmap, problem):
     comp = int(np.flatnonzero(normals[0])[0])
     gap = problem.chi(dofmap.coords[nodes])
     return ContactTraceMesh(edge_ids, edge_nodes, inv.reshape(edge_nodes.shape),
-                            nodes, weight, node_edges, comp, float(normals[0, comp]), gap)
+                            nodes, weight, node_entries, comp, float(normals[0, comp]), gap)
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ class DensityField:
     normal: np.ndarray       # lambda in the constrained direction, >= 0
     tangential: np.ndarray   # lambda in the tangential direction, ~ 0
     classes: np.ndarray      # full / semi / none per contact node
-    selected_edge: np.ndarray  # index into trace.edge_ids of the averaging edge
+    selected_entry: np.ndarray  # entry 3k + j of trace.edge_nodes on the averaging edge k
 
 
 def compute_density(residual, u, trace):
@@ -158,7 +165,8 @@ def quadratic_range(values):
 
 
 def classify_nodes(u, trace, tol=None):
-    """Full/semi/no-contact split plus the averaging edge per node.
+    """Full/semi/no-contact split plus the averaging edge per node, as the
+    node's entry in ``trace.edge_nodes``.
 
     A contact edge is fully active when the quadratic traces of u_n and of
     the interpolated gap coincide, i.e. the three nodal values agree within
@@ -177,7 +185,7 @@ def classify_nodes(u, trace, tol=None):
     full = edge_active[trace.node_edges].all(axis=1)
     classes = np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
     pick = np.argmin(edge_gap_sup[trace.node_edges], axis=1)
-    return classes, np.take_along_axis(trace.node_edges, pick[:, None], axis=1)[:, 0]
+    return classes, np.take_along_axis(trace.node_entries, pick[:, None], axis=1)[:, 0]
 
 
 # -- weighted node averages ---------------------------------------------------
@@ -193,19 +201,19 @@ _HAT_W = np.clip([1 - 2 * _HALF_EDGE_S, 1 - np.abs(2 * _HALF_EDGE_S - 1),
 _HAT_W /= _HAT_W.sum(axis=1, keepdims=True)
 
 
-def _contact_averages(mesh, trace, v, edge):
-    """psi_p average of scalar field ``v`` for each contact node p over its
-    contact edge ``edge`` (indices into trace.edge_ids)."""
+def _contact_averages(mesh, trace, v, entry):
+    """psi_p average of scalar field ``v`` for each contact node p over the
+    contact edge of its ``entry`` (flat entries of trace.edge_nodes)."""
     pts = mesh.edge_points(trace.edge_ids, _HALF_EDGE_S)
     vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float)
     avg = vals.reshape(-1, _HALF_EDGE_S.size) @ _HAT_W.T
-    local = np.argmax(trace.edge_pos[edge] == np.arange(trace.size)[:, None], axis=1)
-    return avg[edge, local]
+    return avg.ravel()[entry]
 
 
-def node_averages(dofmap, trace, v, selected_edge=None):
+def node_averages(dofmap, trace, v, selected_entry=None):
     """e_p of scalar field ``v`` at every node (see the module docstring); a
-    contact node averages over ``selected_edge``, default trace.node_edges[:, 0]."""
+    contact node averages over the edge of ``selected_entry``, default
+    trace.node_entries[:, 0]."""
     mesh = dofmap.mesh
     pts = fem.barycentric_to_xy(mesh, fem.TRI_QP).reshape(-1, 2)
     vals = np.asarray(v(pts), dtype=float).reshape(mesh.num_triangles, -1)
@@ -213,8 +221,8 @@ def node_averages(dofmap, trace, v, selected_edge=None):
     num = np.bincount(nodes, (mesh.areas[:, None] * (vals @ _VOLUME_W.T)).ravel())
     den = np.bincount(nodes, np.outer(mesh.areas, _VOLUME_W.sum(axis=1)).ravel())
     e = num / den
-    edge = trace.node_edges[:, 0] if selected_edge is None else selected_edge
-    e[trace.nodes] = _contact_averages(mesh, trace, v, edge)
+    entry = trace.node_entries[:, 0] if selected_entry is None else selected_entry
+    e[trace.nodes] = _contact_averages(mesh, trace, v, entry)
     e[dofmap.kind == msh.DIRICHLET] = 0.0
     return e
 
@@ -230,7 +238,7 @@ def apply_quasi_density(mesh, density, v):
     def v_n(pts):
         return trace.sign * np.asarray(v(pts), dtype=float)[:, trace.comp]
 
-    e = _contact_averages(mesh, trace, v_n, density.selected_edge)
+    e = _contact_averages(mesh, trace, v_n, density.selected_entry)
     return float(np.sum(density.normal * e * trace.weight))
 
 

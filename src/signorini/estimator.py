@@ -64,7 +64,7 @@ def _abs_max(arr, axis=None):
     return np.abs(arr).max(axis=axis) if arr.size else 0.0
 
 
-def estimate(dofmap, patches, problem, u, density, c0=0.45):
+def estimate(dofmap, patches, problem, u, density, c0):
     """Evaluate all estimator contributions for one solved level; the mesh
     is ``dofmap.mesh`` and the contact record ``density.trace``."""
     mesh, trace = dofmap.mesh, density.trace
@@ -161,13 +161,12 @@ def _neumann_residual(mesh, sig, problem, ids):
 
 def _contact_tractions(mesh, sig, trace):
     """Per contact edge of ``trace``: sups of the normal and tangential
-    traction components in the record's normal frame (the traction is
+    traction components in the record's normal frame n = sign * e_comp, which
+    are |sigma[comp, comp]| and |sigma[1 - comp, comp]| (the traction is
     linear along the edge, so its endpoints suffice)."""
-    tau = _boundary_tractions(mesh, sig, trace.edge_ids)
-    nf = np.zeros(2)
-    nf[trace.comp] = trace.sign
-    tf = np.array([-nf[1], nf[0]])
-    return np.abs(tau @ nf).max(axis=1), np.abs(tau @ tf).max(axis=1)
+    ids, c = trace.edge_ids, trace.comp
+    end_sig = sig[mesh.edge_tris[ids, :1], mesh.edge_corners[ids, 0]]      # (k, 2, 2, 2)
+    return np.abs(end_sig[..., c, c]).max(axis=1), np.abs(end_sig[..., 1 - c, c]).max(axis=1)
 
 
 def _consistency_per_edge(dofmap, problem, u, trace):

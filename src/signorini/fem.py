@@ -26,11 +26,12 @@ and above the diagonal of all element matrices come from one
 values, gradients and Hessians follow the same pattern: a reference table at
 the sample points times the element coefficients, as ``np.matmul``.
 
-K is assembled exactly symmetric, straight into CSR with sorted int32
-indices: one sort of the element node pairs gives the pattern, each pair a
-2x2 dof block, and ``np.bincount`` adds the element contributions to entry
-(i, j) and to entry (j, i) in the same element order.  There is no COO
-stage.  Because K equals its transpose bit for bit, the CSR arrays of K, and
+K is assembled exactly symmetric, as CSR with sorted int32 indices: one
+sort of the element node pairs gives the pattern, each pair a 2x2 dof block,
+and ``np.bincount`` adds the element contributions to entry (i, j) and to
+entry (j, i) in the same element order.  The blocks form K in scipy's
+block-sparse row format, whose conversion lays out the CSR arrays; there is
+no COO stage.  Because K equals its transpose bit for bit, the CSR arrays of K, and
 of any symmetric restriction K[I][:, I], are also its CSC arrays.
 """
 
@@ -276,38 +277,27 @@ def _stiffness_matrix(mesh, material):
     gives the node-level pattern in row-major order and the pair of every
     element entry.  Each node pair k = (a, b) is a 2x2 dof block, summed from
     the element blocks by ``np.bincount`` in element order, so entries (i, j)
-    and (j, i) add the same numbers in the same order.  Dof rows 2a and
-    2a + 1 hold the columns 2b, 2b + 1 of every pair of node row a.
+    and (j, i) add the same numbers in the same order.  The blocks are K in
+    scipy's block-sparse row format, which lays out the CSR arrays.
     """
     nodes = mesh.element_nodes
     n_nodes = mesh.num_vertices + mesh.edges.shape[0]
     pairs, pair_of = np.unique(nodes[:, :, None] * n_nodes + nodes[:, None, :],
                                return_inverse=True)
     row, col = np.divmod(pairs, n_nodes)
-    deg = np.bincount(row, minlength=n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n_nodes), out=indptr[1:])
     upper = _upper_stiffness(mesh, material)
-    # entry (2a + c, 2b + e) of pair k, and its column, at [c, k, e]
-    blocks = np.empty((2, pairs.size, 2))
-    cols = np.empty((2, pairs.size, 2), dtype=np.int32)
-    cols[..., 0] = 2 * col
-    cols[..., 1] = cols[..., 0] + 1
+    # entry (2a + c, 2b + e) of pair k at [k, c, e]
+    blocks = np.empty((pairs.size, 2, 2))
     for c in range(2):
         for e in range(2):
             # Ke[:, (a, c), (b, e)] for all local nodes a, b: (nt, 6, 6)
             block = np.take(upper, _FROM_UPPER[c::2, e::2], axis=1)
-            blocks[c, :, e] = np.bincount(pair_of.ravel(), weights=block.ravel(),
+            blocks[:, c, e] = np.bincount(pair_of.ravel(), weights=block.ravel(),
                                           minlength=pairs.size)
-    # Taken two entries (e = 0, 1) at a time, K's data runs through dof rows
-    # 2a + c, each the slice blocks[c, start[a]:start[a] + deg[a]]; ``src``
-    # lists those rows of blocks.reshape(-1, 2) in that order
-    start = np.cumsum(deg) - deg
-    shift = np.column_stack([-start, pairs.size - deg - start]).ravel()
-    src = np.repeat(shift, np.repeat(deg, 2)) + np.arange(2 * pairs.size)
-    indptr = np.zeros(2 * n_nodes + 1, dtype=np.int32)
-    np.cumsum(np.repeat(2 * deg, 2), out=indptr[1:])
-    data = np.take(blocks.reshape(-1, 2), src, axis=0).ravel()
-    indices = np.take(cols.reshape(-1, 2), src, axis=0).ravel()
-    return sp.csr_matrix((data, indices, indptr), shape=(2 * n_nodes, 2 * n_nodes))
+    shape = (2 * n_nodes, 2 * n_nodes)
+    return sp.bsr_matrix((blocks, col.astype(np.int32), indptr), shape=shape).tocsr()
 
 
 def assemble(dofmap, problem):

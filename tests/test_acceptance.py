@@ -49,9 +49,12 @@ def ex71_run():
     return result, time.perf_counter() - tic
 
 
+EX72_PARAMS = ad.AdaptiveParams(levels=20, theta=0.5, n0=4)
+
+
 @pytest.fixture(scope="session")
 def ex72_run():
-    return ad.adapt(prb.rigid_wedge_push(), ad.AdaptiveParams(levels=20, theta=0.5, n0=4))
+    return ad.adapt(prb.rigid_wedge_push(), EX72_PARAMS)
 
 
 def test_runs_repeat_benchmark_reference_prefix(ex71_run, ex72_run, monkeypatch):
@@ -213,11 +216,52 @@ def test_criterion_8_quasi_density_positivity(solved71):
              f"min pairing over 100 fields {worst:.3e}, unit averages exact")
 
 
+def point_segment_distance(points, seg_a, seg_b):
+    """Distance of each point to the nearest of the given segments."""
+    d = seg_b - seg_a                                     # (k, 2)
+    len2 = (d * d).sum(axis=1)
+    diff = points[:, None, :] - seg_a[None, :, :]         # (m, k, 2)
+    t = np.clip(np.einsum("mkd,kd->mk", diff, d) / len2, 0.0, 1.0)
+    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def near_fraction(first, mesh, marked, radius=0.25):
+    """Fraction of the marked centroids of ``mesh`` within ``radius`` of the
+    contact boundary or of a Dirichlet-Neumann corner.
+
+    Both are read from the run's first mesh ``first``: bisection never moves
+    the boundary, so its contact edges cover the same segments at every
+    level, and the corners stay vertices of the first mesh.
+    """
+    centroids = mesh.vertices[mesh.triangles[marked]].mean(axis=1)
+    con = first.boundary_tags == msh.CONTACT
+    dist = np.full(len(marked), np.inf)
+    if con.any():
+        seg = first.vertices[first.boundary_edges[con]]
+        dist = point_segment_distance(centroids, seg[:, 0], seg[:, 1])
+    corners = np.intersect1d(first.boundary_edges[first.boundary_tags == msh.DIRICHLET],
+                             first.boundary_edges[first.boundary_tags == msh.NEUMANN])
+    if corners.size:
+        dc = np.linalg.norm(centroids[:, None, :] - first.vertices[corners][None, :, :],
+                            axis=2).min(axis=1)
+        dist = np.minimum(dist, dc)
+    return float(np.mean(dist <= radius))
+
+
 def test_criterion_9_wedge_qualitative(ex72_run):
     records = ex72_run.records
     assert len(records) == 20
     assert records[-1].eta_h < records[0].eta_h
-    fractions = [r.marked_near_fraction for r in records[10:] if r.n_marked > 0]
+    # replay the run's refinements over the recorded marked sets
+    first = mesh = ex72_run.problem.mesh(EX72_PARAMS.n0)
+    fractions = []
+    for r in records[:-1]:
+        if r.level >= 10:
+            fractions.append(near_fraction(first, mesh, r.marked))
+        mesh = msh.refine(mesh, r.marked)
+    assert np.array_equal(mesh.vertices, ex72_run.mesh.vertices)
+    assert np.array_equal(mesh.triangles, ex72_run.mesh.triangles)
     assert fractions
     ok = all(f > 0.5 for f in fractions)
     announce("9 (wedge localization)", ok,

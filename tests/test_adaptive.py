@@ -10,12 +10,14 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
+from test_acceptance import point_segment_distance
+
 
 def test_single_level_no_refine():
     res = ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=1, n0=2))
     assert len(res.records) == 1
     assert res.records[0].level == 0
-    assert res.records[0].n_marked == 0
+    assert res.records[0].marked.size == 0
 
 
 def test_each_level_frees_its_stiffness_system(monkeypatch):
@@ -39,15 +41,15 @@ def test_ndof_strictly_increasing_and_marks_nonempty():
     res = ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=5, n0=2))
     ndofs = [r.ndof for r in res.records]
     assert all(a < b for a, b in zip(ndofs, ndofs[1:]))
-    assert all(r.n_marked > 0 for r in res.records[:-1])
+    assert all(r.marked.size > 0 for r in res.records[:-1])
 
 
 def test_uniform_flag_marks_everything():
     res = ad.adapt(prb.bottom_contact_benchmark(),
                    ad.AdaptiveParams(levels=3, n0=2, uniform=True))
     # uniform bisection of all triangles doubles the count every level
-    assert res.records[0].n_marked == 8
-    assert res.records[1].n_marked == 16
+    assert res.records[0].marked.size == 8
+    assert res.records[1].marked.size == 16
 
 
 def test_efficiency_index_reliable(solved71):
@@ -120,8 +122,9 @@ def test_error_column_nan_without_exact(tmp_path):
 
 @pytest.mark.parametrize("name", ["ex71", "ex72"])
 def test_first_mesh_keeps_contact_distances_and_corners(name):
-    # _near_fraction reads the contact edges and the Dirichlet-Neumann corners
-    # of the run's first mesh: bisection must leave both in place
+    # criterion 9's near_fraction reads the contact edges and the
+    # Dirichlet-Neumann corners of the run's first mesh: bisection must leave
+    # both in place
     first = prb.get_problem(name).mesh(4)
     mesh = first
     for k in range(4):
@@ -130,7 +133,7 @@ def test_first_mesh_keeps_contact_distances_and_corners(name):
 
     def contact_distance(m):
         seg = m.vertices[m.boundary_edges[m.boundary_tags == msh.CONTACT]]
-        return ad._point_segment_distance(pts, seg[:, 0], seg[:, 1])
+        return point_segment_distance(pts, seg[:, 0], seg[:, 1])
 
     def corners(m):
         return np.intersect1d(m.boundary_edges[m.boundary_tags == msh.DIRICHLET],
@@ -217,3 +220,20 @@ def test_cli_rejects_zero_levels(tmp_path, capsys):
 def test_cli_rejects_c0_not_finite_and_positive(tmp_path, capsys, c0):
     line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--c0", c0)
     assert line == f"signorini: error: c0 must be finite and positive, got {float(c0)}"
+
+
+@pytest.mark.parametrize("under, why", [(False, "File exists"), (True, "Not a directory")],
+                         ids=["file", "path_under_file"])
+def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys, under, why):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if under else taken
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", "ex71", "--levels", "1", "--n0", "2",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == \
+        f"signorini: error: cannot create output directory {out}: {why}"
+    assert taken.read_text() == "kept\n"

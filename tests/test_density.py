@@ -51,6 +51,8 @@ def test_trace_single_chain(solved71):
     single = trace.node_edges[:, 0] == trace.node_edges[:, 1]
     assert np.array_equal(trace.nodes[single & (trace.nodes < mesh.num_vertices)], ends)
     assert (trace.node_edges[:, 0] <= trace.node_edges[:, 1]).all()
+    assert np.array_equal(trace.edge_nodes.ravel()[trace.node_entries],
+                          np.column_stack([trace.nodes, trace.nodes]))
 
 
 def trace_of(mesh):
@@ -323,7 +325,8 @@ def test_boundary_averages_quadratic_field_against_independent_rule(solved71, so
         mesh, trace = state.mesh, state.trace
         for col in (0, 1):
             edge = trace.node_edges[:, col]
-            got = dens.node_averages(state.dofmap, trace, v, selected_edge=edge)
+            got = dens.node_averages(state.dofmap, trace, v,
+                                     selected_entry=trace.node_entries[:, col])
             for i, p in enumerate(trace.nodes):
                 nodes = trace.edge_nodes[edge[i]]
                 pa, pb = mesh.vertices[nodes[0]], mesh.vertices[nodes[2]]

@@ -27,7 +27,7 @@ def report_for(problem, mesh, u):
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
     density = dens.compute_density(system.F - system.K @ u, u, trace)
-    return est.estimate(dofmap, patches, problem, u, density), dofmap, patches
+    return est.estimate(dofmap, patches, problem, u, density, c0=0.45), dofmap, patches
 
 
 def test_eta1_zero_for_linear_field():
@@ -144,7 +144,7 @@ def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density)
+                          state.solution.u, state.density, c0=0.45)
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
     con_ids = state.mesh.boundary_edge_ids[state.mesh.boundary_tags == msh.CONTACT]
@@ -154,7 +154,7 @@ def test_consistency_terms_flat_obstacle(solved71):
 def test_lambda_region_excludes_zero_density(solved72):
     state = solved72
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density)
+                          state.solution.u, state.density, c0=0.45)
     m = state.density.normal * state.trace.weight
     cold = np.flatnonzero(m <= 1e-12 * m.max())
     lam = set(report.lambda_edges)
@@ -182,7 +182,7 @@ def test_positive_homogeneity(solved71, alpha):
     """Scaling u, f, g, chi by alpha scales every estimator part by alpha."""
     state = solved71
     base = est.estimate(state.dofmap, state.patches, state.problem,
-                        state.solution.u, state.density)
+                        state.solution.u, state.density, c0=0.45)
     p = state.problem
     scaled = prb.ProblemSpec(
         name="scaled", tagging=p.tagging, material=p.material,
@@ -192,7 +192,7 @@ def test_positive_homogeneity(solved71, alpha):
     u = alpha * state.solution.u
     den = dens.compute_density(system.F - system.K @ u, u,
                                dens.build_trace_mesh(state.dofmap, scaled))
-    rep = est.estimate(state.dofmap, state.patches, scaled, u, den)
+    rep = est.estimate(state.dofmap, state.patches, scaled, u, den, c0=0.45)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12)
     assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12)
@@ -202,7 +202,7 @@ def test_positive_homogeneity(solved71, alpha):
 def test_estimate_deterministic(solved71):
     state = solved71
     args = (state.dofmap, state.patches, state.problem,
-            state.solution.u, state.density)
+            state.solution.u, state.density, 0.45)
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
     assert (a.indicator == b.indicator).all()
@@ -341,7 +341,8 @@ def test_contact_quantities_match_per_edge_oracle():
     assert np.array_equal(trace.node_edges, node_edges)
     got_classes, got_selected = dens.classify_nodes(u, trace)
     assert np.array_equal(got_classes, classes)
-    assert np.array_equal(got_selected, selected)
+    assert np.array_equal(got_selected // 3, selected)
+    assert np.array_equal(trace.edge_nodes.ravel()[got_selected], trace.nodes)
     got_pen, got_gap = est._consistency_per_edge(dofmap, problem, u, trace)
     assert np.array_equal(got_pen, pen)
     assert np.array_equal(got_gap, gap)

@@ -101,19 +101,17 @@ class AdaptiveResult:
     trace_mesh: dens.ContactTraceMesh
 
 
-def mark(indicators, theta, diameters=None):
+def mark(indicators, theta, diameters):
     """Maximum marking: triangles with indicator >= theta * max indicator.
 
-    When every indicator vanishes, the largest triangle is marked so that the
-    loop always makes progress.
+    When every indicator vanishes, the triangle of largest ``diameters`` is
+    marked so that the loop always makes progress.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"marking fraction must be in (0, 1], got {theta}")
     indicators = np.asarray(indicators, dtype=float)
     top = indicators.max() if indicators.size else 0.0
     if top <= 0.0:
-        if diameters is None:
-            raise ValueError("all indicators vanish and no diameters given")
         return np.array([int(np.argmax(diameters))])
     return np.flatnonzero(indicators >= theta * top)
 
@@ -179,7 +177,10 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         if level:
             mesh = msh.refine(mesh, records[-1].marked)
         tic = time.perf_counter()
-        dofmap, sol, density, report, checks = run_level(problem, mesh, params)
+        try:
+            dofmap, sol, density, report, checks = run_level(problem, mesh, params)
+        except vi.SolverError as exc:
+            raise vi.SolverError(f"level {level}: {exc}") from exc
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic

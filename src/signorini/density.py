@@ -14,15 +14,6 @@ Hat functions psi_p on the split mesh define the lumped pairing
 and the nodal density is the discrete residual divided by the hat weight:
 lambda_n(p) = m_p / weight(p) in the contact-normal direction (nonnegative at
 a converged solve) and lambda_t(p) in the tangential direction (zero).
-
-The quasi-density extends this to arbitrary fields through the node averages
-e_p, all computed at once by ``node_averages`` from the fixed tables
-W[a, q] = w_q phi_a(x_q) on a triangle and H[j, q] (hats psi_j times weights)
-on a contact edge; v_T and v_k are the values of v at their quadrature points:
-
-    e_p(v) = sum_T |T| (W v_T)[a_T] / sum_T |T| (W 1)[a_T]   (p is node a_T of T)
-    e_p(v) = (H v_k)[j] at a contact node p, node j of its edge k; 0 if Dirichlet
-    <quasi-density, v> = sum_p lambda_n(p) e_p(v_n) weight(p)  >= 0 if v_n >= 0
 """
 
 from __future__ import annotations
@@ -32,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as msh
-from . import fem
 
 FULL_CONTACT = "full"
 SEMI_CONTACT = "semi"
@@ -138,7 +128,6 @@ class DensityField:
     normal: np.ndarray       # lambda in the constrained direction, >= 0
     tangential: np.ndarray   # lambda in the tangential direction, ~ 0
     classes: np.ndarray      # full / semi / none per contact node
-    selected_entry: np.ndarray  # entry 3k + j of trace.edge_nodes on the averaging edge k
 
 
 def compute_density(residual, u, trace):
@@ -148,98 +137,25 @@ def compute_density(residual, u, trace):
         raise ValueError("nonpositive hat weight on the contact trace mesh")
     normal = trace.sign * residual[trace.dofs] / trace.weight
     tangential = residual[trace.tangential_dofs] / trace.weight
-    classes, selected = classify_nodes(u, trace)
-    return DensityField(trace, normal, tangential, classes, selected)
+    return DensityField(trace, normal, tangential, classify_nodes(u, trace))
 
 
-def quadratic_range(values):
-    """(min, max) over [0, 1] of the quadratics with nodal values
-    (v0, vmid, v1) along the last axis of ``values``."""
-    v0, vm, v1 = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
-    a, b = fem.trace_coefficients(v0, vm, v1)
-    s = -b / np.where(a != 0.0, 2 * a, 1.0)
-    inside = (a != 0.0) & (0.0 < s) & (s < 1.0)
-    # an extremum outside (0, 1) is replaced by the value at s = 0
-    peak = np.where(inside, (a * s + b) * s + v0, v0)
-    return np.minimum(np.minimum(v0, v1), peak), np.maximum(np.maximum(v0, v1), peak)
+def classify_nodes(u, trace):
+    """Full/semi/no-contact split of the contact nodes.
 
-
-def classify_nodes(u, trace, tol=None):
-    """Full/semi/no-contact split plus the averaging edge per node, as the
-    node's entry in ``trace.edge_nodes``.
-
-    A contact edge is fully active when the quadratic traces of u_n and of
-    the interpolated gap coincide, i.e. the three nodal values agree within
-    ``tol``.  The averaging edge is the adjacent contact edge on which
-    |u_n - gap| is smallest in the sup norm, ties to the lower edge index.
+    A node touches when u_n equals its gap within a tolerance of 1e-9 times
+    (1 + max |gap|).  A contact edge is fully active when the quadratic
+    traces of u_n and of the interpolated gap coincide, i.e. its three nodal
+    values agree within that tolerance; a touching node is in full contact
+    when every contact edge holding it is fully active.
     """
-    if tol is None:
-        gmax = np.abs(trace.gap[np.isfinite(trace.gap)])
-        tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
+    gmax = np.abs(trace.gap[np.isfinite(trace.gap)])
+    tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
     dev = trace.sign * u[2 * trace.edge_nodes + trace.comp] - trace.gap[trace.edge_pos]
     edge_active = np.all(np.abs(dev) <= tol, axis=1)
-    lo, hi = quadratic_range(dev)
-    edge_gap_sup = np.maximum(np.abs(lo), np.abs(hi))
-
     touching = np.abs(trace.sign * u[trace.dofs] - trace.gap) <= tol
     full = edge_active[trace.node_edges].all(axis=1)
-    classes = np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
-    pick = np.argmin(edge_gap_sup[trace.node_edges], axis=1)
-    return classes, np.take_along_axis(trace.node_entries, pick[:, None], axis=1)[:, 0]
-
-
-# -- weighted node averages ---------------------------------------------------
-
-# W[a, q] = w_q phi_a(x_q) on one triangle: the linear hat at a vertex (its
-# P2 basis has zero element mean), the P2 basis at a midpoint
-_VOLUME_W = fem.TRI_QW * np.vstack([fem.TRI_QP.T, fem.shape_values(fem.TRI_QP).T[3:]])
-# H[j, q]: hat psi_j of (vertex, midpoint, vertex) on a contact edge times the
-# weight of 3-point Gauss per half-edge at s_q, normalised per hat
-_HALF_EDGE_S = np.r_[0.5 * fem.EDGE_QT, 0.5 + 0.5 * fem.EDGE_QT]
-_HAT_W = np.clip([1 - 2 * _HALF_EDGE_S, 1 - np.abs(2 * _HALF_EDGE_S - 1),
-                  2 * _HALF_EDGE_S - 1], 0.0, None) * np.tile(fem.EDGE_QW, 2)
-_HAT_W /= _HAT_W.sum(axis=1, keepdims=True)
-
-
-def _contact_averages(mesh, trace, v, entry):
-    """psi_p average of scalar field ``v`` for each contact node p over the
-    contact edge of its ``entry`` (flat entries of trace.edge_nodes)."""
-    pts = mesh.edge_points(trace.edge_ids, _HALF_EDGE_S)
-    vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float)
-    avg = vals.reshape(-1, _HALF_EDGE_S.size) @ _HAT_W.T
-    return avg.ravel()[entry]
-
-
-def node_averages(dofmap, trace, v, selected_entry=None):
-    """e_p of scalar field ``v`` at every node (see the module docstring); a
-    contact node averages over the edge of ``selected_entry``, default
-    trace.node_entries[:, 0]."""
-    mesh = dofmap.mesh
-    pts = fem.barycentric_to_xy(mesh, fem.TRI_QP).reshape(-1, 2)
-    vals = np.asarray(v(pts), dtype=float).reshape(mesh.num_triangles, -1)
-    nodes = mesh.element_nodes.ravel()
-    num = np.bincount(nodes, (mesh.areas[:, None] * (vals @ _VOLUME_W.T)).ravel())
-    den = np.bincount(nodes, np.outer(mesh.areas, _VOLUME_W.sum(axis=1)).ravel())
-    e = num / den
-    entry = trace.node_entries[:, 0] if selected_entry is None else selected_entry
-    e[trace.nodes] = _contact_averages(mesh, trace, v, entry)
-    e[dofmap.kind == msh.DIRICHLET] = 0.0
-    return e
-
-
-def apply_quasi_density(mesh, density, v):
-    """<quasi-density, v> = sum_p lambda_n(p) e_p(v_n) weight(p).
-
-    ``v`` maps points to vectors; only the contact-normal component enters,
-    so the result is nonnegative whenever v_n >= 0 on the contact boundary.
-    """
-    trace = density.trace
-
-    def v_n(pts):
-        return trace.sign * np.asarray(v(pts), dtype=float)[:, trace.comp]
-
-    e = _contact_averages(mesh, trace, v_n, density.selected_entry)
-    return float(np.sum(density.normal * e * trace.weight))
+    return np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
 
 
 def write_density_csv(path, dofmap, density):

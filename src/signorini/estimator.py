@@ -125,10 +125,7 @@ def _element_residual(mesh, problem, u):
     nt = mesh.num_triangles
     div = fem.divergence_stress(mesh, problem.material, u)
     xy = fem.barycentric_to_xy(mesh, fem.TRI_SAMPLE)
-    if problem.f is not None:
-        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, fem.TRI_SAMPLE.shape[0], 2)
-    else:
-        fv = np.zeros((nt, fem.TRI_SAMPLE.shape[0], 2))
+    fv = problem.f(xy.reshape(-1, 2)).reshape(nt, fem.TRI_SAMPLE.shape[0], 2)
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
@@ -150,10 +147,7 @@ def _neumann_residual(mesh, sig, problem, ids):
     """Sup of |g - sigma(u_h) n| per Neumann edge ``ids``."""
     tau = _boundary_tractions(mesh, sig, ids)
     pts = mesh.edge_points(ids, EDGE_SAMPLE)
-    if problem.g is not None:
-        gv = problem.g(pts.reshape(-1, 2)).reshape(pts.shape)
-    else:
-        gv = np.zeros(pts.shape)
+    gv = problem.g(pts.reshape(-1, 2)).reshape(pts.shape)
     s = EDGE_SAMPLE[:, None]
     tau_s = tau[:, :1] * (1 - s) + tau[:, 1:] * s
     return np.abs(gv - tau_s).max(axis=(1, 2))

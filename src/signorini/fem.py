@@ -303,33 +303,24 @@ def _stiffness_matrix(mesh, material):
 def assemble(dofmap, problem):
     """Build the elasticity stiffness matrix and load vector.
 
-    ``problem`` provides the material, vectorized callables f(points) -> (n, 2)
-    and g(points) -> (n, 2) and Dirichlet data; the last three may be None.
+    ``problem`` provides the material and the vectorized callables
+    f(points), g(points) and dirichlet(points), each -> (n, 2).
     """
     mesh, material = dofmap.mesh, problem.material
     nt = mesh.num_triangles
     K = _stiffness_matrix(mesh, material)
 
-    if problem.f is not None:
-        xy = barycentric_to_xy(mesh, TRI_QP)
-        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
-        # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
-        fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
-        F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
-    else:
-        F = np.zeros(dofmap.ndof)
-
-    if problem.g is not None:
-        _add_neumann_load(mesh, F, problem.g)
+    xy = barycentric_to_xy(mesh, TRI_QP)
+    fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
+    # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
+    fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
+    F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
+    _add_neumann_load(mesh, F, problem.g)
 
     # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p
-    d_dofs = dofmap.dirichlet_dofs
-    if problem.dirichlet is not None and d_dofs.size:
-        d_values = np.array(problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes]),
-                            dtype=float).ravel()
-    else:
-        d_values = np.zeros(d_dofs.size)
-    return SparseSystem(K, F, d_dofs, d_values, material)
+    d_values = np.array(problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes]),
+                        dtype=float).ravel()
+    return SparseSystem(K, F, dofmap.dirichlet_dofs, d_values, material)
 
 
 def _add_neumann_load(mesh, F, g):

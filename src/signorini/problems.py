@@ -33,14 +33,19 @@ class ProblemSpec:
     name: str
     tagging: Callable
     material: fem.MaterialLaw
-    f: Optional[Callable]          # body force, (n,2) -> (n,2)
-    g: Optional[Callable]          # Neumann traction
-    chi: Callable                  # gap function on the contact boundary
-    dirichlet: Optional[Callable]  # Dirichlet data
-    exact: Optional[Callable] = None
+    f: Callable                    # body force, (n,2) -> (n,2); ZERO when absent
+    g: Callable                    # Neumann traction, (n,2) -> (n,2); ZERO when absent
+    chi: Callable                  # gap function on the contact boundary, (n,2) -> (n,)
+    dirichlet: Callable            # Dirichlet data, (n,2) -> (n,2); ZERO when absent
+    exact: Optional[Callable] = None   # None: no exact solution to measure against
 
     def mesh(self, n):
         return msh.generate_unit_square(n, self.tagging)
+
+
+def ZERO(pts):
+    """The zero vector field: an absent load or homogeneous Dirichlet data."""
+    return np.zeros((len(pts), 2))
 
 
 # -- ex71: manufactured bottom-contact benchmark --------------------------------
@@ -98,7 +103,7 @@ def bottom_contact_benchmark():
         f=_ex71_f,
         g=_ex71_g,
         chi=lambda pts: np.zeros(len(pts)),
-        dirichlet=None,
+        dirichlet=ZERO,
         exact=_ex71_exact,
     )
 
@@ -115,8 +120,8 @@ def rigid_wedge_push():
         name="ex72",
         tagging=msh.tag_right_contact,
         material=fem.MaterialLaw.from_young_poisson(500.0, 0.3),
-        f=None,
-        g=None,
+        f=ZERO,
+        g=ZERO,
         chi=_wedge_chi,
         dirichlet=lambda pts: np.column_stack([np.full(len(pts), 0.1), np.zeros(len(pts))]),
         exact=None,
@@ -214,16 +219,13 @@ def from_file(path):
     def const_vec(key):
         val = cfg.get(key)
         if val is None:
-            return None
+            return ZERO
         if not (isinstance(val, list) and len(val) == 2 and all(map(is_number, val))):
             raise bad(key, f"must be a list of two finite numbers, got {val!r}")
         vx, vy = val
-        if vx == 0 and vy == 0:
-            return None
         return lambda pts: np.column_stack([np.full(len(pts), vx), np.full(len(pts), vy)])
 
     chi_val = number(cfg, "chi", 0.0)
-    dirichlet = const_vec("dirichlet")
     return ProblemSpec(
         name=name,
         tagging=tagging,
@@ -231,7 +233,7 @@ def from_file(path):
         f=const_vec("f"),
         g=const_vec("g"),
         chi=lambda pts: np.full(len(pts), chi_val),
-        dirichlet=dirichlet,
+        dirichlet=const_vec("dirichlet"),
     )
 
 

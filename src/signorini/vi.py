@@ -78,6 +78,9 @@ def solve_vi(system, trace, c=None, max_iter=100):
         except RuntimeError as exc:
             raise SolverError(f"singular constrained system ({exc})") from exc
         del Kff, lu     # freed before the next iteration factors its own block
+        if not np.isfinite(u).all():
+            raise SolverError(f"non-finite solution in active-set iteration {it} "
+                              f"({system.ndof} dofs)")
         r = system.F - system.K @ u
         m = sign * r[con_dofs]
         un = sign * u[con_dofs]

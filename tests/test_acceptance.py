@@ -29,6 +29,7 @@ import signorini.problems as prb
 import signorini.vi as vi
 
 from conftest import interpolate
+import quasi_density as qd
 from test_vi import brute_force_vi, random_contact_problem
 
 SLOPE_WINDOW = (-1.8, -1.2)
@@ -205,10 +206,10 @@ def test_criterion_8_quasi_density_positivity(solved71):
             out = np.column_stack([a[5] * (x - y), -w])   # v_n = -v_y = w >= 0
             return out
 
-        val = dens.apply_quasi_density(state.mesh, state.density, v)
+        val = qd.apply_quasi_density(state.mesh, state.density, state.solution.u, v)
         worst = min(worst, val)
         assert val >= 0.0
-    e = dens.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
+    e = qd.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
     dirichlet = state.dofmap.kind == msh.DIRICHLET
     assert (e[dirichlet] == 0.0).all()
     assert np.abs(e[~dirichlet] - 1.0).max() <= 1e-12

@@ -9,6 +9,7 @@ import signorini.cli as cli
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
+import signorini.vi as vi
 
 from test_acceptance import point_segment_distance
 
@@ -237,3 +238,30 @@ def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys, under, why):
     assert err.strip().splitlines()[-1] == \
         f"signorini: error: cannot create output directory {out}: {why}"
     assert taken.read_text() == "kept\n"
+
+
+def test_cli_overflowing_load_raises_solver_error_with_level(tmp_path):
+    # finite data that passes every input check, but whose solve overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact", "chi": 0.0,
+                                "f": [1e308, -1e308]}))
+    with pytest.raises(vi.SolverError,
+                       match=r"^level 0: non-finite solution in active-set iteration 0 "
+                             r"\(50 dofs\)$"):
+        cli.main(["solve", "--problem", str(path), "--levels", "3", "--n0", "2",
+                  "--out", str(tmp_path / "out")])
+
+
+def test_zero_indicators_mark_the_largest_triangle(tmp_path):
+    # no load and a gap that is never closed: u = 0 and every indicator is 0
+    path = tmp_path / "unloaded.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact", "chi": 1.0}))
+    problem = prb.get_problem(str(path))
+    res = ad.adapt(problem, ad.AdaptiveParams(levels=3, n0=2))
+    assert [r.ndof for r in res.records] == [40, 48, 56]
+    assert all(r.eta_h == 0.0 for r in res.records)
+    mesh = problem.mesh(2)
+    for r in res.records[:-1]:
+        assert r.marked.tolist() == [int(np.argmax(mesh.diameters))]
+        mesh = msh.refine(mesh, r.marked)
+    assert np.array_equal(mesh.triangles, res.mesh.triangles)

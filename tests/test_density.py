@@ -12,6 +12,7 @@ import signorini.problems as prb
 import signorini.vi as vi
 
 from conftest import tag_all_dirichlet
+import quasi_density as qd
 
 # independent degree-3 triangle rule (not the rule used by the package)
 _D3_W = np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0
@@ -180,7 +181,7 @@ def test_density_against_independent_quadrature():
         f=lambda p: np.tile(fconst, (len(p), 1)),
         g=lambda p: np.tile(gconst, (len(p), 1)),
         chi=lambda p: np.full(len(p), 0.01),
-        dirichlet=None)
+        dirichlet=prb.ZERO)
     mesh = problem.mesh(1)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
@@ -253,7 +254,7 @@ def test_classification_synthetic(solved71):
     trace = state.trace
     mid = trace.nodes[trace.nodes >= state.mesh.num_vertices][0]
     u[2 * mid + trace.comp] -= 0.05 * trace.sign  # u_n -= 0.05
-    classes, _ = dens.classify_nodes(u, trace)
+    classes = dens.classify_nodes(u, trace)
     i_mid = np.searchsorted(trace.nodes, mid)
     assert classes[i_mid] == dens.NO_CONTACT
     k = trace.node_edges[i_mid][0]
@@ -273,7 +274,7 @@ def test_no_contact_classification(solved72):
 
 def test_node_average_constant_is_one(solved71):
     state = solved71
-    e = dens.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
+    e = qd.node_averages(state.dofmap, state.trace, lambda pts: np.ones(len(pts)))
     dirichlet = state.dofmap.kind == msh.DIRICHLET
     assert dirichlet.any() and (e[dirichlet] == 0.0).all()
     assert np.abs(e[~dirichlet] - 1.0).max() < 1e-12
@@ -283,7 +284,7 @@ def test_node_average_linear_field_against_independent_rule(solved71):
     state = solved71
     mesh, dofmap, patches = state.mesh, state.dofmap, state.patches
     v = lambda pts: 0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2
-    got = dens.node_averages(dofmap, state.trace, v)
+    got = qd.node_averages(dofmap, state.trace, v)
 
     def oracle_volume(p):
         tris = np.flatnonzero((patches.tri_nodes == p).any(axis=1))
@@ -325,8 +326,8 @@ def test_boundary_averages_quadratic_field_against_independent_rule(solved71, so
         mesh, trace = state.mesh, state.trace
         for col in (0, 1):
             edge = trace.node_edges[:, col]
-            got = dens.node_averages(state.dofmap, trace, v,
-                                     selected_entry=trace.node_entries[:, col])
+            got = qd.node_averages(state.dofmap, trace, v,
+                                   selected_entry=trace.node_entries[:, col])
             for i, p in enumerate(trace.nodes):
                 nodes = trace.edge_nodes[edge[i]]
                 pa, pb = mesh.vertices[nodes[0]], mesh.vertices[nodes[2]]
@@ -343,13 +344,14 @@ def test_quasi_density_unit_field_total_force(solved71):
     state = solved71
     nsum = (state.trace.sign * state.solution.residual[state.trace.dofs]).sum()
     ones = lambda pts: np.tile([0.0, -1.0], (len(pts), 1))   # v_n = 1 in this frame
-    got = dens.apply_quasi_density(state.mesh, state.density, ones)
+    got = qd.apply_quasi_density(state.mesh, state.density, state.solution.u, ones)
     assert abs(got - nsum) < 1e-12 * max(1.0, nsum)
 
 
 def test_quasi_density_zero_field(solved71):
     zero = lambda pts: np.zeros((len(pts), 2))
-    assert dens.apply_quasi_density(solved71.mesh, solved71.density, zero) == 0.0
+    assert qd.apply_quasi_density(solved71.mesh, solved71.density, solved71.solution.u,
+                                  zero) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,7 +368,8 @@ def test_quasi_density_nonnegative(solved71, seed):
         out[:, 0] = a[5] * (x - y)
         return out
 
-    assert dens.apply_quasi_density(solved71.mesh, solved71.density, v) >= 0.0
+    assert qd.apply_quasi_density(solved71.mesh, solved71.density, solved71.solution.u,
+                                  v) >= 0.0
 
 
 def test_density_csv_dump(tmp_path, solved71):

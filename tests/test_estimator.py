@@ -11,14 +11,15 @@ import signorini.mesh as msh
 import signorini.problems as prb
 
 from conftest import interpolate
+import quasi_density as qd
 
 
 def zero_problem(tagging=msh.tag_bottom_contact, material=None):
     return prb.ProblemSpec(
         name="zero", tagging=tagging,
         material=material or fem.MaterialLaw(1.0, 1.0),
-        f=None, g=None, chi=lambda p: np.zeros(len(p)),
-        dirichlet=None)
+        f=prb.ZERO, g=prb.ZERO, chi=lambda p: np.zeros(len(p)),
+        dirichlet=prb.ZERO)
 
 
 def report_for(problem, mesh, u):
@@ -187,7 +188,7 @@ def test_positive_homogeneity(solved71, alpha):
     scaled = prb.ProblemSpec(
         name="scaled", tagging=p.tagging, material=p.material,
         f=lambda q: alpha * p.f(q), g=lambda q: alpha * p.g(q),
-        chi=lambda q: alpha * p.chi(q), dirichlet=None)
+        chi=lambda q: alpha * p.chi(q), dirichlet=prb.ZERO)
     system = fem.assemble(state.dofmap, scaled)
     u = alpha * state.solution.u
     den = dens.compute_density(system.F - system.K @ u, u,
@@ -339,7 +340,8 @@ def test_contact_quantities_match_per_edge_oracle():
     assert (node_edges[:, 0] < node_edges[:, 1]).any() and (gap > 0).any()
     assert np.array_equal(trace.weight, weight)
     assert np.array_equal(trace.node_edges, node_edges)
-    got_classes, got_selected = dens.classify_nodes(u, trace)
+    got_classes = dens.classify_nodes(u, trace)
+    got_selected = qd.selected_entries(u, trace)
     assert np.array_equal(got_classes, classes)
     assert np.array_equal(got_selected // 3, selected)
     assert np.array_equal(trace.edge_nodes.ravel()[got_selected], trace.nodes)

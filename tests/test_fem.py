@@ -231,7 +231,7 @@ def test_galerkin_pure_dirichlet_cubic_rate():
     base = prb.bottom_contact_benchmark()
     problem = prb.ProblemSpec(
         name="dirichlet-pretest", tagging=tag_all_dirichlet,
-        material=base.material, f=base.f, g=None,
+        material=base.material, f=base.f, g=prb.ZERO,
         chi=lambda p: np.zeros(len(p)), dirichlet=base.exact,
         exact=base.exact)
     errs = []

@@ -59,7 +59,7 @@ def test_problem_file_roundtrip(tmp_path):
     assert (trace.comp, trace.sign) == (1, -1.0)
     pts = np.zeros((3, 2))
     assert np.allclose(p.f(pts), [[0.0, -1.0]] * 3)
-    assert p.g is None
+    assert p.g(pts).tobytes() == np.zeros((3, 2)).tobytes()
     assert np.allclose(p.chi(pts), 0.01)
     # it solves end to end
     res = ad.adapt(p, ad.AdaptiveParams(levels=2, n0=2))
@@ -125,10 +125,23 @@ def test_measure_error_interpolant_cubic_decay():
 
 def test_mark_examples():
     ind = np.array([1.0, 0.6, 0.4])
-    assert sorted(ad.mark(ind, 0.5)) == [0, 1]
-    assert ad.mark(ind, 1.0).tolist() == [0]
-    assert sorted(ad.mark(ind, 1e-9)) == [0, 1, 2]
     diam = np.array([1.0, 3.0, 2.0])
+    assert sorted(ad.mark(ind, 0.5, diam)) == [0, 1]
+    assert ad.mark(ind, 1.0, diam).tolist() == [0]
+    assert sorted(ad.mark(ind, 1e-9, diam)) == [0, 1, 2]
     assert ad.mark(np.zeros(3), 0.5, diam).tolist() == [1]
     with pytest.raises(ValueError):
-        ad.mark(ind, 0.0)
+        ad.mark(ind, 0.0, diam)
+
+
+def test_zero_load_in_a_file_assembles_as_an_absent_load(tmp_path):
+    systems = []
+    for extra in ({"f": [0.0, 0.0]}, {}):
+        path = tmp_path / "slab.json"
+        path.write_text(json.dumps({"tagging": "bottom_contact", "chi": 0.1,
+                                    "g": [0.5, -1.0], **extra}))
+        p = prb.get_problem(str(path))
+        systems.append(fem.assemble(fem.DofMap(p.mesh(3)), p))
+    with_zero, absent = systems
+    assert with_zero.F.tobytes() == absent.F.tobytes()
+    assert np.abs(absent.F).max() > 0.0

@@ -67,7 +67,7 @@ def random_contact_problem(rng, n, style):
         name="random", tagging=tagging, material=material,
         f=lambda p: np.tile(fconst, (len(p), 1)),
         g=lambda p: np.tile(gconst, (len(p), 1)),
-        chi=chi, dirichlet=None)
+        chi=chi, dirichlet=prb.ZERO)
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)

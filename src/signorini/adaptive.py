@@ -32,7 +32,6 @@ CSV_HEADER = ("level,ndof,hmin,lh,eta1,eta2,eta3,eta4,eta5,eta6,eta7,"
 class AdaptiveParams:
     levels: int = 12
     theta: float = 0.5
-    c0: float = 0.45
     n0: int = 4
     uniform: bool = False
 
@@ -41,8 +40,6 @@ class AdaptiveParams:
             raise ValueError("need at least one level")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"marking fraction must be in (0, 1], got {self.theta}")
-        if not 0.0 < self.c0 < np.inf:
-            raise ValueError(f"c0 must be finite and positive, got {self.c0}")
         if self.n0 < 1:
             raise ValueError("initial subdivision must be >= 1")
 
@@ -143,7 +140,7 @@ def _level_checks(system, sol, density):
     )
 
 
-def run_level(problem, mesh, params):
+def run_level(problem, mesh):
     """Assemble, solve, and estimate on one mesh; no refinement.
 
     The stiffness system is not returned, so it is freed when the level
@@ -155,7 +152,7 @@ def run_level(problem, mesh, params):
     trace_mesh = dens.build_trace_mesh(dofmap, problem)
     sol = vi.solve_vi(system, trace_mesh)
     density = dens.compute_density(sol.residual, sol.u, trace_mesh)
-    report = est.estimate(dofmap, patches, problem, sol.u, density, c0=params.c0)
+    report = est.estimate(dofmap, patches, problem, sol.u, density)
     checks = _level_checks(system, sol, density)
     return dofmap, sol, density, report, checks
 
@@ -178,7 +175,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             mesh = msh.refine(mesh, records[-1].marked)
         tic = time.perf_counter()
         try:
-            dofmap, sol, density, report, checks = run_level(problem, mesh, params)
+            dofmap, sol, density, report, checks = run_level(problem, mesh)
         except vi.SolverError as exc:
             raise vi.SolverError(f"level {level}: {exc}") from exc
         err = prb.measure_error(mesh, sol.u, problem.exact) \

@@ -23,8 +23,6 @@ def build_parser():
                        help="number of adaptive levels (default %(default)s)")
     solve.add_argument("--theta", type=float, default=defaults.theta,
                        help="maximum-marking fraction (default %(default)s)")
-    solve.add_argument("--c0", type=float, default=defaults.c0,
-                       help="estimator calibration factor (default %(default)s)")
     solve.add_argument("--n0", type=int, default=defaults.n0,
                        help="initial mesh subdivisions per side (default %(default)s)")
     solve.add_argument("--out", required=True, metavar="DIR",
@@ -40,8 +38,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     params = adaptive.AdaptiveParams(
-        levels=args.levels, theta=args.theta, c0=args.c0,
-        n0=args.n0, uniform=args.uniform)
+        levels=args.levels, theta=args.theta, n0=args.n0, uniform=args.uniform)
     try:
         params.validate()
         problem = prb.get_problem(args.problem)

@@ -133,8 +133,6 @@ class DensityField:
 def compute_density(residual, u, trace):
     """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, from
     the algebraic residual r = F - K u of the solution u."""
-    if np.any(trace.weight <= 0):
-        raise ValueError("nonpositive hat weight on the contact trace mesh")
     normal = trace.sign * residual[trace.dofs] / trace.weight
     tangential = residual[trace.tangential_dofs] / trace.weight
     return DensityField(trace, normal, tangential, classify_nodes(u, trace))
@@ -161,10 +159,11 @@ def classify_nodes(u, trace):
 def write_density_csv(path, dofmap, density):
     """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight)."""
     trace = density.trace
+    x, y = dofmap.coords[trace.nodes].T
+    columns = (trace.nodes, x, y, density.classes, density.normal,
+               density.tangential, trace.weight)
+    values = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    row = "{},{:.17g},{:.17g},{},{:.17g},{:.17g},{:.17g}\n"
     with open(path, "w") as out:
-        out.write("node,x,y,class,lambda_n,lambda_t,weight\n")
-        for i, p in enumerate(trace.nodes):
-            x, y = dofmap.coords[p]
-            out.write(f"{p},{x:.17g},{y:.17g},{density.classes[i]},"
-                      f"{density.normal[i]:.17g},{density.tangential[i]:.17g},"
-                      f"{trace.weight[i]:.17g}\n")
+        out.write("node,x,y,class,lambda_n,lambda_t,weight\n"
+                  + (row * trace.size).format(*values.ravel().tolist()))

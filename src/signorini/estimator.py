@@ -30,6 +30,9 @@ import numpy as np
 from . import fem
 from . import mesh as msh
 
+# the generic constant of the total estimate eta_h
+C0 = 0.45
+
 EDGE_SAMPLE = np.unique(np.concatenate([
     np.array([0.0, 0.5, 1.0]), fem.EDGE_QT, np.linspace(0.0, 1.0, 21),
 ]))
@@ -55,16 +58,11 @@ def log_factor(h_min):
     return 1.0 + np.log(h_min) ** 2
 
 
-def total_estimate(psi, eta6, eta7, h_min, c0):
-    """eta_h = C0 (l_h Psi + eta6 + eta7)."""
-    return c0 * (log_factor(h_min) * psi + eta6 + eta7)
+def _abs_max(arr):
+    return np.abs(arr).max() if arr.size else 0.0
 
 
-def _abs_max(arr, axis=None):
-    return np.abs(arr).max(axis=axis) if arr.size else 0.0
-
-
-def estimate(dofmap, patches, problem, u, density, c0):
+def estimate(dofmap, patches, problem, u, density):
     """Evaluate all estimator contributions for one solved level; the mesh
     is ``dofmap.mesh`` and the contact record ``density.trace``."""
     mesh, trace = dofmap.mesh, density.trace
@@ -106,7 +104,7 @@ def estimate(dofmap, patches, problem, u, density, c0):
 
     h_min = float(mesh.diameters.min())
     l_h = float(log_factor(h_min))
-    eta_h = float(total_estimate(psi, eta6, eta7, h_min, c0))
+    eta_h = C0 * (l_h * psi + eta6 + eta7)
 
     node_total = l_h * eta_p.sum(axis=0) + cons_p
     indicator = node_total[mesh.element_nodes].max(axis=1)

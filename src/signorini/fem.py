@@ -213,10 +213,9 @@ def barycentric_to_xy(mesh, bary):
     return np.asarray(bary, dtype=float) @ mesh.vertices[mesh.triangles]
 
 
-def _coefficients(mesh, u, tris=None):
+def _coefficients(mesh, u):
     """Nodal values of u_h per element, (nt, 6, 2) in local node order."""
-    nodes = mesh.element_nodes if tris is None else mesh.element_nodes[tris]
-    return u.reshape(-1, 2)[nodes]
+    return u.reshape(-1, 2)[mesh.element_nodes]
 
 
 @dataclass(frozen=True)
@@ -308,14 +307,17 @@ def assemble(dofmap, problem):
     """
     mesh, material = dofmap.mesh, problem.material
     nt = mesh.num_triangles
-    K = _stiffness_matrix(mesh, material)
+    # data so large that K or F overflows is reported by the solver, which
+    # checks that both are finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = _stiffness_matrix(mesh, material)
 
-    xy = barycentric_to_xy(mesh, TRI_QP)
-    fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
-    # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
-    fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
-    F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
-    _add_neumann_load(mesh, F, problem.g)
+        xy = barycentric_to_xy(mesh, TRI_QP)
+        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
+        # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
+        fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
+        F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
+        _add_neumann_load(mesh, F, problem.g)
 
     # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p
     d_values = np.array(problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes]),
@@ -337,15 +339,16 @@ def _add_neumann_load(mesh, F, g):
 
 # -- pointwise evaluation -----------------------------------------------------
 
-def displacement_at(mesh, u, tris, bary):
-    """u_h at barycentric points of the given triangles: (ntris, npts, 2)."""
-    return shape_values(bary) @ _coefficients(mesh, u, tris)
+def displacement_at(mesh, u, bary):
+    """u_h at barycentric points of every triangle: (nt, npts, 2)."""
+    return shape_values(bary) @ _coefficients(mesh, u)
 
 
-def gradient_at(mesh, u, tris, bary):
-    """grad u_h (rows: component, cols: direction) at barycentric points."""
-    coeff = np.swapaxes(_coefficients(mesh, u, tris), 1, 2)[:, None]   # (nt, 1, 2, 6)
-    return coeff @ shape_grads_ref(bary) @ mesh.inv_jac[tris, None]
+def gradient_at(mesh, u, bary):
+    """grad u_h (rows: component, cols: direction) at barycentric points of
+    every triangle: (nt, npts, 2, 2)."""
+    coeff = np.swapaxes(_coefficients(mesh, u), 1, 2)[:, None]   # (nt, 1, 2, 6)
+    return coeff @ shape_grads_ref(bary) @ mesh.inv_jac[:, None]
 
 
 def stress_from_grad(grad, material):
@@ -364,7 +367,7 @@ def corner_stress(mesh, material, u):
     The stress of a quadratic displacement is linear per element, so corner
     values determine it everywhere on the element.
     """
-    grads = gradient_at(mesh, u, np.arange(mesh.num_triangles), _CORNER_BARY)
+    grads = gradient_at(mesh, u, _CORNER_BARY)
     return stress_from_grad(grads, material)
 
 

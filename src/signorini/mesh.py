@@ -406,7 +406,7 @@ def build_patches(mesh):
 
 # -- VTK output ---------------------------------------------------------------
 
-def write_vtk(mesh, path, point_data=None, cell_data=None):
+def write_vtk(mesh, path, point_data, cell_data):
     """Legacy ASCII VTK unstructured grid (cell type 5).
 
     ``point_data``/``cell_data`` map names to arrays; vectors are written as
@@ -417,20 +417,18 @@ def write_vtk(mesh, path, point_data=None, cell_data=None):
               f"POINTS {nv} double\n", _rows("{:.17g} {:.17g} 0.0\n", mesh.vertices),
               f"CELLS {nt} {4 * nt}\n", _rows("3 {} {} {}\n", mesh.triangles),
               f"CELL_TYPES {nt}\n", "5\n" * nt]
-    if point_data:
-        blocks.append(f"POINT_DATA {nv}\n")
-        for name, arr in point_data.items():
-            arr = np.asarray(arr, dtype=float)
-            if arr.ndim == 2:
-                blocks += [f"VECTORS {name} double\n", _rows("{:.17g} {:.17g} 0.0\n", arr)]
-            else:
-                blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
-                           _rows("{:.17g}\n", arr)]
-    if cell_data:
-        blocks.append(f"CELL_DATA {nt}\n")
-        for name, arr in cell_data.items():
+    blocks.append(f"POINT_DATA {nv}\n")
+    for name, arr in point_data.items():
+        arr = np.asarray(arr, dtype=float)
+        if arr.ndim == 2:
+            blocks += [f"VECTORS {name} double\n", _rows("{:.17g} {:.17g} 0.0\n", arr)]
+        else:
             blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
-                       _rows("{:.17g}\n", np.asarray(arr, dtype=float))]
+                       _rows("{:.17g}\n", arr)]
+    blocks.append(f"CELL_DATA {nt}\n")
+    for name, arr in cell_data.items():
+        blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                   _rows("{:.17g}\n", np.asarray(arr, dtype=float))]
     with open(path, "w") as out:
         out.write("".join(blocks))
 

@@ -10,9 +10,10 @@ from the constrained-row residual,
 
     m_p = L(phi_p n) - a(u_h, phi_p n) = sign * (F - K u)[2p + comp],
 
-and the next active set is {p : m_p + c (u_n(p) - gap(p)) > 0}.  The
-iteration stops when the active set repeats, which is the exact
-complementarity point of the quadratic program.
+and the next active set is {p : m_p + c (u_n(p) - gap(p)) > 0} with the
+weight c = 2 mu + lam, the material's stress scale; any positive c has the
+same fixed point.  The iteration stops when the active set repeats, which is
+the exact complementarity point of the quadratic program.
 
 Each iteration factors the free block K[free][:, free] with SuperLU.  K is
 assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
@@ -28,6 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# active-set iterations before the solve gives up
+MAX_ITER = 100
+
 
 class SolverError(RuntimeError):
     pass
@@ -37,24 +41,26 @@ class SolverError(RuntimeError):
 class VISolution:
     u: np.ndarray
     active: np.ndarray          # bool per constrained node
-    iterations: int
     history: list               # (iteration, |A|, free residual) per iteration
     residual: np.ndarray        # F - K u of the final iterate
 
+    @property
+    def iterations(self):
+        return len(self.history)
 
-def solve_vi(system, trace, c=None, max_iter=100):
+
+def solve_vi(system, trace):
     """Primal-dual active-set iteration, starting from the empty active set.
 
     ``trace`` is the contact record; only its normal dofs ``dofs``, its
     ``sign`` and its nodal ``gap`` are read.  A node with an infinite gap
-    never becomes active.  ``c`` is the complementarity weight; any positive
-    value yields the same fixed point.  Defaults to the stress scale
-    2 mu + lam of the material.
+    never becomes active.  The complementarity weight c is the material's
+    stress scale 2 mu + lam.  A stiffness or load that is not finite is an
+    error before anything is factored.
     """
-    if c is None:
-        c = system.material.stress_scale
-    if c <= 0:
-        raise ValueError(f"active-set parameter c must be positive, got {c}")
+    if not (np.isfinite(system.K.data).all() and np.isfinite(system.F).all()):
+        raise SolverError(f"stiffness or load is not finite ({system.ndof} dofs)")
+    c = system.material.stress_scale
     con_dofs = trace.dofs
     sign = trace.sign
     gap = trace.gap
@@ -62,7 +68,7 @@ def solve_vi(system, trace, c=None, max_iter=100):
 
     active = np.zeros(gap.size, dtype=bool)
     history = []
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         u = np.zeros(system.ndof)
         u[system.dirichlet_dofs] = system.dirichlet_values
         u[con_dofs[active]] = sign * gap[active]
@@ -89,8 +95,8 @@ def solve_vi(system, trace, c=None, max_iter=100):
         with np.errstate(invalid="ignore"):
             nxt = finite_gap & (m + c * (un - gap) > 0)
         if np.array_equal(nxt, active):
-            return VISolution(u, active, it + 1, history, r)
+            return VISolution(u, active, history, r)
         active = nxt
     raise SolverError(
-        f"active set did not settle in {max_iter} iterations; "
+        f"active set did not settle in {MAX_ITER} iterations; "
         f"history={[row[1] for row in history]}")

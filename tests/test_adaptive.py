@@ -217,10 +217,15 @@ def test_cli_rejects_zero_levels(tmp_path, capsys):
     assert line == "signorini: error: need at least one level"
 
 
-@pytest.mark.parametrize("c0", ["-1", "0", "nan", "inf"])
-def test_cli_rejects_c0_not_finite_and_positive(tmp_path, capsys, c0):
-    line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--c0", c0)
-    assert line == f"signorini: error: c0 must be finite and positive, got {float(c0)}"
+def test_cli_rejects_zero_subdivisions(tmp_path, capsys):
+    line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--n0", "0")
+    assert line == "signorini: error: initial subdivision must be >= 1"
+
+
+def test_cli_has_no_c0_option(tmp_path, capsys):
+    # eta_h carries the fixed constant estimator.C0
+    line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--c0", "0.5")
+    assert line == "signorini: error: unrecognized arguments: --c0 0.5"
 
 
 @pytest.mark.parametrize("under, why", [(False, "File exists"), (True, "Not a directory")],
@@ -248,6 +253,17 @@ def test_cli_overflowing_load_raises_solver_error_with_level(tmp_path):
     with pytest.raises(vi.SolverError,
                        match=r"^level 0: non-finite solution in active-set iteration 0 "
                              r"\(50 dofs\)$"):
+        cli.main(["solve", "--problem", str(path), "--levels", "3", "--n0", "2",
+                  "--out", str(tmp_path / "out")])
+
+
+def test_cli_overflowing_stiffness_raises_solver_error_before_factoring(tmp_path):
+    # a Young's modulus so large that the element stiffness overflows
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact",
+                                "material": {"E": 1e308, "nu": 0.3}, "f": [0, -1]}))
+    with pytest.raises(vi.SolverError,
+                       match=r"^level 0: stiffness or load is not finite \(50 dofs\)$"):
         cli.main(["solve", "--problem", str(path), "--levels", "3", "--n0", "2",
                   "--out", str(tmp_path / "out")])
 

@@ -40,10 +40,10 @@ def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
         record_init(self, *a, **k)
         events.append(("record", self.level))
 
-    def run_level_hook(problem, mesh, params):
+    def run_level_hook(problem, mesh):
         meshes.append(mesh)
         events.append(("solve", len(meshes) - 1))
-        return run_level(problem, mesh, params)
+        return run_level(problem, mesh)
 
     def measure_error_hook(*a, **k):
         events.append(("error", len(meshes) - 1))

@@ -28,7 +28,7 @@ def report_for(problem, mesh, u):
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
     density = dens.compute_density(system.F - system.K @ u, u, trace)
-    return est.estimate(dofmap, patches, problem, u, density, c0=0.45), dofmap, patches
+    return est.estimate(dofmap, patches, problem, u, density), dofmap, patches
 
 
 def test_eta1_zero_for_linear_field():
@@ -145,7 +145,7 @@ def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density, c0=0.45)
+                          state.solution.u, state.density)
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
     con_ids = state.mesh.boundary_edge_ids[state.mesh.boundary_tags == msh.CONTACT]
@@ -155,7 +155,7 @@ def test_consistency_terms_flat_obstacle(solved71):
 def test_lambda_region_excludes_zero_density(solved72):
     state = solved72
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density, c0=0.45)
+                          state.solution.u, state.density)
     m = state.density.normal * state.trace.weight
     cold = np.flatnonzero(m <= 1e-12 * m.max())
     lam = set(report.lambda_edges)
@@ -170,11 +170,15 @@ def test_lambda_region_excludes_zero_density(solved72):
                 assert (m[np.searchsorted(state.trace.nodes, others)] > 1e-12 * m.max()).any()
 
 
-def test_total_arithmetic():
+def test_total_arithmetic(solved72):
     assert est.log_factor(1.0) == 1.0
-    got = est.total_estimate(psi=2.0, eta6=0.0, eta7=0.0, h_min=np.exp(-1.0), c0=0.45)
-    assert np.isclose(got, 0.45 * (1 + 1) * 2, atol=1e-14)
-    assert est.total_estimate(0.0, 0.0, 0.0, 0.5, 0.45) == 0.0
+    assert np.isclose(est.log_factor(np.exp(-1.0)), 2.0, rtol=1e-15)
+    state = solved72
+    report = est.estimate(state.dofmap, state.patches, state.problem,
+                          state.solution.u, state.density)
+    assert report.l_h == est.log_factor(report.h_min)
+    assert report.eta_h == est.C0 * (report.l_h * report.psi + report.eta6 + report.eta7)
+    assert report.eta6 + report.eta7 > 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -183,7 +187,7 @@ def test_positive_homogeneity(solved71, alpha):
     """Scaling u, f, g, chi by alpha scales every estimator part by alpha."""
     state = solved71
     base = est.estimate(state.dofmap, state.patches, state.problem,
-                        state.solution.u, state.density, c0=0.45)
+                        state.solution.u, state.density)
     p = state.problem
     scaled = prb.ProblemSpec(
         name="scaled", tagging=p.tagging, material=p.material,
@@ -193,7 +197,7 @@ def test_positive_homogeneity(solved71, alpha):
     u = alpha * state.solution.u
     den = dens.compute_density(system.F - system.K @ u, u,
                                dens.build_trace_mesh(state.dofmap, scaled))
-    rep = est.estimate(state.dofmap, state.patches, scaled, u, den, c0=0.45)
+    rep = est.estimate(state.dofmap, state.patches, scaled, u, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12)
     assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12)
@@ -203,7 +207,7 @@ def test_positive_homogeneity(solved71, alpha):
 def test_estimate_deterministic(solved71):
     state = solved71
     args = (state.dofmap, state.patches, state.problem,
-            state.solution.u, state.density, 0.45)
+            state.solution.u, state.density)
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
     assert (a.indicator == b.indicator).all()

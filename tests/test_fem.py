@@ -59,16 +59,15 @@ def test_gradient_at_physical_gradients():
     mesh = msh.generate_unit_square(2, msh.tag_bottom_contact)
     dofmap = fem.DofMap(mesh)
     pts = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
-    tris = np.arange(mesh.num_triangles)
     # a constant field: values reproduce it, gradients vanish
     const = interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
-    assert np.allclose(fem.displacement_at(mesh, const, tris, pts),
+    assert np.allclose(fem.displacement_at(mesh, const, pts),
                        [1.0, -2.0], atol=1e-14)
-    assert np.abs(fem.gradient_at(mesh, const, tris, pts)).max() < 1e-13
+    assert np.abs(fem.gradient_at(mesh, const, pts)).max() < 1e-13
     # gradients reproduce the exact gradient of an interpolated linear field
     lin = interpolate(dofmap, lambda p: np.column_stack(
         [2.0 * p[:, 0] - 0.5 * p[:, 1], p[:, 0] + 3.0 * p[:, 1]]))
-    got = fem.gradient_at(mesh, lin, tris, pts)
+    got = fem.gradient_at(mesh, lin, pts)
     assert np.allclose(got, [[2.0, -0.5], [1.0, 3.0]], atol=1e-13)
 
 
@@ -304,34 +303,28 @@ def test_pointwise_evaluators_match_loops(bisected):
     mesh, u = bisected
     material = fem.MaterialLaw(1.0, 2.0)
     bary = np.vstack([np.eye(3), fem.TRI_QP, [[0.1, 0.3, 0.6]]])
-    tris = np.arange(mesh.num_triangles)[::-2]
-    xy = np.empty((mesh.num_triangles, bary.shape[0], 2))
-    vals = np.empty((tris.size, bary.shape[0], 2))
-    grads = np.empty((tris.size, bary.shape[0], 2, 2))
-    div = np.empty((mesh.num_triangles, 2))
-    for t in range(mesh.num_triangles):
+    nt = mesh.num_triangles
+    xy = np.empty((nt, bary.shape[0], 2))
+    vals = np.empty((nt, bary.shape[0], 2))
+    grads = np.empty((nt, bary.shape[0], 2, 2))
+    div = np.empty((nt, 2))
+    for t in range(nt):
         p = mesh.vertices[mesh.triangles[t]]
-        for q, lam_q in enumerate(bary):
-            xy[t, q] = lam_q[0] * p[0] + lam_q[1] * p[1] + lam_q[2] * p[2]
-    for i, t in enumerate(tris):
         nodes = mesh.element_nodes[t]
         coeff = np.column_stack([u[2 * nodes], u[2 * nodes + 1]])   # (6, 2)
         inv = _loop_inv_jac(mesh, t)
         for q, lam_q in enumerate(bary):
-            vals[i, q] = fem.shape_values(lam_q) @ coeff
-            grads[i, q] = coeff.T @ (fem.shape_grads_ref(lam_q) @ inv)
-    for t in range(mesh.num_triangles):
-        nodes = mesh.element_nodes[t]
-        coeff = np.column_stack([u[2 * nodes], u[2 * nodes + 1]])
-        inv = _loop_inv_jac(mesh, t)
+            xy[t, q] = lam_q[0] * p[0] + lam_q[1] * p[1] + lam_q[2] * p[2]
+            vals[t, q] = fem.shape_values(lam_q) @ coeff
+            grads[t, q] = coeff.T @ (fem.shape_grads_ref(lam_q) @ inv)
         hess = [sum(coeff[a, c] * inv.T @ fem.shape_hessians_ref()[a] @ inv
                     for a in range(6)) for c in range(2)]
         lap = np.array([np.trace(hess[c]) for c in range(2)])
         grad_div = hess[0][0] + hess[1][1]
         div[t] = material.mu * lap + (material.mu + material.lam) * grad_div
     assert _relative(fem.barycentric_to_xy(mesh, bary), xy) <= 1e-14
-    assert _relative(fem.displacement_at(mesh, u, tris, bary), vals) <= 1e-14
-    assert _relative(fem.gradient_at(mesh, u, tris, bary), grads) <= 1e-14
+    assert _relative(fem.displacement_at(mesh, u, bary), vals) <= 1e-14
+    assert _relative(fem.gradient_at(mesh, u, bary), grads) <= 1e-14
     assert _relative(fem.divergence_stress(mesh, material, u), div) <= 1e-14
 
 

@@ -79,6 +79,12 @@ def test_refine_single_conforming():
     assert m2.num_triangles > m.num_triangles
 
 
+@pytest.mark.parametrize("marked", [[2], [-1], [0, 2]])
+def test_refine_rejects_out_of_range_triangles(marked):
+    with pytest.raises(IndexError, match="invalid triangle index"):
+        msh.refine(bottom_mesh(1), marked)
+
+
 def test_refine_empty_returns_same_mesh():
     m = bottom_mesh(2)
     assert msh.refine(m, []) is m

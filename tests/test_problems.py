@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -25,7 +26,19 @@ def test_benchmark_exact_solution_boundary_values():
 
 
 def test_benchmark_manufactured_data_self_check():
-    assert prb.verify_manufactured(prb.bottom_contact_benchmark(), n=100)
+    assert prb.verify_manufactured(prb.bottom_contact_benchmark())
+
+
+def test_manufactured_self_check_catches_perturbed_data():
+    p = prb.bottom_contact_benchmark()
+    shifted_f = dataclasses.replace(p, f=lambda pts: p.f(pts) + 1e-6)
+    with pytest.raises(AssertionError, match="body force inconsistent"):
+        prb.verify_manufactured(shifted_f)
+    # perturbed on the left edge only: the check covers both Neumann edges
+    shifted_g = dataclasses.replace(
+        p, g=lambda pts: p.g(pts) + 1e-6 * (pts[:, :1] < 0.5))
+    with pytest.raises(AssertionError, match=r"traction data inconsistent on x=0\.0"):
+        prb.verify_manufactured(shifted_g)
 
 
 def test_wedge_gap_values():
@@ -93,11 +106,19 @@ def test_problem_file_rejects_unknown_tagging(tmp_path):
     ("f", {"f": [float("nan"), 0.0]}),
     ("name", {"name": ["a", 1], "chi": 0.01}),
     ("chi", {"chi": 10 ** 400}),
+    ("material", {"material": [10.0, 0.3]}),
 ])
 def test_problem_file_names_file_and_key(tmp_path, key, entry):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tagging": "bottom_contact", **entry}))
     with pytest.raises(ValueError, match=re.escape(f"{path}: {key} ")):
+        prb.from_file(str(path))
+
+
+def test_problem_file_rejects_a_top_level_array(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"tagging": "bottom_contact"}]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the top level must be a JSON object")):
         prb.from_file(str(path))
 
 

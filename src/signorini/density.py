@@ -3,10 +3,11 @@
 The contact boundary is viewed as a piecewise-linear trace mesh whose cells
 are the half-edges [vertex, midpoint] and [midpoint, vertex] of every contact
 edge.  ``build_trace_mesh`` makes the level's one contact record from it: the
-contact nodes, their hat weights and edge incidences, the normal frame and the
-nodal gap chi(p).  The frame comes from the mesh: the contact edges' common
-outward normal must be an axis direction n = sign * e_comp.  The active-set
-solver, the density, the node classes and the estimator all read this record.
+contact nodes, their hat weights, the one table of each contact edge's nodes,
+the normal frame and the nodal gap chi(p).  The frame comes from the mesh: the
+contact edges' common outward normal must be an axis direction
+n = sign * e_comp.  The active-set solver, the density, the estimator and the
+node classes of the density dump all read this record.
 Hat functions psi_p on the split mesh define the lumped pairing
 
     <w, v>_h = sum_p w(p) . v(p) * weight(p),   weight(p) = int psi_p ds,
@@ -37,33 +38,22 @@ class ContactTraceMesh:
     """The contact record of one mesh: split trace mesh, normal frame, gap.
 
     edge_ids    (nc,) mesh edge ids of the contact edges, ascending
-    edge_nodes  (nc, 3) node ids (vertex, midpoint, vertex) per contact edge
-    edge_pos    (nc, 3) position in ``nodes`` of each entry of edge_nodes
+    edge_pos    (nc, 3) position in ``nodes`` of each contact edge's
+                (vertex, midpoint, vertex); its node ids are nodes[edge_pos]
     nodes       (ncon,) sorted contact node ids
     weight      (ncon,) hat weight per contact node, aligned with ``nodes``
-    node_entries (ncon, 2) flat entries 3k + j of edge_nodes holding each
-                node (contact edge k, slot j), edges ascending; a node on one
-                edge repeats its entry
     comp, sign  contact normal n = sign * e_comp, so u_n = sign * u[2p + comp]
     gap         (ncon,) gap chi(p) per contact node; the constraint is
                 u_n(p) <= gap(p)
     """
 
     edge_ids: np.ndarray
-    edge_nodes: np.ndarray
     edge_pos: np.ndarray
     nodes: np.ndarray
     weight: np.ndarray
-    node_entries: np.ndarray
     comp: int
     sign: float
     gap: np.ndarray
-
-    @property
-    def node_edges(self):
-        """(ncon, 2) indices into edge_ids of the contact edges holding each
-        node, ascending; a node on one edge repeats it."""
-        return self.node_entries // 3
 
     @property
     def dofs(self):
@@ -103,21 +93,16 @@ def build_trace_mesh(dofmap, problem):
 
     nodes, inv = np.unique(edge_nodes.ravel(), return_inverse=True)
     weight = np.bincount(inv, (lengths[:, None] * _HAT_SHARE).ravel())
-    # entries grouped by node, edges ascending within a group
-    order = np.argsort(inv, kind="stable")
-    count = np.bincount(inv)
-    if count.max() > 2:
+    if np.bincount(inv).max() > 2:
         raise ValueError("a contact vertex lies on more than two contact edges")
-    last = np.cumsum(count) - 1
-    node_entries = np.column_stack([order[last - count + 1], order[last]])
     normals = np.unique(mesh.outward_normals(edge_ids).round(12) + 0.0, axis=0)
     if len(normals) > 1 or np.count_nonzero(normals[0]) != 1:
         raise ValueError("the contact boundary must face one axis direction; "
                          f"its outward normals are {normals.tolist()}")
     comp = int(np.flatnonzero(normals[0])[0])
     gap = problem.chi(dofmap.coords[nodes])
-    return ContactTraceMesh(edge_ids, edge_nodes, inv.reshape(edge_nodes.shape),
-                            nodes, weight, node_entries, comp, float(normals[0, comp]), gap)
+    return ContactTraceMesh(edge_ids, inv.reshape(edge_nodes.shape), nodes, weight,
+                            comp, float(normals[0, comp]), gap)
 
 
 @dataclass(frozen=True)
@@ -127,15 +112,15 @@ class DensityField:
     trace: ContactTraceMesh
     normal: np.ndarray       # lambda in the constrained direction, >= 0
     tangential: np.ndarray   # lambda in the tangential direction, ~ 0
-    classes: np.ndarray      # full / semi / none per contact node
 
 
-def compute_density(residual, u, trace):
+def compute_density(residual, trace):
     """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, from
-    the algebraic residual r = F - K u of the solution u."""
+    the algebraic residual r = F - K u of a solution u.  The node classes
+    need u as well; ``classify_nodes`` computes them where they are read."""
     normal = trace.sign * residual[trace.dofs] / trace.weight
     tangential = residual[trace.tangential_dofs] / trace.weight
-    return DensityField(trace, normal, tangential, classify_nodes(u, trace))
+    return DensityField(trace, normal, tangential)
 
 
 def classify_nodes(u, trace):
@@ -149,18 +134,19 @@ def classify_nodes(u, trace):
     """
     gmax = np.abs(trace.gap[np.isfinite(trace.gap)])
     tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
-    dev = trace.sign * u[2 * trace.edge_nodes + trace.comp] - trace.gap[trace.edge_pos]
-    edge_active = np.all(np.abs(dev) <= tol, axis=1)
     touching = np.abs(trace.sign * u[trace.dofs] - trace.gap) <= tol
-    full = edge_active[trace.node_edges].all(axis=1)
+    edge_active = touching[trace.edge_pos].all(axis=1)
+    full = touching.copy()
+    full[trace.edge_pos[~edge_active]] = False
     return np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
 
 
-def write_density_csv(path, dofmap, density):
-    """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight)."""
+def write_density_csv(path, dofmap, density, u):
+    """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight); the
+    classes are those of the solution ``u``."""
     trace = density.trace
     x, y = dofmap.coords[trace.nodes].T
-    columns = (trace.nodes, x, y, density.classes, density.normal,
+    columns = (trace.nodes, x, y, classify_nodes(u, trace), density.normal,
                density.tangential, trace.weight)
     values = np.column_stack([np.asarray(c, dtype=object) for c in columns])
     row = "{},{:.17g},{:.17g},{},{:.17g},{:.17g},{:.17g}\n"

@@ -50,7 +50,6 @@ class EstimatorReport:
     eta_p: np.ndarray          # (5, n_nodes) patch values
     consistency_p: np.ndarray  # (n_nodes,) local eta6/eta7 contribution
     indicator: np.ndarray      # (nt,) marking indicator
-    lambda_edges: np.ndarray   # mesh edge ids of the active-density region
 
 
 def log_factor(h_min):
@@ -82,8 +81,7 @@ def estimate(dofmap, patches, problem, u, density):
     # active-density region: contact edges of nodes with positive lumped density
     m = density.normal * trace.weight
     tol_active = 1e-12 * max(1.0, _abs_max(m))
-    hot = np.unique(trace.node_edges[m > tol_active])     # positions in con_ids
-    lambda_edges = con_ids[hot]
+    hot = np.flatnonzero((m > tol_active)[trace.edge_pos].any(axis=1))   # positions in con_ids
 
     eta_p = np.stack([
         h_p ** 2 * patches.tri_max(S),
@@ -92,7 +90,7 @@ def estimate(dofmap, patches, problem, u, density):
         h_p * patches.edge_max(Tt, con_ids),
         h_p * patches.edge_max(Tn, con_ids),
     ])
-    cons_p = patches.edge_max(pen, con_ids) + patches.edge_max(gap[hot], lambda_edges)
+    cons_p = patches.edge_max(pen, con_ids) + patches.edge_max(gap[hot], con_ids[hot])
 
     neu_node, con_node = dofmap.kind == msh.NEUMANN, dofmap.kind == msh.CONTACT
     glob = np.array([eta_p[0].max(), eta_p[1].max(), _abs_max(eta_p[2, neu_node]),
@@ -112,7 +110,7 @@ def estimate(dofmap, patches, problem, u, density):
     return EstimatorReport(
         h_min=h_min, l_h=l_h, eta=glob, psi=psi, eta6=eta6, eta7=eta7,
         eta_h=eta_h, eta_p=eta_p, consistency_p=cons_p,
-        indicator=indicator, lambda_edges=lambda_edges)
+        indicator=indicator)
 
 
 # -- per-element and per-edge quantities -----------------------------------------
@@ -170,8 +168,7 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     per half-edge.  A candidate outside its half-edge is replaced by s = 0,
     already a sample.
     """
-    nodes = trace.edge_nodes
-    un = trace.sign * u[2 * nodes + trace.comp]
+    un = (trace.sign * u[trace.dofs])[trace.edge_pos]
     A, B = fem.trace_coefficients(un[:, 0], un[:, 1], un[:, 2])  # u_n(s) = (A s + B) s + C
     chi_nodes = trace.gap[trace.edge_pos]
     slope = 2.0 * np.diff(chi_nodes, axis=1)                     # per half-edge

@@ -191,6 +191,11 @@ class Mesh:
     # -- checks ---------------------------------------------------------------
 
     def _validate(self):
+        for name, arr, n, what in (
+                ("levels", self.levels, self.num_triangles, "triangles"),
+                ("boundary_tags", self.boundary_tags, len(self.boundary_edges), "boundary edges")):
+            if arr.shape != (n,):
+                raise MeshError(f"{name} has shape {arr.shape}, but the mesh has {n} {what}")
         if self.triangles.size and self.areas.min() <= 0.0:
             bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} has non-positive area {self.areas[bad]}")

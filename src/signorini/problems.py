@@ -176,9 +176,10 @@ def from_file(path):
         return isinstance(val, float) and np.isfinite(val)
 
     def number(section, name, default=None):
-        val = section.get(name.rsplit(".", 1)[-1], default)
-        if val is None:
+        key = name.rsplit(".", 1)[-1]
+        if key not in section and default is None:
             raise bad(name, "is missing")
+        val = section.get(key, default)     # a JSON null stays None: a wrong type
         if not is_number(val):
             raise bad(name, f"must be a finite number, got {val!r}")
         return val
@@ -217,9 +218,9 @@ def from_file(path):
         raise bad("material", f"is invalid: {exc}") from exc
 
     def const_vec(key):
-        val = cfg.get(key)
-        if val is None:
+        if key not in cfg:
             return ZERO
+        val = cfg[key]
         if not (isinstance(val, list) and len(val) == 2 and all(map(is_number, val))):
             raise bad(key, f"must be a list of two finite numbers, got {val!r}")
         vx, vy = val

@@ -47,8 +47,7 @@ class SolvedState:
         self.trace = dens.build_trace_mesh(self.dofmap, problem)
         self.solution = vi.solve_vi(self.system, self.trace)
         self.residual = self.solution.residual
-        self.density = dens.compute_density(self.residual, self.solution.u,
-                                            self.trace)
+        self.density = dens.compute_density(self.residual, self.trace)
 
 
 @pytest.fixture(scope="session")

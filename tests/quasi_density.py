@@ -43,20 +43,32 @@ def quadratic_range(values):
     return np.minimum(np.minimum(v0, v1), peak), np.maximum(np.maximum(v0, v1), peak)
 
 
+def node_entries(trace):
+    """(ncon, 2) flat entries 3k + j of ``trace.edge_pos`` holding each
+    contact node (contact edge k, slot j), edges ascending; a node on one
+    edge repeats its entry."""
+    pos = trace.edge_pos.ravel()
+    order = np.argsort(pos, kind="stable")
+    count = np.bincount(pos, minlength=trace.size)
+    last = np.cumsum(count) - 1
+    return np.column_stack([order[last - count + 1], order[last]])
+
+
 def selected_entries(u, trace):
     """Averaging edge per contact node, as the node's entry 3k + j in
-    ``trace.edge_nodes``: the adjacent contact edge on which |u_n - gap| is
+    ``trace.edge_pos``: the adjacent contact edge on which |u_n - gap| is
     smallest in the sup norm, ties to the lower edge index."""
-    dev = trace.sign * u[2 * trace.edge_nodes + trace.comp] - trace.gap[trace.edge_pos]
+    dev = (trace.sign * u[trace.dofs] - trace.gap)[trace.edge_pos]
     lo, hi = quadratic_range(dev)
     edge_gap_sup = np.maximum(np.abs(lo), np.abs(hi))
-    pick = np.argmin(edge_gap_sup[trace.node_edges], axis=1)
-    return np.take_along_axis(trace.node_entries, pick[:, None], axis=1)[:, 0]
+    entries = node_entries(trace)
+    pick = np.argmin(edge_gap_sup[entries // 3], axis=1)
+    return np.take_along_axis(entries, pick[:, None], axis=1)[:, 0]
 
 
 def _contact_averages(mesh, trace, v, entry):
     """psi_p average of scalar field ``v`` for each contact node p over the
-    contact edge of its ``entry`` (flat entries of trace.edge_nodes)."""
+    contact edge of its ``entry`` (flat entries of trace.edge_pos)."""
     pts = mesh.edge_points(trace.edge_ids, _HALF_EDGE_S)
     vals = np.asarray(v(pts.reshape(-1, 2)), dtype=float)
     avg = vals.reshape(-1, _HALF_EDGE_S.size) @ _HAT_W.T
@@ -65,7 +77,7 @@ def _contact_averages(mesh, trace, v, entry):
 
 def node_averages(dofmap, trace, v, selected_entry=None):
     """e_p of scalar field ``v`` at every node; a contact node averages over
-    the edge of ``selected_entry``, default trace.node_entries[:, 0]."""
+    the edge of ``selected_entry``, default node_entries(trace)[:, 0]."""
     mesh = dofmap.mesh
     pts = fem.barycentric_to_xy(mesh, fem.TRI_QP).reshape(-1, 2)
     vals = np.asarray(v(pts), dtype=float).reshape(mesh.num_triangles, -1)
@@ -73,7 +85,7 @@ def node_averages(dofmap, trace, v, selected_entry=None):
     num = np.bincount(nodes, (mesh.areas[:, None] * (vals @ _VOLUME_W.T)).ravel())
     den = np.bincount(nodes, np.outer(mesh.areas, _VOLUME_W.sum(axis=1)).ravel())
     e = num / den
-    entry = trace.node_entries[:, 0] if selected_entry is None else selected_entry
+    entry = node_entries(trace)[:, 0] if selected_entry is None else selected_entry
     e[trace.nodes] = _contact_averages(mesh, trace, v, entry)
     e[dofmap.kind == msh.DIRICHLET] = 0.0
     return e

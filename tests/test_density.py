@@ -49,11 +49,13 @@ def test_trace_single_chain(solved71):
     mesh, trace = solved71.mesh, solved71.trace
     ends = chain_ends(mesh, trace, 0.25)
     assert np.array_equal(np.sort(mesh.vertices[ends, 0]), [0.0, 1.0])
-    single = trace.node_edges[:, 0] == trace.node_edges[:, 1]
+    single = np.bincount(trace.edge_pos.ravel()) == 1
     assert np.array_equal(trace.nodes[single & (trace.nodes < mesh.num_vertices)], ends)
-    assert (trace.node_edges[:, 0] <= trace.node_edges[:, 1]).all()
-    assert np.array_equal(trace.edge_nodes.ravel()[trace.node_entries],
-                          np.column_stack([trace.nodes, trace.nodes]))
+    # the oracle's node -> entry grouping: both entries hold the node, edges ascending
+    entries = qd.node_entries(trace)
+    assert (entries[:, 0] // 3 <= entries[:, 1] // 3).all()
+    assert np.array_equal(trace.edge_pos.ravel()[entries],
+                          np.column_stack([np.arange(trace.size)] * 2))
 
 
 def trace_of(mesh):
@@ -136,7 +138,9 @@ def test_contact_record_is_the_dofmap_contact_set(key, frame, tmp_path):
     assert np.array_equal(trace.nodes, np.flatnonzero(dofmap.kind == msh.CONTACT))
     gap = problem.chi(dofmap.coords[trace.nodes])
     assert trace.gap.dtype == gap.dtype and trace.gap.tobytes() == gap.tobytes()
-    assert np.array_equal(trace.nodes[trace.edge_pos], trace.edge_nodes)
+    ends = mesh.edges[trace.edge_ids]
+    edge_nodes = np.column_stack([ends[:, 0], mesh.num_vertices + trace.edge_ids, ends[:, 1]])
+    assert np.array_equal(trace.nodes[trace.edge_pos], edge_nodes)
     comp = frame[0]
     assert (trace.comp, trace.sign) == frame
     pairs = 2 * trace.nodes[:, None] + np.array([0, 1])
@@ -187,7 +191,7 @@ def test_density_against_independent_quadrature():
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
     sol = vi.solve_vi(system, trace)
-    den = dens.compute_density(system.F - system.K @ sol.u, sol.u, trace)
+    den = dens.compute_density(system.F - system.K @ sol.u, trace)
     sig_q = fem.stress_from_grad(fem.gradient_at(mesh, sol.u, _D3_B), problem.material)
 
     def a_direct(node, comp):
@@ -245,7 +249,7 @@ def test_lumped_pairing_matches_algebraic_residual(solved71):
 
 def test_classification_synthetic(solved71):
     # full contact everywhere in the benchmark solve
-    assert (solved71.density.classes == dens.FULL_CONTACT).all()
+    assert (dens.classify_nodes(solved71.solution.u, solved71.trace) == dens.FULL_CONTACT).all()
 
     # lifting one midpoint off the gap demotes its vertices to semi contact
     state = solved71
@@ -256,16 +260,16 @@ def test_classification_synthetic(solved71):
     classes = dens.classify_nodes(u, trace)
     i_mid = np.searchsorted(trace.nodes, mid)
     assert classes[i_mid] == dens.NO_CONTACT
-    k = trace.node_edges[i_mid][0]
-    ends = np.searchsorted(trace.nodes, trace.edge_nodes[k][[0, 2]])
+    k = np.flatnonzero((trace.edge_pos == i_mid).any(axis=1))[0]
+    ends = trace.edge_pos[k][[0, 2]]
     assert (classes[ends] == dens.SEMI_CONTACT).all()
 
 
 def test_no_contact_classification(solved72):
     # wedge tip binds, the corners stay clear of the obstacle
-    classes = solved72.density.classes
-    assert dens.NO_CONTACT in classes
     trace, sol = solved72.trace, solved72.solution
+    classes = dens.classify_nodes(sol.u, trace)
+    assert dens.NO_CONTACT in classes
     un = trace.sign * sol.u[trace.dofs]
     clear = trace.gap - un > 1e-6
     assert (classes[clear] == dens.NO_CONTACT).all()
@@ -323,12 +327,12 @@ def test_boundary_averages_quadratic_field_against_independent_rule(solved71, so
     t, w = (t + 1) / 4, w / 4                      # on [0, 1/2]
     for state in (solved71, solved72):
         mesh, trace = state.mesh, state.trace
+        entries = qd.node_entries(trace)
         for col in (0, 1):
-            edge = trace.node_edges[:, col]
-            got = qd.node_averages(state.dofmap, trace, v,
-                                   selected_entry=trace.node_entries[:, col])
+            edge = entries[:, col] // 3
+            got = qd.node_averages(state.dofmap, trace, v, selected_entry=entries[:, col])
             for i, p in enumerate(trace.nodes):
-                nodes = trace.edge_nodes[edge[i]]
+                nodes = trace.nodes[trace.edge_pos[edge[i]]]
                 pa, pb = mesh.vertices[nodes[0]], mesh.vertices[nodes[2]]
                 num = den_ = 0.0
                 for lo in (0.0, 0.5):
@@ -373,7 +377,27 @@ def test_quasi_density_nonnegative(solved71, seed):
 
 def test_density_csv_dump(tmp_path, solved71):
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, solved71.dofmap, solved71.density)
+    dens.write_density_csv(path, solved71.dofmap, solved71.density, solved71.solution.u)
     lines = path.read_text().splitlines()
     assert lines[0] == "node,x,y,class,lambda_n,lambda_t,weight"
     assert len(lines) == 1 + solved71.trace.nodes.size
+
+
+def test_density_csv_contents(tmp_path, solved72):
+    """Each row holds its node's id, coordinates, class, density and weight;
+    the wedge solve has nodes of all three classes."""
+    state = solved72
+    trace, den, u = state.trace, state.density, state.solution.u
+    path = tmp_path / "density.csv"
+    dens.write_density_csv(path, state.dofmap, den, u)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    node, x, y, cls, lam_n, lam_t, weight = (np.array(col) for col in zip(*rows))
+    classes = dens.classify_nodes(u, trace)
+    assert set(classes) == {dens.FULL_CONTACT, dens.SEMI_CONTACT, dens.NO_CONTACT}
+    assert np.array_equal(cls, classes)
+    assert np.array_equal(node.astype(np.int64), trace.nodes)
+    assert np.array_equal(np.column_stack([x, y]).astype(float),
+                          state.dofmap.coords[trace.nodes])
+    assert np.array_equal(lam_n.astype(float), den.normal)
+    assert np.array_equal(lam_t.astype(float), den.tangential)
+    assert np.array_equal(weight.astype(float), trace.weight)

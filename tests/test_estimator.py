@@ -10,7 +10,7 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
-from conftest import interpolate
+from conftest import SolvedState, interpolate
 import quasi_density as qd
 
 
@@ -27,7 +27,7 @@ def report_for(problem, mesh, u):
     patches = msh.build_patches(mesh)
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
-    density = dens.compute_density(system.F - system.K @ u, u, trace)
+    density = dens.compute_density(system.F - system.K @ u, trace)
     return est.estimate(dofmap, patches, problem, u, density), dofmap, patches
 
 
@@ -141,6 +141,21 @@ def test_eta45_uniaxial_contact_traction():
     assert np.isclose(report.eta[4], 3.0 * patches.diameter[contact_nodes].max())
 
 
+def lambda_region(mesh, density):
+    """Mesh edge ids of the active-density region, one contact node at a
+    time: the contact edges holding a node whose lumped density
+    m_p = lambda_n(p) weight(p) exceeds 1e-12 max(1, max |m|)."""
+    trace = density.trace
+    m = density.normal * trace.weight
+    tol = 1e-12 * max(1.0, np.abs(m).max())
+    nv = mesh.num_vertices
+    region = set()
+    for p, m_p in zip(trace.nodes, m):
+        if m_p > tol:
+            region |= {int(e) for e in trace.edge_ids if p == nv + e or p in mesh.edges[e]}
+    return region
+
+
 def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
@@ -149,25 +164,22 @@ def test_consistency_terms_flat_obstacle(solved71):
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
     con_ids = state.mesh.boundary_edge_ids[state.mesh.boundary_tags == msh.CONTACT]
-    assert set(report.lambda_edges) == set(con_ids)   # full contact everywhere
+    assert lambda_region(state.mesh, state.density) == set(con_ids)   # full contact everywhere
 
 
-def test_lambda_region_excludes_zero_density(solved72):
-    state = solved72
+def test_lambda_region_excludes_zero_density():
+    """eta7 is the gap sup over the edges of nodes with positive density
+    only: an edge all of whose nodes carry zero density does not enter.  On
+    n = 8, two of the wedge push's eight contact edges are such edges."""
+    state = SolvedState(prb.rigid_wedge_push(), n=8)
     report = est.estimate(state.dofmap, state.patches, state.problem,
                           state.solution.u, state.density)
-    m = state.density.normal * state.trace.weight
-    cold = np.flatnonzero(m <= 1e-12 * m.max())
-    lam = set(report.lambda_edges)
-    for i in cold:
-        p = state.trace.nodes[i]
-        # an inactive node contributes none of its edges on its own; each of
-        # its edges may appear only through the neighbouring active node
-        for k in state.trace.node_edges[i]:
-            eid = state.trace.edge_ids[k]
-            others = [n for n in state.trace.edge_nodes[k] if n != p]
-            if eid in lam:
-                assert (m[np.searchsorted(state.trace.nodes, others)] > 1e-12 * m.max()).any()
+    _, gap = est._consistency_per_edge(state.dofmap, state.problem, state.solution.u,
+                                       state.trace)
+    region = np.isin(state.trace.edge_ids, sorted(lambda_region(state.mesh, state.density)))
+    assert region.any() and not region.all()
+    assert report.eta7 == gap[region].max()
+    assert report.eta7 < gap.max()
 
 
 def test_total_arithmetic(solved72):
@@ -195,7 +207,7 @@ def test_positive_homogeneity(solved71, alpha):
         chi=lambda q: alpha * p.chi(q), dirichlet=prb.ZERO)
     system = fem.assemble(state.dofmap, scaled)
     u = alpha * state.solution.u
-    den = dens.compute_density(system.F - system.K @ u, u,
+    den = dens.compute_density(system.F - system.K @ u,
                                dens.build_trace_mesh(state.dofmap, scaled))
     rep = est.estimate(state.dofmap, state.patches, scaled, u, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
@@ -236,7 +248,7 @@ def test_patch_maxima_match_per_node_oracle():
     Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(mesh, sig, res.trace_mesh))
     pen, gap = (dict(zip(con_ids, v))
                 for v in est._consistency_per_edge(dofmap, problem, u, res.trace_mesh))
-    in_lambda = np.isin(np.arange(mesh.edges.shape[0]), report.lambda_edges)
+    lam_region = lambda_region(mesh, dens.compute_density(res.solution.residual, res.trace_mesh))
     tag = dict(zip(mesh.boundary_edge_ids, mesh.boundary_tags))
 
     def sup(vals, ids):
@@ -259,7 +271,7 @@ def test_patch_maxima_match_per_node_oracle():
                 neumann_edges.append(e)
             elif tag[e] == msh.CONTACT:
                 contact_edges.append(e)
-        lam = [e for e in contact_edges if in_lambda[e]]
+        lam = [e for e in contact_edges if e in lam_region]
         pts = mesh.vertices[np.unique(mesh.triangles[tris])]
         h = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
         diameter[p] = h
@@ -268,7 +280,7 @@ def test_patch_maxima_match_per_node_oracle():
                        h * sup(Tn, contact_edges))
         cons_p[p] = sup(pen, contact_edges) + sup(gap, lam)
 
-    assert report.lambda_edges.size and (cons_p > 0).any()
+    assert lam_region and (cons_p > 0).any()
     assert np.array_equal(patches.diameter, diameter)
     assert np.array_equal(report.eta_p, eta_p)
     assert np.array_equal(report.consistency_p, cons_p)
@@ -288,7 +300,7 @@ def test_contact_quantities_match_per_edge_oracle():
     edges_of = [[] for _ in range(ncon)]
     for k in range(nc):
         h = mesh.edge_length(trace.edge_ids[[k]])[0]
-        for n, w in zip(trace.edge_nodes[k], (h / 4, h / 2, h / 4)):
+        for n, w in zip(trace.nodes[trace.edge_pos[k]], (h / 4, h / 2, h / 4)):
             i = np.searchsorted(trace.nodes, n)
             weight[i] += w
             edges_of[i].append(k)
@@ -308,7 +320,7 @@ def test_contact_quantities_match_per_edge_oracle():
     edge_active, edge_sup = np.zeros(nc, dtype=bool), np.zeros(nc)
     pen, gap = np.zeros(nc), np.zeros(nc)
     for k in range(nc):
-        nodes = trace.edge_nodes[k]
+        nodes = trace.nodes[trace.edge_pos[k]]
         un = sgn * u[2 * nodes + comp]
         dev = un - chi_p[np.searchsorted(trace.nodes, nodes)]
         edge_active[k] = np.all(np.abs(dev) <= tol)
@@ -343,12 +355,12 @@ def test_contact_quantities_match_per_edge_oracle():
     assert set(classes) == {dens.FULL_CONTACT, dens.SEMI_CONTACT, dens.NO_CONTACT}
     assert (node_edges[:, 0] < node_edges[:, 1]).any() and (gap > 0).any()
     assert np.array_equal(trace.weight, weight)
-    assert np.array_equal(trace.node_edges, node_edges)
+    assert np.array_equal(qd.node_entries(trace) // 3, node_edges)
     got_classes = dens.classify_nodes(u, trace)
     got_selected = qd.selected_entries(u, trace)
     assert np.array_equal(got_classes, classes)
     assert np.array_equal(got_selected // 3, selected)
-    assert np.array_equal(trace.edge_nodes.ravel()[got_selected], trace.nodes)
+    assert np.array_equal(trace.edge_pos.ravel()[got_selected], np.arange(ncon))
     got_pen, got_gap = est._consistency_per_edge(dofmap, problem, u, trace)
     assert np.array_equal(got_pen, pen)
     assert np.array_equal(got_gap, gap)

@@ -102,3 +102,55 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
              if not any(sets(call, param, position) for call in calls.get(name, []))]
     unset = [item for item in unset if item not in SET_OUTSIDE_THE_PACKAGE]
     assert not unset, f"defaulted parameters that no call in the package sets: {unset}"
+
+
+# dataclasses whose readers all sit outside the package: the benchmark gate,
+# the acceptance suite and API callers read the per-level checks and the
+# run's final state
+READ_OUTSIDE_CLASSES = {"adaptive.LevelChecks", "adaptive.AdaptiveResult"}
+READ_OUTSIDE_FIELDS = {
+    "adaptive.LevelRecord.checks",            # the benchmark worker dumps them per level
+    "vi.VISolution.iterations",               # the benchmark tracer sums them
+    "estimator.EstimatorReport.eta_p",        # per-term VTK fields, ROADMAP item 5
+    "estimator.EstimatorReport.consistency_p",  # likewise
+}
+
+
+def dataclass_members(tree, module):
+    """(label, name) of every field and property of the module's
+    dataclasses; a field is an annotated name in the class body."""
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            elif isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", None) in ("property", "cached_property")
+                    for d in node.decorator_list):
+                name = node.name
+            else:
+                continue
+            found.append((f"{module}.{cls.name}.{name}", name))
+    return found
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A field or property of a package dataclass that the package never
+    reads is a value computed or stored for nothing.  A read is an attribute
+    load of that name anywhere in the package; the match is by name alone,
+    so a field that shares its name with another attribute the package reads
+    is not caught."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(signorini.__file__).parent.glob("*.py")}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [label for module, tree in sorted(trees.items())
+              for label, name in dataclass_members(tree, module)
+              if name not in loaded and label not in READ_OUTSIDE_FIELDS
+              and label.rsplit(".", 1)[0] not in READ_OUTSIDE_CLASSES]
+    assert not unread, f"dataclass fields that the package never reads: {unread}"

@@ -283,6 +283,16 @@ def test_mesh_rejects_bad_connectivity(case):
         msh.Mesh(vertices, tris, edges, list(tags))
 
 
+@pytest.mark.parametrize("field, what", [("levels", "8 triangles"),
+                                         ("boundary_tags", "8 boundary edges")])
+def test_mesh_rejects_per_item_array_of_wrong_length(field, what):
+    m = msh.generate_unit_square(2, msh.tag_bottom_contact)
+    fields = {"levels": m.levels, "boundary_tags": m.boundary_tags}
+    fields[field] = fields[field][:-1]
+    with pytest.raises(msh.MeshError, match=rf"{field} has shape \(7,\), .* {what}$"):
+        msh.Mesh(m.vertices, m.triangles, m.boundary_edges, **fields)
+
+
 # -- patches -------------------------------------------------------------------
 
 def patch_size(patches, p):

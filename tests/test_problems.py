@@ -115,6 +115,20 @@ def test_problem_file_names_file_and_key(tmp_path, key, entry):
         prb.from_file(str(path))
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"f": None}, "f must be a list of two finite numbers, got None"),
+    ({"chi": None}, "chi must be a finite number, got None"),
+    ({"material": {"mu": None}}, "material.mu must be a finite number, got None"),
+], ids=["f", "chi", "material.mu"])
+def test_problem_file_null_is_a_wrong_type(tmp_path, entry, message):
+    """A JSON null is neither an absent key, which takes the default, nor a
+    missing one: it is a value of the wrong type."""
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"tagging": "bottom_contact", **entry}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        prb.from_file(str(path))
+
+
 def test_problem_file_rejects_a_top_level_array(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"tagging": "bottom_contact"}]))

@@ -78,7 +78,8 @@ def build_trace_mesh(dofmap, problem):
     the ends of each contact chain.  The contact boundary may have several
     components; an empty one is an error, and so are a vertex on more than
     two contact edges and contact edges whose outward normals are not one
-    axis direction.  The gap is ``problem.chi`` at the contact nodes.
+    axis direction.  The gap is ``problem.chi`` at the contact nodes; a NaN
+    gap is an error, while +inf means no obstacle at that node.
     """
     mesh = dofmap.mesh
     nv = mesh.num_vertices
@@ -88,7 +89,7 @@ def build_trace_mesh(dofmap, problem):
         raise ValueError("mesh has no contact boundary")
     edge_ids = np.sort(edge_ids)
     ev = mesh.edges[edge_ids]
-    lengths = mesh.edge_length(edge_ids)
+    lengths = mesh.edge_lengths[edge_ids]
     edge_nodes = np.column_stack([ev[:, 0], nv + edge_ids, ev[:, 1]])
 
     nodes, inv = np.unique(edge_nodes.ravel(), return_inverse=True)
@@ -100,7 +101,12 @@ def build_trace_mesh(dofmap, problem):
         raise ValueError("the contact boundary must face one axis direction; "
                          f"its outward normals are {normals.tolist()}")
     comp = int(np.flatnonzero(normals[0])[0])
-    gap = problem.chi(dofmap.coords[nodes])
+    xy = dofmap.coords[nodes]
+    gap = problem.chi(xy)
+    nan = np.flatnonzero(np.isnan(gap))
+    if nan.size:
+        raise ValueError(f"the gap chi is NaN at {nan.size} of {nodes.size} contact nodes, "
+                         f"first at node {nodes[nan[0]]} {tuple(xy[nan[0]].tolist())}")
     return ContactTraceMesh(edge_ids, inv.reshape(edge_nodes.shape), nodes, weight,
                             comp, float(normals[0, comp]), gap)
 

@@ -331,7 +331,7 @@ def _add_neumann_load(mesh, F, g):
     if ids.size == 0:
         return
     gv = g(mesh.edge_points(ids, EDGE_QT).reshape(-1, 2)).reshape(ids.size, EDGE_QT.size, 2)
-    contrib = (_EDGE_LOAD_REF @ gv) * mesh.edge_length(ids)[:, None, None]   # (ne, 3, 2)
+    contrib = (_EDGE_LOAD_REF @ gv) * mesh.edge_lengths[ids, None, None]   # (ne, 3, 2)
     # (node kind, edge, component) order: first ends, second ends, midpoints
     nodes = np.stack([mesh.edges[ids, 0], mesh.edges[ids, 1], nv + ids])
     np.add.at(F, 2 * nodes[:, :, None] + np.arange(2), contrib.transpose(1, 0, 2))

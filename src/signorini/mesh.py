@@ -125,7 +125,7 @@ class Mesh:
     def boundary_edge_ids(self):
         """(nb,) index into ``edges`` of each tagged boundary edge."""
         pairs, key = self._edge_key(self.boundary_edges)
-        ids = np.searchsorted(self._edge_key(self.edges)[1], key)
+        ids = np.searchsorted(self.edges[:, 0] * self.num_vertices + self.edges[:, 1], key)
         ids = np.minimum(ids, len(self.edges) - 1)
         missing = ~(self.edges[ids] == pairs).all(axis=1)
         if missing.any():
@@ -159,16 +159,15 @@ class Mesh:
         return inv
 
     @cached_property
-    def diameters(self):
-        p = self.vertices[self.triangles]
-        l0 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
-        l1 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
-        l2 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-        return np.maximum(np.maximum(l0, l1), l2)
+    def edge_lengths(self):
+        """(ne,) length of each edge."""
+        ends = self.vertices[self.edges]
+        return np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
 
-    def edge_length(self, e):
-        v = self.edges[e]
-        return np.linalg.norm(self.vertices[v[..., 1]] - self.vertices[v[..., 0]], axis=-1)
+    @cached_property
+    def diameters(self):
+        """(nt,) longest edge of each triangle."""
+        return self.edge_lengths[self.tri_edges].max(axis=1)
 
     def edge_points(self, ids, s):
         """(len(ids), npts, 2) points a (1 - s) + b s of the edges ``ids`` = (a, b),
@@ -191,6 +190,15 @@ class Mesh:
     # -- checks ---------------------------------------------------------------
 
     def _validate(self):
+        for name, arr, cols in (("vertices", self.vertices, 2), ("triangles", self.triangles, 3),
+                                ("boundary_edges", self.boundary_edges, 2)):
+            if arr.ndim != 2 or arr.shape[1] != cols:
+                raise MeshError(f"{name} has shape {arr.shape}, expected (n, {cols})")
+        for name, ids in (("triangles", self.triangles), ("boundary_edges", self.boundary_edges)):
+            bad = (ids < 0) | (ids >= self.num_vertices)
+            if bad.any():
+                raise MeshError(f"{name} holds vertex id {ids[bad][0]}, outside "
+                                f"0..{self.num_vertices - 1}")
         for name, arr, n, what in (
                 ("levels", self.levels, self.num_triangles, "triangles"),
                 ("boundary_tags", self.boundary_tags, len(self.boundary_edges), "boundary edges")):
@@ -213,22 +221,16 @@ class Mesh:
 
 # -- structured generation ----------------------------------------------------
 
-def tag_bottom_contact(x, y):
+def tag_bottom_contact(pts):
     """Contact on y=0, Dirichlet on y=1, Neumann on the two sides."""
-    if y < 1e-12:
-        return CONTACT
-    if y > 1.0 - 1e-12:
-        return DIRICHLET
-    return NEUMANN
+    y = pts[:, 1]
+    return np.select([y < 1e-12, y > 1.0 - 1e-12], [CONTACT, DIRICHLET], NEUMANN)
 
 
-def tag_right_contact(x, y):
+def tag_right_contact(pts):
     """Contact on x=1, Dirichlet on x=0, Neumann on top and bottom."""
-    if x > 1.0 - 1e-12:
-        return CONTACT
-    if x < 1e-12:
-        return DIRICHLET
-    return NEUMANN
+    x = pts[:, 0]
+    return np.select([x > 1.0 - 1e-12, x < 1e-12], [CONTACT, DIRICHLET], NEUMANN)
 
 
 def generate_unit_square(n, tagging):
@@ -237,36 +239,27 @@ def generate_unit_square(n, tagging):
     Every cell is split along its main diagonal; the right-angle vertex is
     the bisection peak, so the refinement edge is the hypotenuse and newest
     vertex bisection reproduces the 45-degree minimum angle exactly.
-    ``tagging`` maps a boundary-edge midpoint (x, y) to a tag character.
+    Vertices run row by row from y=0; each cell, row by row, gives its
+    lower-right then its upper-left triangle.  Boundary edges list bottom
+    and top interleaved, then left and right interleaved.  ``tagging`` maps
+    the (nb, 2) boundary-edge midpoints to (nb,) tag characters.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    ys = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
+    vertices = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)      # ids[j, i] at (x_i, y_j)
+    v00, v10, v01, v11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    # lower-right (v10, v11, v00) with its peak at the right angle, upper-left (v01, v00, v11)
+    tris = np.stack([v10, v11, v00, v01, v00, v11], axis=-1).reshape(-1, 3)
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    def sides(grid):
+        """Edges along the first and last column of ``grid``, interleaved."""
+        ends = grid[:, [0, n]]
+        return np.stack([ends[:-1], ends[1:]], axis=-1).reshape(-1, 2)
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v10, v11, v00))   # lower-right, peak at the right angle
-            tris.append((v01, v00, v11))   # upper-left
-    b_edges, b_tags = [], []
-    for i in range(n):
-        b_edges.append((vid(i, 0), vid(i + 1, 0)))
-        b_edges.append((vid(i, n), vid(i + 1, n)))
-    for j in range(n):
-        b_edges.append((vid(0, j), vid(0, j + 1)))
-        b_edges.append((vid(n, j), vid(n, j + 1)))
-    for (a, b) in b_edges:
-        mx, my = vertices[[a, b]].mean(axis=0)
-        b_tags.append(tagging(mx, my))
-    return Mesh(vertices, np.array(tris), np.array(b_edges), np.array(b_tags))
+    b_edges = np.vstack([sides(ids.T), sides(ids)])
+    return Mesh(vertices, tris, b_edges, tagging(vertices[b_edges].mean(axis=1)))
 
 
 # -- refinement ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Problem registry: benchmark configurations and error measurement.
 
 A ProblemSpec bundles the domain tagging rule, material and data fields.  All
-field callables are vectorized: they take an (n, 2) array of points and return
-(n, 2) vectors or (n,) scalars.
+its callables are vectorized: they take an (n, 2) array of points and return
+(n, 2) vectors, (n,) scalars or, for the tagging rule, (n,) tag characters.
 
 Two built-in benchmarks on the unit square:
 
@@ -31,7 +31,7 @@ from . import mesh as msh
 @dataclass(frozen=True)
 class ProblemSpec:
     name: str
-    tagging: Callable
+    tagging: Callable              # boundary-edge midpoints, (n,2) -> (n,) of "D", "N", "C"
     material: fem.MaterialLaw
     f: Callable                    # body force, (n,2) -> (n,2); ZERO when absent
     g: Callable                    # Neumann traction, (n,2) -> (n,2); ZERO when absent

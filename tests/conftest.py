@@ -20,8 +20,8 @@ def interpolate(dofmap, func):
     return np.array(func(dofmap.coords), dtype=float).ravel()
 
 
-def tag_all_dirichlet(x, y):
-    return msh.DIRICHLET
+def tag_all_dirichlet(pts):
+    return np.full(len(pts), msh.DIRICHLET)
 
 
 def linear_solve(system):

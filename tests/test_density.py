@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -33,7 +34,7 @@ def test_trace_weights_uniform_mesh(solved71):
     assert np.allclose(trace.weight[is_mid], h / 2)
     assert np.allclose(trace.weight[inner_vertex], h / 2)
     assert np.allclose(trace.weight[endpoints], h / 4)
-    lengths = mesh.edge_length(trace.edge_ids)
+    lengths = mesh.edge_lengths[trace.edge_ids]
     assert np.isclose(trace.weight.sum(), lengths.sum(), atol=1e-14)
     assert np.isclose(lengths.sum(), 1.0)
 
@@ -80,15 +81,26 @@ def test_trace_rejects_vertex_on_four_contact_edges():
         trace_of(mesh)
 
 
+def test_trace_rejects_nan_gap_and_keeps_infinite_gap():
+    # every comparison with a NaN gap is false, so no node could activate;
+    # +inf means no obstacle at that node
+    p = prb.bottom_contact_benchmark()
+    dofmap = fem.DofMap(p.mesh(4))
+    nan_right = dataclasses.replace(p, chi=lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 0.0))
+    with pytest.raises(ValueError, match=re.escape(
+            "NaN at 4 of 9 contact nodes, first at node 3 (0.75, 0.0)")):
+        dens.build_trace_mesh(dofmap, nan_right)
+    free = dataclasses.replace(p, chi=lambda pts: np.full(len(pts), np.inf))
+    assert np.isposinf(dens.build_trace_mesh(dofmap, free).gap).all()
+
+
 def test_trace_rejects_contact_on_two_sides():
     # contact on the right side and on the right half of the bottom, Dirichlet
     # on the left: the closures are disjoint, but the normals differ
-    def tagging(x, y):
-        if x > 1 - 1e-12 or (y < 1e-12 and x > 0.5):
-            return msh.CONTACT
-        if x < 1e-12:
-            return msh.DIRICHLET
-        return msh.NEUMANN
+    def tagging(pts):
+        x, y = pts.T
+        return np.select([(x > 1 - 1e-12) | ((y < 1e-12) & (x > 0.5)), x < 1e-12],
+                         [msh.CONTACT, msh.DIRICHLET], msh.NEUMANN)
 
     mesh = msh.generate_unit_square(4, tagging)
     with pytest.raises(ValueError, match=re.escape("[[0.0, -1.0], [1.0, 0.0]]")):
@@ -97,16 +109,14 @@ def test_trace_rejects_contact_on_two_sides():
 
 def test_trace_disconnected_chains():
     # contact on the two outer quarters of the bottom edge, Neumann between
-    def tagging(x, y):
-        if y < 1e-12 and (x < 0.25 or x > 0.75):
-            return msh.CONTACT
-        if y > 1 - 1e-12:
-            return msh.DIRICHLET
-        return msh.NEUMANN
+    def tagging(pts):
+        x, y = pts.T
+        return np.select([(y < 1e-12) & ((x < 0.25) | (x > 0.75)), y > 1 - 1e-12],
+                         [msh.CONTACT, msh.DIRICHLET], msh.NEUMANN)
 
     mesh = msh.generate_unit_square(4, tagging)
     trace = trace_of(mesh)
-    assert np.isclose(mesh.edge_length(trace.edge_ids).sum(), 0.5)
+    assert np.isclose(mesh.edge_lengths[trace.edge_ids].sum(), 0.5)
     assert np.isclose(trace.weight.sum(), 0.5)
     # the chain ends, and only they, carry the single half-hat weight h/4
     ends = chain_ends(mesh, trace, 0.25)
@@ -223,7 +233,7 @@ def test_density_against_independent_quadrature():
         for eid, tag in zip(mesh.boundary_edge_ids, mesh.boundary_tags):
             if tag != msh.NEUMANN:
                 continue
-            length = mesh.edge_length(np.array([eid]))[0]
+            length = mesh.edge_lengths[eid]
             a, b = mesh.edges[eid]
             if node in (a, b):
                 total += gconst[comp] * length / 6.0

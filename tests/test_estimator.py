@@ -299,7 +299,7 @@ def test_contact_quantities_match_per_edge_oracle():
     weight = np.zeros(ncon)
     edges_of = [[] for _ in range(ncon)]
     for k in range(nc):
-        h = mesh.edge_length(trace.edge_ids[[k]])[0]
+        h = mesh.edge_lengths[trace.edge_ids[k]]
         for n, w in zip(trace.nodes[trace.edge_pos[k]], (h / 4, h / 2, h / 4)):
             i = np.searchsorted(trace.nodes, n)
             weight[i] += w

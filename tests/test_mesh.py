@@ -43,7 +43,7 @@ def test_unit_square_n2_boundary_lengths():
     m = bottom_mesh(2)
     assert m.num_triangles == 8
     assert len(m.boundary_edges) == 8
-    lengths = m.edge_length(m.boundary_edge_ids)
+    lengths = m.edge_lengths[m.boundary_edge_ids]
     assert np.allclose(lengths, 0.5)
     # two edges per side
     mids = m.vertices[m.boundary_edges].mean(axis=1)
@@ -57,6 +57,50 @@ def test_unit_square_wedge_tagging_contact_on_right():
     assert con.size and np.allclose(m.vertices[con][:, :, 0], 1.0)
     d = m.boundary_edges[m.boundary_tags == "D"]
     assert np.allclose(m.vertices[d][:, :, 0], 0.0)
+
+
+def _loop_unit_square(n, tagging):
+    # the per-cell, per-edge loop generator used to run; the rule is called
+    # on one boundary-edge midpoint at a time
+    vertices = np.array([(x, y) for y in np.linspace(0.0, 1.0, n + 1)
+                         for x in np.linspace(0.0, 1.0, n + 1)])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v10, v11, v00))
+            tris.append((v01, v00, v11))
+    b_edges = []
+    for i in range(n):
+        b_edges.append((vid(i, 0), vid(i + 1, 0)))
+        b_edges.append((vid(i, n), vid(i + 1, n)))
+    for j in range(n):
+        b_edges.append((vid(0, j), vid(0, j + 1)))
+        b_edges.append((vid(n, j), vid(n, j + 1)))
+    b_tags = [tagging(vertices[[a, b]].mean(axis=0)[None])[0] for a, b in b_edges]
+    return msh.Mesh(vertices, np.array(tris), np.array(b_edges), np.array(b_tags))
+
+
+def tag_irregular(pts):
+    """Contact on part of the bottom, Dirichlet on the upper left side."""
+    x, y = pts.T
+    return np.select([(y < 1e-12) & (x > 0.2) & (x < 0.7), (x < 1e-12) & (y > 0.5)],
+                     [msh.CONTACT, msh.DIRICHLET], msh.NEUMANN)
+
+
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact,
+                                     tag_irregular])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_unit_square_matches_loop_generator(n, tagging):
+    m, ref = msh.generate_unit_square(n, tagging), _loop_unit_square(n, tagging)
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "levels"):
+        a, b = getattr(m, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_generate_rejects_zero():
@@ -247,10 +291,9 @@ def test_mesh_rejects_flat_and_inverted_triangle():
 
 def test_dirichlet_contact_closure_overlap_rejected():
     # tag rule putting contact right next to Dirichlet on a shared vertex
-    def bad(x, y):
-        if y < 1e-12:
-            return "C" if x < 0.5 else "D"
-        return "N"
+    def bad(pts):
+        x, y = pts.T
+        return np.where(y < 1e-12, np.where(x < 0.5, "C", "D"), "N")
     with pytest.raises(msh.MeshError):
         msh.generate_unit_square(2, bad)
 
@@ -281,6 +324,50 @@ def test_mesh_rejects_bad_connectivity(case):
     vertices, tris, edges, tags, match = _BAD_MESHES[case]
     with pytest.raises(msh.MeshError, match=match):
         msh.Mesh(vertices, tris, edges, list(tags))
+
+
+def test_diameters_are_longest_edges():
+    m = mixed_mesh(msh.tag_right_contact)
+    p = m.vertices[m.triangles]
+    # side k joins corners k and k + 1, opposite corner k + 2
+    sides = [np.linalg.norm(p[:, k] - p[:, (k + 1) % 3], axis=1) for k in range(3)]
+    for k in range(3):
+        assert np.array_equal(m.edge_lengths[m.tri_edges[:, (k + 2) % 3]], sides[k])
+    assert np.array_equal(m.diameters, np.maximum.reduce(sides))
+
+
+def _with(m, name, value):
+    fields = {"vertices": m.vertices, "triangles": m.triangles,
+              "boundary_edges": m.boundary_edges, name: value}
+    return msh.Mesh(**fields, boundary_tags=m.boundary_tags)
+
+
+def _set_corner(m, value):
+    tris = m.triangles.copy()
+    tris[0, 0] = value
+    return tris
+
+
+_BAD_ARRAYS = {
+    "vertex_id_too_large": ("triangles", lambda m: _set_corner(m, 99),
+                            r"triangles holds vertex id 99, outside 0\.\.8"),
+    "vertex_id_negative": ("triangles", lambda m: _set_corner(m, -1),
+                           r"triangles holds vertex id -1, outside 0\.\.8"),
+    "vertices_one_column": ("vertices", lambda m: m.vertices[:, :1],
+                            r"vertices has shape \(9, 1\), expected \(n, 2\)"),
+    "boundary_edges_one_column": ("boundary_edges", lambda m: m.boundary_edges[:, :1],
+                                  r"boundary_edges has shape \(8, 1\), expected \(n, 2\)"),
+    "triangles_two_columns": ("triangles", lambda m: m.triangles[:, :2],
+                              r"triangles has shape \(8, 2\), expected \(n, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARRAYS))
+def test_mesh_rejects_bad_shape_or_vertex_id(case):
+    name, make, match = _BAD_ARRAYS[case]
+    m = msh.generate_unit_square(2, msh.tag_bottom_contact)
+    with pytest.raises(msh.MeshError, match=match):
+        _with(m, name, make(m))
 
 
 @pytest.mark.parametrize("field, what", [("levels", "8 triangles"),

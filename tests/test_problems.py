@@ -50,6 +50,23 @@ def test_wedge_gap_values():
     assert p.exact is None
 
 
+def test_problem_callables_take_point_arrays(tmp_path):
+    """Every callable of a problem maps (n, 2) points to (n,) or (n, 2)
+    values; the tagging rule reads boundary-edge midpoints."""
+    path = tmp_path / "right.json"
+    path.write_text(json.dumps({"tagging": "right_contact", "f": [1.0, 2.0], "chi": 0.5}))
+    # bottom, top, left and right midpoints, then an interior point
+    pts = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.5], [1.0, 0.5], [0.3, 0.4]])
+    shapes = {"tagging": (5,), "f": (5, 2), "g": (5, 2), "chi": (5,), "dirichlet": (5, 2), "exact": (5, 2)}
+    for key, tags in (("ex71", "CDNNN"), ("ex72", "NNDCN"), (str(path), "NNDCN")):
+        problem = prb.get_problem(key)
+        assert "".join(problem.tagging(pts)) == tags
+        for name, shape in shapes.items():
+            func = getattr(problem, name)
+            if func is not None:
+                assert np.shape(func(pts)) == shape, (key, name)
+
+
 def test_registry_keys():
     assert prb.get_problem("ex71").name == "ex71"
     assert prb.get_problem("ex72").name == "ex72"

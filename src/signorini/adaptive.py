@@ -178,6 +178,11 @@ def adapt(problem, params, out_dir=None, write_trace=False):
             dofmap, sol, density, report, checks = run_level(problem, mesh)
         except vi.SolverError as exc:
             raise vi.SolverError(f"level {level}: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(report.indicator))
+        if bad.size or not np.isfinite(report.eta_h):
+            first = f", the first is triangle {bad[0]}" if bad.size else ""
+            raise ValueError(f"level {level}: non-finite estimate (eta_h = {report.eta_h}): "
+                             f"{bad.size} triangles have a non-finite indicator{first}")
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic

@@ -33,9 +33,9 @@ from . import mesh as msh
 # the generic constant of the total estimate eta_h
 C0 = 0.45
 
-EDGE_SAMPLE = np.unique(np.concatenate([
-    np.array([0.0, 0.5, 1.0]), fem.EDGE_QT, np.linspace(0.0, 1.0, 21),
-]))
+# sup-norm sample on an edge, s in [0, 1]: 21 equispaced points (the ends
+# and the midpoint among them) and the Gauss points, sorted
+EDGE_SAMPLE = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), fem.EDGE_QT]))
 
 
 @dataclass

@@ -150,18 +150,16 @@ _EDGE_LOAD_REF = EDGE_QW * np.array([(2 * EDGE_QT - 1) * (EDGE_QT - 1),
                                      4 * EDGE_QT * (1 - EDGE_QT)])
 
 
-# node kinds by precedence at a vertex where boundary parts meet
-_KIND_BY_RANK = np.array(["i", msh.NEUMANN, msh.CONTACT, msh.DIRICHLET])
-
-
 @dataclass(frozen=True)
 class DofMap:
     """Node enumeration and boundary classification for one mesh.
 
     Nodes 0..nv-1 are the vertices, node nv+e is the midpoint of edge e.
-    ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node; a vertex where
-    several boundary parts meet takes Dirichlet over Neumann and contact over
-    Neumann (Dirichlet and contact never meet, which the mesh enforces).
+    ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node.  A boundary
+    midpoint takes its edge's tag.  A boundary vertex takes the tags of its
+    edges in one precedence pass, Neumann, then contact, then Dirichlet, each
+    overwriting the last, so Dirichlet and contact win over Neumann
+    (Dirichlet and contact never meet, which the mesh enforces).
     """
 
     mesh: msh.Mesh
@@ -172,11 +170,9 @@ class DofMap:
         m = self.mesh
         nv = m.num_vertices
         coords = np.vstack([m.vertices, m.vertices[m.edges].mean(axis=1)])
-        rank = np.argmax(m.boundary_tags[:, None] == _KIND_BY_RANK, axis=1)
-        vrank = np.zeros(nv, dtype=np.int64)
-        np.maximum.at(vrank, m.boundary_edges, rank[:, None])
         kind = np.full(nv + m.edges.shape[0], "i", dtype="<U1")
-        kind[:nv] = _KIND_BY_RANK[vrank]
+        for tag in (msh.NEUMANN, msh.CONTACT, msh.DIRICHLET):
+            kind[m.boundary_edges[m.boundary_tags == tag]] = tag
         kind[nv + m.boundary_edge_ids] = m.boundary_tags
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "kind", kind)
@@ -197,15 +193,6 @@ class DofMap:
     def dirichlet_dofs(self):
         nodes = self.dirichlet_nodes
         return np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
-
-
-def element_dofs(mesh):
-    """(nt, 12) global dof ids interleaved as (node, component)."""
-    nodes = mesh.element_nodes
-    dofs = np.empty((nodes.shape[0], 12), dtype=np.int64)
-    dofs[:, 0::2] = 2 * nodes
-    dofs[:, 1::2] = 2 * nodes + 1
-    return dofs
 
 
 def barycentric_to_xy(mesh, bary):
@@ -314,9 +301,10 @@ def assemble(dofmap, problem):
 
         xy = barycentric_to_xy(mesh, TRI_QP)
         fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
-        # (nt, 12) element loads: sum_q w_q area f_i(x_q) N_a(x_q)
+        # (nt, 6, 2) element loads sum_q w_q area f_c(x_q) N_a(x_q) at dof 2 a + c
         fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
-        F = np.bincount(element_dofs(mesh).ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
+        dofs = 2 * mesh.element_nodes[:, :, None] + np.arange(2)
+        F = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
         _add_neumann_load(mesh, F, problem.g)
 
     # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p

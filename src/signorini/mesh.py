@@ -372,6 +372,8 @@ def build_patches(mesh):
     The corners of a vertex patch are the vertex and its edge neighbours;
     those of a midpoint patch are the edge ends and the vertex opposite the
     edge in each adjacent triangle.  Rows are padded with a repeated corner.
+    A diameter is the largest distance over the distinct corner pairs
+    (i < j) of its row; a padded pair adds a zero distance.
     """
     nv, ne = mesh.num_vertices, mesh.edges.shape[0]
     edge_tris = mesh.edge_tris
@@ -396,9 +398,10 @@ def build_patches(mesh):
 
     diam = []
     for corners in (v_corners, e_corners):
-        pts = mesh.vertices[corners]
-        d2 = ((pts[:, :, None, :] - pts[:, None, :, :]) ** 2).sum(axis=3)
-        diam.append(np.sqrt(d2.max(axis=(1, 2))))
+        i, j = np.triu_indices(corners.shape[1], 1)
+        x, y = mesh.vertices[corners, 0], mesh.vertices[corners, 1]
+        d2 = (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2
+        diam.append(np.sqrt(d2.max(axis=1)))
     return PatchTable(mesh.element_nodes, edge_nodes, np.concatenate(diam))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 
 import signorini.adaptive as ad
 import signorini.cli as cli
+import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
@@ -281,3 +283,32 @@ def test_zero_indicators_mark_the_largest_triangle(tmp_path):
         assert r.marked.tolist() == [int(np.argmax(mesh.diameters))]
         mesh = msh.refine(mesh, r.marked)
     assert np.array_equal(mesh.triangles, res.mesh.triangles)
+
+
+def _nan_on_midline(pts):
+    # NaN on x = 0.5, which holds vertices and midpoints but no quadrature point
+    return np.where(pts[:, :1] == 0.5, np.nan, 0.0) * np.ones(2)
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_non_finite_indicator_raises_with_level(levels):
+    # the solve is finite; the estimator samples f where it is NaN
+    problem = dataclasses.replace(prb.get_problem("ex72"), f=_nan_on_midline)
+    with pytest.raises(ValueError, match=r"^level 0: non-finite estimate \(eta_h = nan\): "
+                                         r"64 triangles have a non-finite indicator, "
+                                         r"the first is triangle 4$"):
+        ad.adapt(problem, ad.AdaptiveParams(levels=levels, n0=8))
+
+
+def test_non_finite_eta_h_raises_with_level(monkeypatch):
+    estimate, calls = est.estimate, []
+
+    def overflowing(*args):
+        calls.append(None)
+        report = estimate(*args)
+        return dataclasses.replace(report, eta_h=np.inf) if len(calls) == 2 else report
+
+    monkeypatch.setattr(est, "estimate", overflowing)
+    with pytest.raises(ValueError, match=r"^level 1: non-finite estimate \(eta_h = inf\): "
+                                         r"0 triangles have a non-finite indicator$"):
+        ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=3, n0=2))

@@ -132,17 +132,27 @@ def test_free_block_positive_definite(assembled):
 
 
 def test_dirichlet_classification_corners():
-    # bottom contact tagging: bottom corners touch contact+Neumann -> contact,
-    # top corners touch Dirichlet+Neumann -> Dirichlet
-    mesh = msh.generate_unit_square(2, msh.tag_bottom_contact)
-    dofmap = fem.DofMap(mesh)
-    coords = dofmap.coords
-    for target, kinds in (((0, 0), "C"), ((1, 0), "C"), ((0, 1), "D"), ((1, 1), "D")):
-        node = int(np.argmin(np.abs(coords - np.array(target, float)).sum(axis=1)))
-        assert dofmap.kind[node] == kinds
-    assert dofmap.n_nodes == mesh.num_vertices + mesh.edges.shape[0]
-    # every node is classified exactly once
-    assert set(dofmap.kind) <= {"i", "D", "N", "C"}
+    # corners touching contact and Neumann are contact, Dirichlet and Neumann
+    # Dirichlet; side vertices take their side's tag
+    cases = {
+        msh.tag_bottom_contact: {(0, 0): "C", (1, 0): "C", (0, 1): "D", (1, 1): "D",
+                                 (0.5, 0): "C", (0.5, 1): "D", (0, 0.5): "N", (0.5, 0.5): "i"},
+        msh.tag_right_contact: {(1, 0): "C", (1, 1): "C", (0, 0): "D", (0, 1): "D",
+                                (1, 0.5): "C", (0, 0.5): "D", (0.5, 0): "N", (0.5, 0.5): "i"},
+    }
+    for tagging, kinds in cases.items():
+        mesh = msh.generate_unit_square(2, tagging)
+        dofmap = fem.DofMap(mesh)
+        coords = dofmap.coords
+        for target, kind in kinds.items():
+            node = int(np.argmin(np.abs(coords - np.array(target, float)).sum(axis=1)))
+            assert dofmap.kind[node] == kind, (tagging.__name__, target)
+        assert dofmap.n_nodes == mesh.num_vertices + mesh.edges.shape[0]
+        # every boundary midpoint has its edge's tag, every other one is interior
+        mid = np.full(mesh.edges.shape[0], "i")
+        mid[mesh.boundary_edge_ids] = mesh.boundary_tags
+        assert np.array_equal(dofmap.kind[mesh.num_vertices:], mid)
+        assert set(dofmap.kind) == {"i", "D", "N", "C"}
 
 
 def test_traction_uniaxial_hand_value():
@@ -333,7 +343,7 @@ def test_pointwise_evaluators_match_loops(bisected):
 def _coo_stiffness(mesh, material, ndof):
     # every element entry at its (row, column) dof pair, duplicates summed by scipy
     Ke = element_stiffness(mesh, material)
-    dofs = fem.element_dofs(mesh)
+    dofs = (2 * mesh.element_nodes[:, :, None] + np.arange(2)).reshape(-1, 12)
     rows = np.repeat(dofs, 12, axis=1).ravel()
     cols = np.tile(dofs, (1, 12)).ravel()
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -423,14 +425,22 @@ def test_patch_contact_edge_midpoint():
 
 
 def test_patch_diameter_positive_and_consistent():
-    m = bottom_mesh(3)
-    dm = fem.DofMap(m)
-    patches = msh.build_patches(m)
-    assert (patches.diameter > 0).all()
-    v = next(v for v in range(m.num_vertices) if dm.kind[v] == "i")
-    pts = m.vertices[np.unique(m.triangles[(patches.tri_nodes == v).any(axis=1)])]
-    brute = max(np.linalg.norm(a - b) for a in pts for b in pts)
-    assert np.isclose(patches.diameter[v], brute, atol=1e-15)
+    # mixed bisections: vertex patches of many valences, boundary edges with
+    # one triangle, midpoint patches of one or two triangles
+    m = msh.generate_unit_square(3, msh.tag_right_contact)
+    for k in range(4):
+        m = msh.refine(m, np.arange(k % 3, m.num_triangles, 3))
+    assert len(set(np.bincount(m.triangles.ravel()).tolist())) > 3
+    diameter = msh.build_patches(m).diameter
+    nv = m.num_vertices
+    # every ordered pair of corners of the patch's triangles, one at a time
+    for p in range(nv + m.edges.shape[0]):
+        tris = (np.flatnonzero((m.triangles == p).any(axis=1)) if p < nv
+                else m.edge_tris[p - nv][m.edge_tris[p - nv] >= 0])
+        pts = m.vertices[np.unique(m.triangles[tris])].tolist()
+        brute = max(math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+                    for ax, ay in pts for bx, by in pts)
+        assert diameter[p] == brute > 0, p
 
 
 # -- VTK output ------------------------------------------------------------------

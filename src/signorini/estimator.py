@@ -68,14 +68,17 @@ def estimate(dofmap, patches, problem, u, density):
     h_p = patches.diameter
     S = _element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
+    # sigma(u_h) at both ends of every edge, seen from both sides; side 1 of
+    # a boundary edge holds a corner of triangle -1, which no term reads
+    end_sig = sig[mesh.edge_tris[:, :, None], mesh.edge_corners]  # (ne, side, end, 2, 2)
 
     # each edge term is aligned with its own edge ids
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     con_ids = trace.edge_ids
-    J = _interior_jumps(mesh, sig, inner)
-    R = _neumann_residual(mesh, sig, problem, neu_ids)
-    Tn, Tt = _contact_tractions(mesh, sig, trace)
+    J = _interior_jumps(mesh, end_sig, inner)
+    R = _neumann_residual(mesh, end_sig, problem, neu_ids)
+    Tn, Tt = _contact_tractions(end_sig, trace)
     pen, gap = _consistency_per_edge(dofmap, problem, u, trace)
 
     # active-density region: contact edges of nodes with positive lumped density
@@ -125,23 +128,17 @@ def _element_residual(mesh, problem, u):
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
-def _interior_jumps(mesh, sig, inner):
+def _interior_jumps(mesh, end_sig, inner):
     """Sup of the traction jump per interior edge ``inner``, at both ends."""
-    side = sig[mesh.edge_tris[inner][:, :, None], mesh.edge_corners[inner]]  # (k, 2, 2, 2, 2)
+    side = end_sig[inner]                                                    # (k, 2, 2, 2, 2)
     jump = np.einsum("keij,kj->kei", side[:, 0] - side[:, 1], mesh.outward_normals(inner))
     return np.abs(jump).max(axis=(1, 2))
 
 
-def _boundary_tractions(mesh, sig, ids):
-    """Linear traction profile on boundary edges ``ids``: sigma n with the
-    outward normal n at both endpoints, (k, 2 ends, 2 comps)."""
-    end_sig = sig[mesh.edge_tris[ids, :1], mesh.edge_corners[ids, 0]]      # (k, 2, 2, 2)
-    return np.einsum("keij,kj->kei", end_sig, mesh.outward_normals(ids))
-
-
-def _neumann_residual(mesh, sig, problem, ids):
-    """Sup of |g - sigma(u_h) n| per Neumann edge ``ids``."""
-    tau = _boundary_tractions(mesh, sig, ids)
+def _neumann_residual(mesh, end_sig, problem, ids):
+    """Sup of |g - sigma(u_h) n| per Neumann edge ``ids``; the traction
+    sigma n with the outward normal n is linear along the edge."""
+    tau = np.einsum("keij,kj->kei", end_sig[ids, 0], mesh.outward_normals(ids))  # (k, 2, 2)
     pts = mesh.edge_points(ids, EDGE_SAMPLE)
     gv = problem.g(pts.reshape(-1, 2)).reshape(pts.shape)
     s = EDGE_SAMPLE[:, None]
@@ -149,14 +146,14 @@ def _neumann_residual(mesh, sig, problem, ids):
     return np.abs(gv - tau_s).max(axis=(1, 2))
 
 
-def _contact_tractions(mesh, sig, trace):
+def _contact_tractions(end_sig, trace):
     """Per contact edge of ``trace``: sups of the normal and tangential
     traction components in the record's normal frame n = sign * e_comp, which
     are |sigma[comp, comp]| and |sigma[1 - comp, comp]| (the traction is
     linear along the edge, so its endpoints suffice)."""
-    ids, c = trace.edge_ids, trace.comp
-    end_sig = sig[mesh.edge_tris[ids, :1], mesh.edge_corners[ids, 0]]      # (k, 2, 2, 2)
-    return np.abs(end_sig[..., c, c]).max(axis=1), np.abs(end_sig[..., 1 - c, c]).max(axis=1)
+    c = trace.comp
+    ends = end_sig[trace.edge_ids, 0]                                        # (k, 2, 2, 2)
+    return np.abs(ends[..., c, c]).max(axis=1), np.abs(ends[..., 1 - c, c]).max(axis=1)
 
 
 def _consistency_per_edge(dofmap, problem, u, trace):

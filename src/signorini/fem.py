@@ -290,9 +290,14 @@ def assemble(dofmap, problem):
     """Build the elasticity stiffness matrix and load vector.
 
     ``problem`` provides the material and the vectorized callables
-    f(points), g(points) and dirichlet(points), each -> (n, 2).
+    f(points), g(points) and dirichlet(points), each -> (n, 2).  A mesh with
+    no Dirichlet edge leaves the rigid motions free, which is an error.
     """
     mesh, material = dofmap.mesh, problem.material
+    d_nodes = dofmap.dirichlet_nodes
+    if d_nodes.size == 0:
+        raise ValueError(f"problem {problem.name!r} has no Dirichlet edge, so nothing "
+                         f"fixes the rigid motions ({mesh.num_triangles} triangles)")
     nt = mesh.num_triangles
     # data so large that K or F overflows is reported by the solver, which
     # checks that both are finite
@@ -308,7 +313,7 @@ def assemble(dofmap, problem):
         _add_neumann_load(mesh, F, problem.g)
 
     # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p
-    d_values = np.array(problem.dirichlet(dofmap.coords[dofmap.dirichlet_nodes]),
+    d_values = np.array(problem.dirichlet(dofmap.coords[d_nodes]),
                         dtype=float).ravel()
     return SparseSystem(K, F, dofmap.dirichlet_dofs, d_values, material)
 

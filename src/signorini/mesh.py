@@ -267,12 +267,16 @@ def generate_unit_square(n, tagging):
 def refine(mesh, marked):
     """Bisect every marked triangle; closure restores conformity.
 
+    ``marked`` holds integer triangle indices; a boolean mask is an error.
     Children inherit boundary tags from their ancestor edges and carry
     level = parent level + number of bisections.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.asarray(marked)
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise TypeError(f"marked must hold triangle indices, got dtype {marked.dtype}")
+    marked = np.unique(marked.astype(np.int64))
     if marked.min() < 0 or marked.max() >= mesh.num_triangles:
         raise IndexError("marked set contains an invalid triangle index")
 

@@ -13,7 +13,9 @@ from the constrained-row residual,
 and the next active set is {p : m_p + c (u_n(p) - gap(p)) > 0} with the
 weight c = 2 mu + lam, the material's stress scale; any positive c has the
 same fixed point.  The iteration stops when the active set repeats, which is
-the exact complementarity point of the quadratic program.
+the exact complementarity point of the quadratic program.  The map from one
+active set to the next is deterministic, so a return to an older set is a
+cycle that never settles, and an error at once.
 
 Each iteration factors the free block K[free][:, free] with SuperLU.  K is
 assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
@@ -68,7 +70,9 @@ def solve_vi(system, trace):
 
     active = np.zeros(gap.size, dtype=bool)
     history = []
+    first_seen = {}             # active-set bytes -> iteration that started from it
     for it in range(MAX_ITER):
+        first_seen[active.tobytes()] = it
         u = np.zeros(system.ndof)
         u[system.dirichlet_dofs] = system.dirichlet_values
         u[con_dofs[active]] = sign * gap[active]
@@ -96,6 +100,11 @@ def solve_vi(system, trace):
             nxt = finite_gap & (m + c * (un - gap) > 0)
         if np.array_equal(nxt, active):
             return VISolution(u, active, history, r)
+        first = first_seen.get(nxt.tobytes())
+        if first is not None:
+            raise SolverError(
+                f"active set cycles: iteration {it + 1} would restart from the set of "
+                f"iteration {first}; history={[row[1] for row in history]}")
         active = nxt
     raise SolverError(
         f"active set did not settle in {MAX_ITER} iterations; "

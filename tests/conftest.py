@@ -20,6 +20,12 @@ def interpolate(dofmap, func):
     return np.array(func(dofmap.coords), dtype=float).ravel()
 
 
+def edge_end_stress(mesh, sig):
+    """The estimator's table of sigma(u_h) at both ends of every edge, from
+    both sides: (ne, side, end, 2, 2) from corner stresses ``sig``."""
+    return sig[mesh.edge_tris[:, :, None], mesh.edge_corners]
+
+
 def tag_all_dirichlet(pts):
     return np.full(len(pts), msh.DIRICHLET)
 

@@ -270,6 +270,27 @@ def test_cli_overflowing_stiffness_raises_solver_error_before_factoring(tmp_path
                   "--out", str(tmp_path / "out")])
 
 
+def test_no_dirichlet_part_is_an_error_before_factoring(monkeypatch):
+    # contact on y = 0, Neumann elsewhere: nothing fixes the rigid motions
+    def contact_bottom_neumann_elsewhere(pts):
+        return np.where(np.isclose(pts[:, 1], 0.0), msh.CONTACT, msh.NEUMANN)
+
+    problem = dataclasses.replace(prb.get_problem("ex71"),
+                                  tagging=contact_bottom_neumann_elsewhere)
+    factored = []
+    splu = vi.spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    with pytest.raises(ValueError, match=r"^problem 'ex71' has no Dirichlet edge, so nothing "
+                                         r"fixes the rigid motions \(32 triangles\)$"):
+        ad.adapt(problem, ad.AdaptiveParams(levels=2, n0=4))
+    assert factored == []
+
+
 def test_zero_indicators_mark_the_largest_triangle(tmp_path):
     # no load and a gap that is never closed: u = 0 and every indicator is 0
     path = tmp_path / "unloaded.json"

@@ -10,7 +10,7 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
-from conftest import SolvedState, interpolate
+from conftest import SolvedState, edge_end_stress, interpolate
 import quasi_density as qd
 
 
@@ -237,15 +237,15 @@ def test_patch_maxima_match_per_node_oracle():
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
 
     S = est._element_residual(mesh, problem, u)
-    sig = fem.corner_stress(mesh, problem.material, u)
+    end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, problem.material, u))
     # per-edge values keyed by mesh edge id, from the arrays aligned with
     # the interior, Neumann and contact edge ids
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     con_ids = res.trace_mesh.edge_ids
-    J = dict(zip(inner, est._interior_jumps(mesh, sig, inner)))
-    R = dict(zip(neu_ids, est._neumann_residual(mesh, sig, problem, neu_ids)))
-    Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(mesh, sig, res.trace_mesh))
+    J = dict(zip(inner, est._interior_jumps(mesh, end_sig, inner)))
+    R = dict(zip(neu_ids, est._neumann_residual(mesh, end_sig, problem, neu_ids)))
+    Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, res.trace_mesh))
     pen, gap = (dict(zip(con_ids, v))
                 for v in est._consistency_per_edge(dofmap, problem, u, res.trace_mesh))
     lam_region = lambda_region(mesh, dens.compute_density(res.solution.residual, res.trace_mesh))

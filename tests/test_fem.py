@@ -10,7 +10,7 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
-from conftest import interpolate, linear_solve, tag_all_dirichlet
+from conftest import edge_end_stress, interpolate, linear_solve, tag_all_dirichlet
 
 
 def test_lame_from_young_poisson():
@@ -162,9 +162,9 @@ def test_traction_uniaxial_hand_value():
     mat = fem.MaterialLaw(1.0, 1.0)
     u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     edges = mesh.boundary_edge_ids[mesh.boundary_tags == "C"]   # on x = 1, n = (1, 0)
-    sig = fem.corner_stress(mesh, mat, u)
+    end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, mat, u))
     n = mesh.outward_normals(edges)
-    tau = est._boundary_tractions(mesh, sig, edges)
+    tau = np.einsum("keij,kj->kei", end_sig[edges, 0], n)
     assert np.allclose(n, [1.0, 0.0], atol=1e-15)
     assert np.allclose(tau, [3.0, 0.0], atol=1e-12)
 
@@ -175,10 +175,9 @@ def test_traction_rigid_motion_zero():
     dofmap = fem.DofMap(mesh)
     u = interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
                                                        np.full(len(p), -1.0)]))
-    sig = fem.corner_stress(mesh, problem.material, u)
-    tau = est._boundary_tractions(mesh, sig, mesh.boundary_edge_ids)
-    assert np.abs(tau).max() < 1e-13
-    jumps = est._interior_jumps(mesh, sig, np.flatnonzero(mesh.edge_tris[:, 1] >= 0))
+    end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, problem.material, u))
+    assert np.abs(end_sig[mesh.boundary_edge_ids, 0]).max() < 1e-13
+    jumps = est._interior_jumps(mesh, end_sig, np.flatnonzero(mesh.edge_tris[:, 1] >= 0))
     assert jumps.max() < 1e-13
 
 
@@ -192,7 +191,7 @@ def test_traction_two_sided_consistency():
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
     sig = fem.corner_stress(mesh, problem.material, u)
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    jumps = est._interior_jumps(mesh, sig, inner)
+    jumps = est._interior_jumps(mesh, edge_end_stress(mesh, sig), inner)
     assert jumps.shape == inner.shape
     assert np.abs(sig).max() > 1.0
     assert jumps.max() < 1e-12

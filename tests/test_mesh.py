@@ -131,6 +131,15 @@ def test_refine_rejects_out_of_range_triangles(marked):
         msh.refine(bottom_mesh(1), marked)
 
 
+def test_refine_rejects_a_boolean_mask():
+    # read as indices, a mask marking triangle 5 would bisect triangles 0 and 1
+    m = bottom_mesh(2)
+    mask = np.zeros(m.num_triangles, dtype=bool)
+    mask[5] = True
+    with pytest.raises(TypeError, match="got dtype bool"):
+        msh.refine(m, mask)
+
+
 def test_refine_empty_returns_same_mesh():
     m = bottom_mesh(2)
     assert msh.refine(m, []) is m

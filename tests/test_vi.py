@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import weakref
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import signorini.density as dens
 import signorini.fem as fem
@@ -124,6 +127,34 @@ def test_nonconvergence_reports_history(solved71, monkeypatch):
     monkeypatch.setattr(vi, "MAX_ITER", 1)
     with pytest.raises(vi.SolverError, match=r"did not settle in 1 iterations; history=\[0\]"):
         vi.solve_vi(solved71.system, solved71.trace)
+
+
+def test_cycling_active_set_fails_at_first_revisit(monkeypatch):
+    # a 3-node system on which the active sets run 0, 2, 2, 0, 2, 2, ...:
+    # SPD K (eigenvalues 0.0996, 1.34, 8.18) on the normal dofs 0, 2, 4,
+    # identity on the odd dofs, no Dirichlet dofs, c = 2 mu + lam = 3
+    Kn = np.array([[0.85, -1.084, 1.571], [-1.084, 5.096, -3.259], [1.571, -3.259, 3.674]])
+    K = np.eye(6)
+    K[0::2, 0::2] = Kn
+    F = np.zeros(6)
+    F[0::2] = [-1.897, -0.182, -0.282]
+    system = fem.SparseSystem(sp.csr_matrix(K), F, np.array([], dtype=np.int64),
+                              np.array([]), fem.MaterialLaw(mu=1.5, lam=0.0))
+    trace = SimpleNamespace(dofs=np.array([0, 2, 4]), sign=1.0,
+                            gap=np.array([-0.107, 1.525, -0.186]))
+    factored = []
+    splu = vi.spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    with pytest.raises(vi.SolverError,
+                       match=r"^active set cycles: iteration 3 would restart from the set "
+                             r"of iteration 0; history=\[0, 2, 2\]$"):
+        vi.solve_vi(system, trace)
+    assert len(factored) == 3
 
 
 @pytest.mark.parametrize("seed", range(10))

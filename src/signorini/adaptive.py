@@ -116,13 +116,10 @@ def mark(indicators, theta, diameters):
 def _level_checks(system, sol, density):
     trace = density.trace
     r = sol.residual
-    free = system.free_mask()
-    con_mask = np.zeros(system.ndof, dtype=bool)
-    con_mask[trace.dofs] = True
-    con_mask[trace.tangential_dofs] = True
-    plain = free & ~con_mask
+    plain = system.free_mask()
+    plain[trace.dofs] = plain[trace.tangential_dofs] = False
     resid_scale = max(np.abs(system.F).max(), np.abs(system.F - r).max(), 1e-300)
-    un = trace.sign * sol.u[trace.dofs]
+    un = trace.normal_part(sol.u)
     comp = density.normal * (trace.gap - un)
     comp_scale = (1.0 + np.abs(density.normal).max()) * \
         (1.0 + np.abs(trace.gap).max() + np.abs(un).max())
@@ -132,7 +129,7 @@ def _level_checks(system, sol, density):
         lam_t_max=float(np.abs(density.tangential).max()),
         resid_free_max=float(np.abs(r[plain]).max()),
         resid_scale=float(resid_scale),
-        resid_normal_min=float((trace.sign * r[trace.dofs]).min()),
+        resid_normal_min=float(density.multiplier.min()),
         resid_tangential_max=float(np.abs(r[trace.tangential_dofs]).max()),
         comp_max=float(comp.max()),
         comp_scale=float(comp_scale),
@@ -218,9 +215,8 @@ def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_t
     nv = mesh.num_vertices
     disp = np.column_stack([sol.u[0:2 * nv:2], sol.u[1:2 * nv:2]])
     multiplier = np.zeros(nv)
-    trace = density.trace
-    vert_mask = trace.nodes < nv
-    multiplier[trace.nodes[vert_mask]] = (density.normal * trace.weight)[vert_mask]
+    vert = density.trace.nodes < nv
+    multiplier[density.trace.nodes[vert]] = density.multiplier[vert]
     msh.write_vtk(mesh, out / f"level_{level}.vtk",
                   point_data={"displacement": disp, "multiplier": multiplier},
                   cell_data={"indicator": report.indicator,

@@ -4,15 +4,16 @@ The contact boundary is viewed as a piecewise-linear trace mesh whose cells
 are the half-edges [vertex, midpoint] and [midpoint, vertex] of every contact
 edge.  ``build_trace_mesh`` makes the level's one contact record from it: the
 contact nodes, their hat weights, the one table of each contact edge's nodes,
-the normal frame and the nodal gap chi(p).  The frame comes from the mesh: the
-contact edges' common outward normal must be an axis direction
+the normal frame and the finite nodal gap chi(p).  The frame comes from the
+mesh: the contact edges' common outward normal must be an axis direction
 n = sign * e_comp.  The active-set solver, the density, the estimator and the
-node classes of the density dump all read this record.
+node classes of the density dump all read this record, and take every normal
+part sign * v[2p + comp] from its ``normal_part``.
 Hat functions psi_p on the split mesh define the lumped pairing
 
     <w, v>_h = sum_p w(p) . v(p) * weight(p),   weight(p) = int psi_p ds,
 
-and the nodal density is the discrete residual divided by the hat weight:
+and the nodal density is the nodal contact residual divided by the hat weight:
 lambda_n(p) = m_p / weight(p) in the contact-normal direction (nonnegative at
 a converged solve) and lambda_t(p) in the tangential direction (zero).
 """
@@ -43,8 +44,8 @@ class ContactTraceMesh:
     nodes       (ncon,) sorted contact node ids
     weight      (ncon,) hat weight per contact node, aligned with ``nodes``
     comp, sign  contact normal n = sign * e_comp, so u_n = sign * u[2p + comp]
-    gap         (ncon,) gap chi(p) per contact node; the constraint is
-                u_n(p) <= gap(p)
+    gap         (ncon,) finite gap chi(p) per contact node; the constraint
+                is u_n(p) <= gap(p)
     """
 
     edge_ids: np.ndarray
@@ -59,6 +60,10 @@ class ContactTraceMesh:
     def dofs(self):
         """Normal dof 2p + comp per contact node."""
         return 2 * self.nodes + self.comp
+
+    def normal_part(self, v):
+        """(ncon,) normal components sign * v[2p + comp] of a nodal vector v."""
+        return self.sign * v[self.dofs]
 
     @property
     def tangential_dofs(self):
@@ -78,19 +83,17 @@ def build_trace_mesh(dofmap, problem):
     the ends of each contact chain.  The contact boundary may have several
     components; an empty one is an error, and so are a vertex on more than
     two contact edges and contact edges whose outward normals are not one
-    axis direction.  The gap is ``problem.chi`` at the contact nodes; a NaN
-    gap is an error, while +inf means no obstacle at that node.
+    axis direction.  The gap is ``problem.chi`` at the contact nodes; a gap
+    that is not finite is an error, since a side without an obstacle is a
+    Neumann side.
     """
     mesh = dofmap.mesh
-    nv = mesh.num_vertices
-    con = mesh.boundary_tags == msh.CONTACT
-    edge_ids = mesh.boundary_edge_ids[con]
+    edge_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
     if edge_ids.size == 0:
         raise ValueError("mesh has no contact boundary")
     edge_ids = np.sort(edge_ids)
-    ev = mesh.edges[edge_ids]
     lengths = mesh.edge_lengths[edge_ids]
-    edge_nodes = np.column_stack([ev[:, 0], nv + edge_ids, ev[:, 1]])
+    edge_nodes = mesh.edge_node_triples[edge_ids]
 
     nodes, inv = np.unique(edge_nodes.ravel(), return_inverse=True)
     weight = np.bincount(inv, (lengths[:, None] * _HAT_SHARE).ravel())
@@ -103,10 +106,10 @@ def build_trace_mesh(dofmap, problem):
     comp = int(np.flatnonzero(normals[0])[0])
     xy = dofmap.coords[nodes]
     gap = problem.chi(xy)
-    nan = np.flatnonzero(np.isnan(gap))
-    if nan.size:
-        raise ValueError(f"the gap chi is NaN at {nan.size} of {nodes.size} contact nodes, "
-                         f"first at node {nodes[nan[0]]} {tuple(xy[nan[0]].tolist())}")
+    bad = np.flatnonzero(~np.isfinite(gap))
+    if bad.size:
+        raise ValueError(f"the gap chi is not finite at {bad.size} of {nodes.size} contact "
+                         f"nodes, first at node {nodes[bad[0]]} {tuple(xy[bad[0]].tolist())}")
     return ContactTraceMesh(edge_ids, inv.reshape(edge_nodes.shape), nodes, weight,
                             comp, float(normals[0, comp]), gap)
 
@@ -116,17 +119,18 @@ class DensityField:
     """Nodal contact force density in the (normal, tangential) frame."""
 
     trace: ContactTraceMesh
-    normal: np.ndarray       # lambda in the constrained direction, >= 0
+    multiplier: np.ndarray   # nodal contact residual m_p, the normal part of r
+    normal: np.ndarray       # lambda_n = m_p / weight(p), >= 0
     tangential: np.ndarray   # lambda in the tangential direction, ~ 0
 
 
 def compute_density(residual, trace):
-    """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, from
-    the algebraic residual r = F - K u of a solution u.  The node classes
-    need u as well; ``classify_nodes`` computes them where they are read."""
-    normal = trace.sign * residual[trace.dofs] / trace.weight
+    """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, and
+    the nodal contact residual m_p, from the algebraic residual r = F - K u
+    of a solution u.  ``classify_nodes`` computes the node classes from u."""
+    multiplier = trace.normal_part(residual)
     tangential = residual[trace.tangential_dofs] / trace.weight
-    return DensityField(trace, normal, tangential)
+    return DensityField(trace, multiplier, multiplier / trace.weight, tangential)
 
 
 def classify_nodes(u, trace):
@@ -138,9 +142,8 @@ def classify_nodes(u, trace):
     values agree within that tolerance; a touching node is in full contact
     when every contact edge holding it is fully active.
     """
-    gmax = np.abs(trace.gap[np.isfinite(trace.gap)])
-    tol = 1e-9 * (1.0 + (gmax.max() if gmax.size else 0.0))
-    touching = np.abs(trace.sign * u[trace.dofs] - trace.gap) <= tol
+    tol = 1e-9 * (1.0 + np.abs(trace.gap).max())
+    touching = np.abs(trace.normal_part(u) - trace.gap) <= tol
     edge_active = touching[trace.edge_pos].all(axis=1)
     full = touching.copy()
     full[trace.edge_pos[~edge_active]] = False

@@ -81,8 +81,8 @@ def estimate(dofmap, patches, problem, u, density):
     Tn, Tt = _contact_tractions(end_sig, trace)
     pen, gap = _consistency_per_edge(dofmap, problem, u, trace)
 
-    # active-density region: contact edges of nodes with positive lumped density
-    m = density.normal * trace.weight
+    # active-density region: contact edges of nodes with positive nodal contact residual
+    m = density.multiplier
     tol_active = 1e-12 * max(1.0, _abs_max(m))
     hot = np.flatnonzero((m > tol_active)[trace.edge_pos].any(axis=1))   # positions in con_ids
 
@@ -165,7 +165,7 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     per half-edge.  A candidate outside its half-edge is replaced by s = 0,
     already a sample.
     """
-    un = (trace.sign * u[trace.dofs])[trace.edge_pos]
+    un = trace.normal_part(u)[trace.edge_pos]
     A, B = fem.trace_coefficients(un[:, 0], un[:, 1], un[:, 2])  # u_n(s) = (A s + B) s + C
     chi_nodes = trace.gap[trace.edge_pos]
     slope = 2.0 * np.diff(chi_nodes, axis=1)                     # per half-edge

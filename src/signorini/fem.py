@@ -143,11 +143,11 @@ _UPPER = np.triu_indices(12)                      # entries i <= j of an element
 _FROM_UPPER = np.empty((12, 12), dtype=np.int64)    # the one of them entry (i, j) copies
 _FROM_UPPER[_UPPER] = _FROM_UPPER.T[_UPPER] = np.arange(_UPPER[0].size)
 _LOAD_REF = (TRI_QW[:, None] * shape_values(TRI_QP)).T  # (6, 6): w_q phi_a(q), rows a
-# 1D quadratic Lagrange trace on an edge (first end, second end, midpoint)
+# 1D quadratic Lagrange trace on an edge (first end, midpoint, second end)
 # at the Gauss points, times the weights: (3, 3)
 _EDGE_LOAD_REF = EDGE_QW * np.array([(2 * EDGE_QT - 1) * (EDGE_QT - 1),
-                                     EDGE_QT * (2 * EDGE_QT - 1),
-                                     4 * EDGE_QT * (1 - EDGE_QT)])
+                                     4 * EDGE_QT * (1 - EDGE_QT),
+                                     EDGE_QT * (2 * EDGE_QT - 1)])
 
 
 @dataclass(frozen=True)
@@ -319,14 +319,13 @@ def assemble(dofmap, problem):
 
 
 def _add_neumann_load(mesh, F, g):
-    nv = mesh.num_vertices
     ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     if ids.size == 0:
         return
     gv = g(mesh.edge_points(ids, EDGE_QT).reshape(-1, 2)).reshape(ids.size, EDGE_QT.size, 2)
     contrib = (_EDGE_LOAD_REF @ gv) * mesh.edge_lengths[ids, None, None]   # (ne, 3, 2)
-    # (node kind, edge, component) order: first ends, second ends, midpoints
-    nodes = np.stack([mesh.edges[ids, 0], mesh.edges[ids, 1], nv + ids])
+    # (node kind, edge, component) order: first ends, midpoints, second ends
+    nodes = mesh.edge_node_triples[ids].T
     np.add.at(F, 2 * nodes[:, :, None] + np.arange(2), contrib.transpose(1, 0, 2))
 
 

@@ -139,6 +139,11 @@ class Mesh:
         return np.hstack([self.triangles, self.num_vertices + self.tri_edges])
 
     @cached_property
+    def edge_node_triples(self):
+        """(ne, 3) P2 nodes of each edge: first end, midpoint nv + e, second end."""
+        return np.insert(self.edges, 1, self.num_vertices + np.arange(len(self.edges)), axis=1)
+
+    @cached_property
     def areas(self):
         p = self.vertices[self.triangles]
         a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -379,12 +384,11 @@ def build_patches(mesh):
     A diameter is the largest distance over the distinct corner pairs
     (i < j) of its row; a padded pair adds a zero distance.
     """
-    nv, ne = mesh.num_vertices, mesh.edges.shape[0]
+    nv = mesh.num_vertices
     edge_tris = mesh.edge_tris
     inner = edge_tris[:, 1] >= 0
     edge_nodes = mesh.element_nodes[edge_tris[:, 0]]
-    ends_mid = np.column_stack([mesh.edges, nv + np.arange(ne)])
-    edge_nodes[inner] = np.tile(ends_mid[inner], 2)
+    edge_nodes[inner] = np.tile(mesh.edge_node_triples[inner], 2)
 
     src = mesh.edges.ravel()
     dst = mesh.edges[:, ::-1].ravel()

@@ -1,12 +1,12 @@
 """Primal-dual active-set solver for the discrete unilateral contact problem.
 
 The discrete inequality constrains the normal displacement at every contact
-node p:  u_n(p) <= gap(p), with an axis-aligned normal n = sign * e_comp.
-The solver reads the normal dofs 2p + comp, the sign and the nodal gap from
-the level's contact record (``density.ContactTraceMesh``).
-Given an active set A, the equality-constrained elastic problem is solved
-with u_n(p) = gap(p) enforced for p in A; the nodal multiplier is recovered
-from the constrained-row residual,
+node p:  u_n(p) <= gap(p), with an axis-aligned normal n = sign * e_comp and
+a finite gap.  The level's contact record (``density.ContactTraceMesh``)
+gives the normal dofs 2p + comp, the sign, the nodal gap and every normal
+part.  Given an active set A, the equality-constrained elastic problem is
+solved with u_n(p) = gap(p) enforced for p in A; the nodal multiplier is
+the normal part of the residual,
 
     m_p = L(phi_p n) - a(u_h, phi_p n) = sign * (F - K u)[2p + comp],
 
@@ -17,8 +17,9 @@ the exact complementarity point of the quadratic program.  The map from one
 active set to the next is deterministic, so a return to an older set is a
 cycle that never settles, and an error at once.
 
-Each iteration factors the free block K[free][:, free] with SuperLU.  K is
-assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
+Each iteration slices the free rows K[free] once, for the right-hand side
+and for the free block K[free][:, free], which it factors with SuperLU.  K
+is assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
 arrays of the free block are also its CSC arrays and go to ``splu`` without
 a conversion.
 """
@@ -54,33 +55,32 @@ class VISolution:
 def solve_vi(system, trace):
     """Primal-dual active-set iteration, starting from the empty active set.
 
-    ``trace`` is the contact record; only its normal dofs ``dofs``, its
-    ``sign`` and its nodal ``gap`` are read.  A node with an infinite gap
-    never becomes active.  The complementarity weight c is the material's
-    stress scale 2 mu + lam.  A stiffness or load that is not finite is an
-    error before anything is factored.
+    ``trace`` is the contact record: its normal dofs ``dofs``, ``sign`` and
+    finite nodal ``gap`` set u at the active nodes, and its ``normal_part``
+    gives the multiplier m and u_n.  The complementarity weight c is the
+    material's stress scale 2 mu + lam.  A stiffness or load that is not
+    finite is an error before anything is factored.
     """
     if not (np.isfinite(system.K.data).all() and np.isfinite(system.F).all()):
         raise SolverError(f"stiffness or load is not finite ({system.ndof} dofs)")
     c = system.material.stress_scale
     con_dofs = trace.dofs
-    sign = trace.sign
-    gap = trace.gap
-    finite_gap = np.isfinite(gap)
 
-    active = np.zeros(gap.size, dtype=bool)
+    active = np.zeros(trace.size, dtype=bool)
     history = []
     first_seen = {}             # active-set bytes -> iteration that started from it
     for it in range(MAX_ITER):
         first_seen[active.tobytes()] = it
         u = np.zeros(system.ndof)
         u[system.dirichlet_dofs] = system.dirichlet_values
-        u[con_dofs[active]] = sign * gap[active]
+        u[con_dofs[active]] = trace.sign * trace.gap[active]
         free = system.free_mask()
         free[con_dofs[active]] = False
         free_idx = np.flatnonzero(free)
-        rhs = (system.F - system.K @ u)[free_idx]
-        Kff = system.K[free_idx][:, free_idx]
+        Kf = system.K[free_idx]
+        rhs = system.F[free_idx] - Kf @ u
+        Kff = Kf[:, free_idx]
+        del Kf          # freed before the factors take their memory
         try:
             # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
             lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))
@@ -92,12 +92,9 @@ def solve_vi(system, trace):
             raise SolverError(f"non-finite solution in active-set iteration {it} "
                               f"({system.ndof} dofs)")
         r = system.F - system.K @ u
-        m = sign * r[con_dofs]
-        un = sign * u[con_dofs]
         free_res = np.abs(r[free_idx]).max() if free_idx.size else 0.0
         history.append((it, int(active.sum()), float(free_res)))
-        with np.errstate(invalid="ignore"):
-            nxt = finite_gap & (m + c * (un - gap) > 0)
+        nxt = trace.normal_part(r) + c * (trace.normal_part(u) - trace.gap) > 0
         if np.array_equal(nxt, active):
             return VISolution(u, active, history, r)
         first = first_seen.get(nxt.tobytes())

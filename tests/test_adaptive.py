@@ -117,6 +117,22 @@ def test_output_files_and_csv_header(tmp_path):
     assert len(trace_lines) > 3
 
 
+def test_vtk_multiplier_is_the_nodal_contact_residual(tmp_path):
+    # on this run's last level, the density times the hat weight differs
+    # from the residual in the last bit at one contact vertex
+    res = ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=3, n0=3),
+                   out_dir=tmp_path)
+    lines = (tmp_path / "level_2.vtk").read_text().splitlines()
+    start = lines.index("SCALARS multiplier double 1") + 2
+    nv = res.mesh.num_vertices
+    multiplier = np.array(lines[start:start + nv], dtype=float)
+    trace = res.trace_mesh
+    vert = trace.nodes < nv
+    m = trace.sign * res.solution.residual[trace.dofs]
+    assert np.array_equal(multiplier[trace.nodes[vert]], m[vert])
+    assert not multiplier[np.setdiff1d(np.arange(nv), trace.nodes)].any()
+
+
 def test_error_column_nan_without_exact(tmp_path):
     res = ad.adapt(prb.rigid_wedge_push(), ad.AdaptiveParams(levels=2, n0=2))
     assert np.isnan(res.records[0].err_inf)

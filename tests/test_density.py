@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import signorini.adaptive as ad
 import signorini.density as dens
 import signorini.fem as fem
 import signorini.mesh as msh
@@ -81,17 +82,24 @@ def test_trace_rejects_vertex_on_four_contact_edges():
         trace_of(mesh)
 
 
-def test_trace_rejects_nan_gap_and_keeps_infinite_gap():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_trace_rejects_non_finite_gap(bad, monkeypatch):
     # every comparison with a NaN gap is false, so no node could activate;
-    # +inf means no obstacle at that node
+    # an infinite gap is no obstacle, and a side without one is a Neumann side
     p = prb.bottom_contact_benchmark()
-    dofmap = fem.DofMap(p.mesh(4))
-    nan_right = dataclasses.replace(p, chi=lambda pts: np.where(pts[:, 0] > 0.5, np.nan, 0.0))
+    bad_right = dataclasses.replace(p, chi=lambda pts: np.where(pts[:, 0] > 0.5, bad, 0.0))
+    factored = []
+    splu = vi.spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
     with pytest.raises(ValueError, match=re.escape(
-            "NaN at 4 of 9 contact nodes, first at node 3 (0.75, 0.0)")):
-        dens.build_trace_mesh(dofmap, nan_right)
-    free = dataclasses.replace(p, chi=lambda pts: np.full(len(pts), np.inf))
-    assert np.isposinf(dens.build_trace_mesh(dofmap, free).gap).all()
+            "the gap chi is not finite at 4 of 9 contact nodes, first at node 3 (0.75, 0.0)")):
+        ad.adapt(bad_right, ad.AdaptiveParams(levels=1, n0=4))
+    assert factored == []
 
 
 def test_trace_rejects_contact_on_two_sides():
@@ -170,8 +178,10 @@ def test_density_sign_property(solved71, solved72):
 def test_density_multiplier_relation(solved71):
     # lambda_n(p) = m_p / w_p links the density to the solver multipliers
     den, trace, sol = solved71.density, solved71.trace, solved71.solution
-    assert np.allclose(den.normal * trace.weight, trace.sign * sol.residual[trace.dofs],
-                       atol=1e-12)
+    m = trace.sign * sol.residual[trace.dofs]
+    assert np.array_equal(den.multiplier, m)
+    assert np.array_equal(den.normal, m / trace.weight)
+    assert np.allclose(den.normal * trace.weight, m, atol=1e-12)
 
 
 def test_inactive_node_zero_density(solved72):

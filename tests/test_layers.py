@@ -25,6 +25,23 @@ def test_modules_import_only_earlier_layers():
         assert not later, f"{name} imports {sorted(later)}, not earlier than it in {LAYERS}"
 
 
+# the contact record defines the normal frame; the solver also reads its
+# sign, to set the displacement at the active nodes to the gap
+READS_THE_NORMAL_SIGN = {"density", "vi"}
+
+
+def test_only_the_contact_record_and_the_solver_read_the_normal_sign():
+    """Every other module takes normal parts from the record's
+    ``normal_part``.  A read is an attribute load named ``sign``, matched
+    by name alone."""
+    readers = {path.stem for path in Path(signorini.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "sign"
+               and isinstance(node.ctx, ast.Load)}
+    extra = readers - READS_THE_NORMAL_SIGN
+    assert not extra, f"modules that read the contact normal's sign: {sorted(extra)}"
+
+
 # the console script's entry point; nothing in the package calls it
 ENTRY_POINTS = {"cli.main"}
 

@@ -272,6 +272,8 @@ def test_edge_points_give_ends_and_midpoints(tagging):
     assert np.array_equal(pts[:, 1], fem.DofMap(m).coords[m.num_vertices + ids])
     assert np.array_equal(pts[:, 2], m.vertices[m.edges[ids, 1]])
     assert np.array_equal(m.edge_points(ids, np.tile(s, (ids.size, 1))), pts)
+    # the P2 node table lists the same three nodes, in the same order
+    assert np.array_equal(fem.DofMap(m).coords[m.edge_node_triples[ids]], pts)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,8 +2,6 @@ import dataclasses
 import itertools
 import weakref
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -78,12 +76,13 @@ def random_contact_problem(rng, n, style):
 
 
 def test_unconstrained_surrogate_matches_linear_solve(solved71):
-    system = solved71.system
-    loose = dataclasses.replace(solved71.trace,
-                                gap=np.full(solved71.trace.size, np.inf))
+    # a gap above the linear solve's normal displacement never closes
+    system, trace = solved71.system, solved71.trace
+    u_lin = linear_solve(system)
+    loose = dataclasses.replace(trace, gap=trace.sign * u_lin[trace.dofs] + 1.0)
     sol = vi.solve_vi(system, loose)
     assert sol.active.sum() == 0
-    assert np.allclose(sol.u, linear_solve(system), atol=1e-12)
+    assert np.allclose(sol.u, u_lin, atol=1e-12)
 
 
 def test_benchmark_solve_contact_structure(solved71):
@@ -140,8 +139,10 @@ def test_cycling_active_set_fails_at_first_revisit(monkeypatch):
     F[0::2] = [-1.897, -0.182, -0.282]
     system = fem.SparseSystem(sp.csr_matrix(K), F, np.array([], dtype=np.int64),
                               np.array([]), fem.MaterialLaw(mu=1.5, lam=0.0))
-    trace = SimpleNamespace(dofs=np.array([0, 2, 4]), sign=1.0,
-                            gap=np.array([-0.107, 1.525, -0.186]))
+    # a contact record of the nodes 0, 1, 2 with normal +e_x; only the
+    # normal dofs, the sign and the gap enter the solve
+    trace = dens.ContactTraceMesh(np.array([0]), np.array([[0, 1, 2]]), np.arange(3),
+                                  np.ones(3), 0, 1.0, np.array([-0.107, 1.525, -0.186]))
     factored = []
     splu = vi.spla.splu
 

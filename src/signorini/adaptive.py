@@ -116,7 +116,7 @@ def mark(indicators, theta, diameters):
 def _level_checks(system, sol, density):
     trace = density.trace
     r = sol.residual
-    plain = system.free_mask()
+    plain = system.free.copy()
     plain[trace.dofs] = plain[trace.tangential_dofs] = False
     resid_scale = max(np.abs(system.F).max(), np.abs(system.F - r).max(), 1e-300)
     un = trace.normal_part(sol.u)
@@ -183,7 +183,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic
-        ndof = dofmap.ndof - dofmap.dirichlet_dofs.size
+        ndof = dofmap.ndof - 2 * dofmap.dirichlet_nodes.size
         rec = LevelRecord(
             level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
             eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,

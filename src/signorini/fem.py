@@ -7,9 +7,9 @@ components per node (dof index = 2*node + component).  The bilinear form is
     sigma(v) = 2 mu eps(v) + lam tr(eps(v)) I,
 
 and the load is L(v) = (f, v) + <g, v>_{Gamma_N}.  Element integrals use a
-six-point degree-4 triangle rule and three-point Gauss on edges; Dirichlet
-rows are kept in the assembled matrix and eliminated symmetrically at solve
-time.
+six-point degree-4 triangle rule and three-point Gauss on edges.  Dirichlet
+rows are kept in K; ``assemble`` returns the Dirichlet constraint once per
+mesh as data, a lifted displacement and a free-dof mask (``SparseSystem``).
 
 Element kernels are products of fixed reference tables with per-element
 coefficients (the tensor form of Kirby, Knepley, Logg and Scott).  On an
@@ -189,11 +189,6 @@ class DofMap:
     def dirichlet_nodes(self):
         return np.flatnonzero(self.kind == msh.DIRICHLET)
 
-    @property
-    def dirichlet_dofs(self):
-        nodes = self.dirichlet_nodes
-        return np.sort(np.concatenate([2 * nodes, 2 * nodes + 1]))
-
 
 def barycentric_to_xy(mesh, bary):
     """Map barycentric sample points to physical coordinates, (nt, npts, 2)."""
@@ -207,27 +202,23 @@ def _coefficients(mesh, u):
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Assembled stiffness/load with Dirichlet data kept separately.
+    """Assembled stiffness and load with the Dirichlet constraint as data.
 
     K is the full, exactly symmetric matrix (no rows eliminated) in CSR with
-    sorted int32 indices; solvers restrict to free dofs and move prescribed
-    values to the right-hand side.
+    sorted int32 indices.  ``lift`` holds the Dirichlet values at the
+    Dirichlet dofs and 0 elsewhere, and ``free`` is False exactly there;
+    both are read-only, since every solve step starts from copies of them.
     """
 
     K: sp.csr_matrix
     F: np.ndarray
-    dirichlet_dofs: np.ndarray
-    dirichlet_values: np.ndarray
+    lift: np.ndarray
+    free: np.ndarray
     material: MaterialLaw
 
     @property
     def ndof(self):
         return self.F.shape[0]
-
-    def free_mask(self):
-        free = np.ones(self.ndof, dtype=bool)
-        free[self.dirichlet_dofs] = False
-        return free
 
 
 def _elasticity_tensor(material):
@@ -291,13 +282,24 @@ def assemble(dofmap, problem):
 
     ``problem`` provides the material and the vectorized callables
     f(points), g(points) and dirichlet(points), each -> (n, 2).  A mesh with
-    no Dirichlet edge leaves the rigid motions free, which is an error.
+    no Dirichlet edge leaves the rigid motions free, and Dirichlet data that
+    is not finite has no solution; both are errors before K is built.
     """
     mesh, material = dofmap.mesh, problem.material
     d_nodes = dofmap.dirichlet_nodes
     if d_nodes.size == 0:
         raise ValueError(f"problem {problem.name!r} has no Dirichlet edge, so nothing "
                          f"fixes the rigid motions ({mesh.num_triangles} triangles)")
+    d_xy = dofmap.coords[d_nodes]
+    lift = np.zeros((dofmap.n_nodes, 2))
+    lift[d_nodes] = problem.dirichlet(d_xy)
+    bad = np.flatnonzero(~np.isfinite(lift[d_nodes]).all(axis=1))
+    if bad.size:
+        raise ValueError(f"problem {problem.name!r}: the Dirichlet data is not finite at "
+                         f"{bad.size} of {d_nodes.size} Dirichlet nodes, first at node "
+                         f"{d_nodes[bad[0]]} {tuple(d_xy[bad[0]].tolist())}")
+    free = np.repeat(dofmap.kind != msh.DIRICHLET, 2)
+    lift.flags.writeable = free.flags.writeable = False
     nt = mesh.num_triangles
     # data so large that K or F overflows is reported by the solver, which
     # checks that both are finite
@@ -311,11 +313,7 @@ def assemble(dofmap, problem):
         dofs = 2 * mesh.element_nodes[:, :, None] + np.arange(2)
         F = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
         _add_neumann_load(mesh, F, problem.g)
-
-    # dirichlet_dofs interleave (2p, 2p + 1) over the sorted Dirichlet nodes p
-    d_values = np.array(problem.dirichlet(dofmap.coords[d_nodes]),
-                        dtype=float).ravel()
-    return SparseSystem(K, F, dofmap.dirichlet_dofs, d_values, material)
+    return SparseSystem(K, F, lift.ravel(), free, material)
 
 
 def _add_neumann_load(mesh, F, g):

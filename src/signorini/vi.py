@@ -17,11 +17,12 @@ the exact complementarity point of the quadratic program.  The map from one
 active set to the next is deterministic, so a return to an older set is a
 cycle that never settles, and an error at once.
 
-Each iteration slices the free rows K[free] once, for the right-hand side
-and for the free block K[free][:, free], which it factors with SuperLU.  K
-is assembled exactly symmetric with sorted indices (see ``fem``), so the CSR
-arrays of the free block are also its CSC arrays and go to ``splu`` without
-a conversion.
+Each iteration starts u from the Dirichlet lift of ``assemble`` and writes
+the active gaps into it, drops the active dofs from its free mask, factors
+the free block K[free][:, free] with SuperLU and solves for (F - K u)[free].
+K is assembled exactly symmetric with sorted indices (see ``fem``), so the
+CSR arrays of the free block are also its CSC arrays and go to ``splu``
+without a conversion.
 """
 
 from __future__ import annotations
@@ -71,16 +72,13 @@ def solve_vi(system, trace):
     first_seen = {}             # active-set bytes -> iteration that started from it
     for it in range(MAX_ITER):
         first_seen[active.tobytes()] = it
-        u = np.zeros(system.ndof)
-        u[system.dirichlet_dofs] = system.dirichlet_values
+        u = system.lift.copy()
         u[con_dofs[active]] = trace.sign * trace.gap[active]
-        free = system.free_mask()
+        free = system.free.copy()
         free[con_dofs[active]] = False
         free_idx = np.flatnonzero(free)
-        Kf = system.K[free_idx]
-        rhs = system.F[free_idx] - Kf @ u
-        Kff = Kf[:, free_idx]
-        del Kf          # freed before the factors take their memory
+        rhs = (system.F - system.K @ u)[free_idx]
+        Kff = system.K[free_idx][:, free_idx]
         try:
             # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
             lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))

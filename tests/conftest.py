@@ -30,12 +30,23 @@ def tag_all_dirichlet(pts):
     return np.full(len(pts), msh.DIRICHLET)
 
 
-def linear_solve(system):
-    """Pure boundary-value solve, independent of ``vi``: the Dirichlet
-    values move to the right-hand side and ``spsolve`` takes the free block."""
-    free = system.free_mask()
+def prescribed(dofmap, problem):
+    """The Dirichlet dofs, sorted, and their values, from the node kinds and
+    ``problem.dirichlet`` alone, not from the assembled system."""
+    nodes = np.flatnonzero(dofmap.kind == msh.DIRICHLET)
+    values = np.asarray(problem.dirichlet(dofmap.coords[nodes]), dtype=float)
+    return (2 * nodes[:, None] + np.arange(2)).ravel(), values.ravel()
+
+
+def linear_solve(system, fixed):
+    """Pure boundary-value solve, independent of ``vi``: the prescribed
+    ``fixed = (dofs, values)`` move to the right-hand side and ``spsolve``
+    takes the free block."""
+    dofs, values = fixed
+    free = np.ones(system.ndof, dtype=bool)
+    free[dofs] = False
     u = np.zeros(system.ndof)
-    u[system.dirichlet_dofs] = system.dirichlet_values
+    u[dofs] = values
     rhs = system.F[free] - system.K[free] @ u
     u[free] = spla.spsolve(system.K[free][:, free], rhs)
     return u

@@ -161,10 +161,10 @@ def test_criterion_6_bruteforce_vi_oracle():
     for seed in range(10):
         for style in ("bottom", "right"):
             rng = np.random.default_rng(5000 + seed)
-            system, trace = random_contact_problem(rng, 2 + seed % 2, style)
+            system, trace, fixed = random_contact_problem(rng, 2 + seed % 2, style)
             assert trace.size <= 12
             sol = vi.solve_vi(system, trace)
-            energy, u_ref, active_ref = brute_force_vi(system, trace)
+            energy, u_ref, active_ref = brute_force_vi(system, trace, fixed)
             scale = 1.0 + np.abs(u_ref).max()
             assert np.abs(sol.u - u_ref).max() <= 1e-9 * scale, (seed, style)
             assert (sol.active == active_ref).all(), (seed, style)

@@ -307,6 +307,30 @@ def test_no_dirichlet_part_is_an_error_before_factoring(monkeypatch):
     assert factored == []
 
 
+def test_non_finite_dirichlet_data_is_an_error_before_factoring(monkeypatch):
+    # ex72 with NaN Dirichlet data above y = 0.5: 4 of the 9 nodes on x = 0
+    # at n0 = 4, the vertex at y = 0.75 first in node order
+    base = prb.get_problem("ex72")
+
+    def half_nan(pts):
+        return np.where(pts[:, 1:] > 0.5, np.nan, base.dirichlet(pts))
+
+    problem = dataclasses.replace(base, dirichlet=half_nan)
+    factored = []
+    splu = vi.spla.splu
+
+    def spy(A, *args, **kwargs):
+        factored.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    with pytest.raises(ValueError, match=r"^problem 'ex72': the Dirichlet data is not finite "
+                                         r"at 4 of 9 Dirichlet nodes, first at node 15 "
+                                         r"\(0\.0, 0\.75\)$"):
+        ad.adapt(problem, ad.AdaptiveParams(levels=2, n0=4))
+    assert factored == []
+
+
 def test_zero_indicators_mark_the_largest_triangle(tmp_path):
     # no load and a gap that is never closed: u = 0 and every indicator is 0
     path = tmp_path / "unloaded.json"

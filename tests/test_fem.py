@@ -10,7 +10,7 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
-from conftest import edge_end_stress, interpolate, linear_solve, tag_all_dirichlet
+from conftest import edge_end_stress, interpolate, linear_solve, prescribed, tag_all_dirichlet
 
 
 def test_lame_from_young_poisson():
@@ -125,10 +125,40 @@ def test_stiffness_symmetric(assembled):
 
 
 def test_free_block_positive_definite(assembled):
-    _, _, system = assembled
-    free = system.free_mask()
+    _, dofmap, system = assembled
+    free = np.ones(dofmap.ndof, dtype=bool)
+    free[prescribed(dofmap, prb.bottom_contact_benchmark())[0]] = False
     Kff = system.K.toarray()[np.ix_(free, free)]
     np.linalg.cholesky(Kff)   # raises if not SPD
+
+
+@pytest.mark.parametrize("case", ["ex72", "all_dirichlet"])
+def test_assemble_builds_the_lift_and_the_free_mask(case):
+    # ex72 prescribes (0.1, 0) on x = 0; the all-Dirichlet square prescribes
+    # ex71's exact solution on its whole boundary
+    if case == "ex72":
+        problem = prb.rigid_wedge_push()
+    else:
+        base = prb.bottom_contact_benchmark()
+        problem = prb.ProblemSpec(name="all-dirichlet", tagging=tag_all_dirichlet,
+                                  material=base.material, f=base.f, g=prb.ZERO,
+                                  chi=lambda p: np.zeros(len(p)), dirichlet=base.exact)
+    dofmap = fem.DofMap(problem.mesh(4))
+    system = fem.assemble(dofmap, problem)
+    x, y = dofmap.coords.T
+    on_dirichlet = x == 0 if case == "ex72" else np.isin(x, (0, 1)) | np.isin(y, (0, 1))
+    nodes = np.flatnonzero(on_dirichlet)
+    dofs, values = prescribed(dofmap, problem)
+    assert np.array_equal(dofs, (2 * nodes[:, None] + np.arange(2)).ravel())
+    assert np.array_equal(np.flatnonzero(~system.free), dofs)
+    lift = np.zeros(dofmap.ndof)
+    lift[dofs] = values
+    assert np.array_equal(system.lift, lift)
+    if case == "ex72":
+        assert np.array_equal(system.lift[dofs].reshape(-1, 2),
+                              np.tile([0.1, 0.0], (nodes.size, 1)))
+    # every solve step starts from copies of them
+    assert not (system.lift.flags.writeable or system.free.flags.writeable)
 
 
 def test_dirichlet_classification_corners():
@@ -247,7 +277,7 @@ def test_galerkin_pure_dirichlet_cubic_rate():
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         system = fem.assemble(dofmap, problem)
-        u = linear_solve(system)
+        u = linear_solve(system, prescribed(dofmap, problem))
         errs.append(prb.measure_error(mesh, u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)

@@ -12,32 +12,33 @@ import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
 
-from conftest import linear_solve
+from conftest import linear_solve, prescribed
 
 
-def brute_force_vi(system, trace, feas_tol=1e-10):
+def brute_force_vi(system, trace, fixed, feas_tol=1e-10):
     """Exhaustive oracle: try every active subset, keep the feasible minimizer.
 
     Solves the equality-constrained system densely for all 2^m subsets and
     returns the feasible candidate with the smallest energy (the unique KKT
-    point of the convex program).
+    point of the convex program).  ``fixed`` gives the Dirichlet (dofs,
+    values) as ``prescribed`` derives them.
     """
     K = system.K.toarray()
     F = system.F
     gap = trace.gap
     dofs = trace.dofs
+    d_dofs, d_values = fixed
     scale = 1.0 + np.abs(gap).max()
     best = None
     for bits in itertools.product((False, True), repeat=trace.size):
         active = np.array(bits)
-        fixed = np.concatenate([system.dirichlet_dofs, dofs[active]])
-        vals = np.concatenate([system.dirichlet_values,
-                               trace.sign * gap[active]])
+        held = np.concatenate([d_dofs, dofs[active]])
+        vals = np.concatenate([d_values, trace.sign * gap[active]])
         u = np.zeros(system.ndof)
-        u[fixed] = vals
-        free = np.setdiff1d(np.arange(system.ndof), fixed)
+        u[held] = vals
+        free = np.setdiff1d(np.arange(system.ndof), held)
         u[free] = np.linalg.solve(K[np.ix_(free, free)],
-                                  F[free] - K[np.ix_(free, fixed)] @ u[fixed])
+                                  F[free] - K[np.ix_(free, held)] @ u[held])
         un = trace.sign * u[dofs]
         if np.all(un <= gap + feas_tol * scale):
             energy = 0.5 * u @ (K @ u) - F @ u
@@ -48,7 +49,8 @@ def brute_force_vi(system, trace, feas_tol=1e-10):
 
 
 def random_contact_problem(rng, n, style):
-    """Small randomized configuration with <= 12 constrained nodes."""
+    """Small randomized configuration with <= 12 constrained nodes:
+    (system, contact record, prescribed Dirichlet dofs and values)."""
     E = rng.uniform(1.0, 400.0)
     nu = rng.uniform(0.0, 0.45)
     material = fem.MaterialLaw.from_young_poisson(E, nu)
@@ -72,13 +74,13 @@ def random_contact_problem(rng, n, style):
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
-    return system, dens.build_trace_mesh(dofmap, problem)
+    return system, dens.build_trace_mesh(dofmap, problem), prescribed(dofmap, problem)
 
 
 def test_unconstrained_surrogate_matches_linear_solve(solved71):
     # a gap above the linear solve's normal displacement never closes
     system, trace = solved71.system, solved71.trace
-    u_lin = linear_solve(system)
+    u_lin = linear_solve(system, prescribed(solved71.dofmap, solved71.problem))
     loose = dataclasses.replace(trace, gap=trace.sign * u_lin[trace.dofs] + 1.0)
     sol = vi.solve_vi(system, loose)
     assert sol.active.sum() == 0
@@ -106,7 +108,8 @@ def test_residual_identities_at_contact_rows(solved71):
     assert np.array_equal(solved71.solution.residual, r)   # carried by the solve
     system, con, dofmap = solved71.system, solved71.trace, solved71.dofmap
     scale = max(np.abs(system.F).max(), np.abs(system.K @ solved71.solution.u).max())
-    free = system.free_mask()
+    free = np.ones(dofmap.ndof, dtype=bool)
+    free[prescribed(dofmap, solved71.problem)[0]] = False
     con_mask = np.zeros(dofmap.ndof, dtype=bool)
     con_mask[con.dofs] = True
     con_mask[con.tangential_dofs] = True
@@ -131,14 +134,15 @@ def test_nonconvergence_reports_history(solved71, monkeypatch):
 def test_cycling_active_set_fails_at_first_revisit(monkeypatch):
     # a 3-node system on which the active sets run 0, 2, 2, 0, 2, 2, ...:
     # SPD K (eigenvalues 0.0996, 1.34, 8.18) on the normal dofs 0, 2, 4,
-    # identity on the odd dofs, no Dirichlet dofs, c = 2 mu + lam = 3
+    # identity on the odd dofs, no Dirichlet dofs (zero lift, every dof
+    # free), c = 2 mu + lam = 3
     Kn = np.array([[0.85, -1.084, 1.571], [-1.084, 5.096, -3.259], [1.571, -3.259, 3.674]])
     K = np.eye(6)
     K[0::2, 0::2] = Kn
     F = np.zeros(6)
     F[0::2] = [-1.897, -0.182, -0.282]
-    system = fem.SparseSystem(sp.csr_matrix(K), F, np.array([], dtype=np.int64),
-                              np.array([]), fem.MaterialLaw(mu=1.5, lam=0.0))
+    system = fem.SparseSystem(sp.csr_matrix(K), F, np.zeros(6), np.ones(6, dtype=bool),
+                              fem.MaterialLaw(mu=1.5, lam=0.0))
     # a contact record of the nodes 0, 1, 2 with normal +e_x; only the
     # normal dofs, the sign and the gap enter the solve
     trace = dens.ContactTraceMesh(np.array([0]), np.array([[0, 1, 2]]), np.arange(3),
@@ -163,10 +167,10 @@ def test_cycling_active_set_fails_at_first_revisit(monkeypatch):
 def test_pdas_matches_bruteforce_enumeration(seed, style):
     rng = np.random.default_rng(1000 + seed)
     n = 2 if seed % 2 == 0 else 3
-    system, trace = random_contact_problem(rng, n, style)
+    system, trace, fixed = random_contact_problem(rng, n, style)
     assert trace.size <= 12
     sol = vi.solve_vi(system, trace)
-    energy, u_ref, active_ref = brute_force_vi(system, trace)
+    energy, u_ref, active_ref = brute_force_vi(system, trace, fixed)
 
     scale = 1.0 + np.abs(u_ref).max()
     assert np.abs(sol.u - u_ref).max() <= 1e-9 * scale
@@ -175,7 +179,7 @@ def test_pdas_matches_bruteforce_enumeration(seed, style):
     e_pdas = 0.5 * sol.u @ (system.K @ sol.u) - system.F @ sol.u
     assert abs(e_pdas - energy) <= 1e-9 * (1.0 + abs(energy))
     # the clamped unconstrained solution is feasible, hence no better
-    u_unc = linear_solve(system)
+    u_unc = linear_solve(system, fixed)
     un = trace.sign * u_unc[trace.dofs]
     u_clamp = u_unc.copy()
     u_clamp[trace.dofs] = trace.sign * np.minimum(un, trace.gap)
@@ -224,8 +228,9 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
     sol = vi.solve_vi(system, trace)
     assert len(handed) == sol.iterations and sol.active.any()
     # the last factorization is that of the final active set
-    fixed = np.concatenate([system.dirichlet_dofs, trace.dofs[sol.active]])
-    vals = np.concatenate([system.dirichlet_values, trace.sign * trace.gap[sol.active]])
+    d_dofs, d_values = prescribed(dofmap, problem)
+    fixed = np.concatenate([d_dofs, trace.dofs[sol.active]])
+    vals = np.concatenate([d_values, trace.sign * trace.gap[sol.active]])
     free_idx = np.setdiff1d(np.arange(system.ndof), fixed)
     A = handed[-1]
     ref = system.K[free_idx][:, free_idx].tocsc()

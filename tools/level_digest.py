@@ -1,0 +1,104 @@
+"""Print one SHA-256 per level of an adaptive run, to compare two checkouts.
+
+    python tools/level_digest.py SRC PROBLEM --levels N --theta T --n0 M
+
+imports ``signorini`` from the directory SRC (the ``src`` of a checkout),
+runs ``adapt`` on PROBLEM (``ex71``, ``ex72`` or a JSON problem file) and
+prints ``level ndof sha256`` per level.  A level's hash covers every input
+``splu`` factors (shape, data, indices, indptr), the solution (u, active
+set, PDAS history, residual), the contact density and its record, every
+``EstimatorReport`` field, the ``LevelChecks``, the marked triangles and
+the level's record without its wall time.  Arrays enter with dtype, shape
+and bytes, and numbers exactly, so equal lines mean bit-equal levels.
+
+BLAS runs on one thread unless the environment says otherwise, so two runs
+on one machine see the same round-off.  Nothing in the package imports this
+script.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402  (after the thread settings)
+
+
+def feed(h, obj):
+    """Add ``obj`` to the hash ``h``: dataclasses field by field, arrays
+    with dtype and shape, floats by their exact hex form."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            feed(h, getattr(obj, f.name))
+    elif isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            feed(h, item)
+    elif isinstance(obj, (bool, np.bool_)):
+        h.update(b"T" if obj else b"F")
+    elif isinstance(obj, (int, np.integer)):
+        h.update(f"i{int(obj)}".encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(f"f{float(obj).hex()}".encode())
+    else:
+        h.update(repr(obj).encode())
+
+
+def level_digests(src, problem_key, levels, theta, n0):
+    """[(ndof, hex digest)] per level of ``adapt`` run from the package in
+    ``src``."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    import signorini.adaptive as ad
+    import signorini.problems as prb
+    import signorini.vi as vi
+
+    if Path(ad.__file__).resolve().parent != src / "signorini":
+        raise SystemExit(f"imported signorini from {ad.__file__}, not from {src}")
+    hashes = []
+    run_level, splu = ad.run_level, vi.spla.splu
+
+    def hashed_splu(A, *args, **kwargs):
+        feed(hashes[-1], [A.shape, A.data, A.indices, A.indptr])
+        return splu(A, *args, **kwargs)
+
+    def hashed_run_level(problem, mesh):
+        hashes.append(hashlib.sha256())
+        out = run_level(problem, mesh)
+        feed(hashes[-1], list(out[1:]))      # solution, density, report, checks
+        return out
+
+    ad.run_level, vi.spla.splu = hashed_run_level, hashed_splu
+    try:
+        params = ad.AdaptiveParams(levels=levels, theta=theta, n0=n0)
+        result = ad.adapt(prb.get_problem(problem_key), params)
+    finally:
+        ad.run_level, vi.spla.splu = run_level, splu
+    for h, rec in zip(hashes, result.records):
+        feed(h, [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.name != "seconds"])
+    return [(rec.ndof, h.hexdigest()) for h, rec in zip(hashes, result.records)]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that holds the signorini package")
+    parser.add_argument("problem", help="ex71, ex72 or a JSON problem file")
+    parser.add_argument("--levels", type=int, required=True)
+    parser.add_argument("--theta", type=float, required=True)
+    parser.add_argument("--n0", type=int, required=True)
+    args = parser.parse_args()
+    for level, (ndof, digest) in enumerate(
+            level_digests(args.src, args.problem, args.levels, args.theta, args.n0)):
+        print(level, ndof, digest)
+
+
+if __name__ == "__main__":
+    main()

@@ -149,7 +149,7 @@ def run_level(problem, mesh):
     trace_mesh = dens.build_trace_mesh(dofmap, problem)
     sol = vi.solve_vi(system, trace_mesh)
     density = dens.compute_density(sol.residual, trace_mesh)
-    report = est.estimate(dofmap, patches, problem, sol.u, density)
+    report = est.estimate(dofmap, patches, problem, sol, density)
     checks = _level_checks(system, sol, density)
     return dofmap, sol, density, report, checks
 
@@ -222,4 +222,4 @@ def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_t
                   cell_data={"indicator": report.indicator,
                              "level": mesh.levels.astype(float)})
     if write_trace:
-        dens.write_density_csv(out / f"density_{level}.csv", dofmap, density, sol.u)
+        dens.write_density_csv(out / f"density_{level}.csv", dofmap, density, sol.active)

@@ -8,7 +8,8 @@ the normal frame and the finite nodal gap chi(p).  The frame comes from the
 mesh: the contact edges' common outward normal must be an axis direction
 n = sign * e_comp.  The active-set solver, the density, the estimator and the
 node classes of the density dump all read this record, and take every normal
-part sign * v[2p + comp] from its ``normal_part``.
+part sign * v[2p + comp] from its ``normal_part``; the node classes read the
+solver's active set, the level's one contact state.
 Hat functions psi_p on the split mesh define the lumped pairing
 
     <w, v>_h = sum_p w(p) . v(p) * weight(p),   weight(p) = int psi_p ds,
@@ -127,35 +128,34 @@ class DensityField:
 def compute_density(residual, trace):
     """Nodal density lambda(p) = r(p) / weight(p) in the contact frame, and
     the nodal contact residual m_p, from the algebraic residual r = F - K u
-    of a solution u.  ``classify_nodes`` computes the node classes from u."""
+    of a solution u."""
     multiplier = trace.normal_part(residual)
     tangential = residual[trace.tangential_dofs] / trace.weight
     return DensityField(trace, multiplier, multiplier / trace.weight, tangential)
 
 
-def classify_nodes(u, trace):
-    """Full/semi/no-contact split of the contact nodes.
+def classify_nodes(active, trace):
+    """Full/semi/no-contact split of the contact nodes from the solver's
+    active set ``active`` (bool per contact node).
 
-    A node touches when u_n equals its gap within a tolerance of 1e-9 times
-    (1 + max |gap|).  A contact edge is fully active when the quadratic
-    traces of u_n and of the interpolated gap coincide, i.e. its three nodal
-    values agree within that tolerance; a touching node is in full contact
-    when every contact edge holding it is fully active.
+    A node touches exactly when it is active.  A contact edge is fully
+    active when its three nodes are; a touching node is in full contact
+    when every contact edge holding it is fully active, and in semi contact
+    otherwise.  At the solver's fixed point an active node has m_p > 0, so
+    a weakly active node (u_n = gap with m_p = 0) is inactive and classed
+    none: the classes mark where the contact force acts.
     """
-    tol = 1e-9 * (1.0 + np.abs(trace.gap).max())
-    touching = np.abs(trace.normal_part(u) - trace.gap) <= tol
-    edge_active = touching[trace.edge_pos].all(axis=1)
-    full = touching.copy()
-    full[trace.edge_pos[~edge_active]] = False
-    return np.where(touching, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
+    full = active.copy()
+    full[trace.edge_pos[~active[trace.edge_pos].all(axis=1)]] = False
+    return np.where(active, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
 
 
-def write_density_csv(path, dofmap, density, u):
+def write_density_csv(path, dofmap, density, active):
     """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight); the
-    classes are those of the solution ``u``."""
+    classes are those of the solver's active set ``active``."""
     trace = density.trace
     x, y = dofmap.coords[trace.nodes].T
-    columns = (trace.nodes, x, y, classify_nodes(u, trace), density.normal,
+    columns = (trace.nodes, x, y, classify_nodes(active, trace), density.normal,
                density.tangential, trace.weight)
     values = np.column_stack([np.asarray(c, dtype=object) for c in columns])
     row = "{},{:.17g},{:.17g},{},{:.17g},{:.17g},{:.17g}\n"

@@ -11,7 +11,8 @@ Patchwise terms, each scaled by the patch diameter h_p:
 The total combines the global maxima Psi = eta_1 + ... + eta_5 with the
 logarithmic factor l_h = 1 + |log h_min|^2 and two obstacle-consistency
 terms: the penetration sup (u_n - chi)^+ over the whole contact boundary
-and the gap sup (chi - u_n)^+ over the active-density region, giving
+and the gap sup (chi - u_n)^+ over the active-density region: the contact
+edges holding a node of the solver's active set, where m_p > 0, giving
 
     eta_h = C0 (l_h Psi + eta6 + eta7).
 
@@ -45,7 +46,7 @@ class EstimatorReport:
     eta: np.ndarray            # global eta_1 .. eta_5
     psi: float
     eta6: float                # penetration sup over the contact boundary
-    eta7: float                # gap sup over the active-density region
+    eta7: float                # gap sup over the edges of active nodes
     eta_h: float
     eta_p: np.ndarray          # (5, n_nodes) patch values
     consistency_p: np.ndarray  # (n_nodes,) local eta6/eta7 contribution
@@ -61,10 +62,10 @@ def _abs_max(arr):
     return np.abs(arr).max() if arr.size else 0.0
 
 
-def estimate(dofmap, patches, problem, u, density):
-    """Evaluate all estimator contributions for one solved level; the mesh
-    is ``dofmap.mesh`` and the contact record ``density.trace``."""
-    mesh, trace = dofmap.mesh, density.trace
+def estimate(dofmap, patches, problem, sol, density):
+    """Evaluate all estimator contributions for the level solved by ``sol``
+    (u and the active set); the contact record is ``density.trace``."""
+    mesh, trace, u = dofmap.mesh, density.trace, sol.u
     h_p = patches.diameter
     S = _element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
@@ -81,10 +82,8 @@ def estimate(dofmap, patches, problem, u, density):
     Tn, Tt = _contact_tractions(end_sig, trace)
     pen, gap = _consistency_per_edge(dofmap, problem, u, trace)
 
-    # active-density region: contact edges of nodes with positive nodal contact residual
-    m = density.multiplier
-    tol_active = 1e-12 * max(1.0, _abs_max(m))
-    hot = np.flatnonzero((m > tol_active)[trace.edge_pos].any(axis=1))   # positions in con_ids
+    # positions in con_ids of the contact edges that hold an active node
+    hot = np.flatnonzero(sol.active[trace.edge_pos].any(axis=1))
 
     eta_p = np.stack([
         h_p ** 2 * patches.tri_max(S),

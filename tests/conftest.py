@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -75,6 +77,23 @@ def solved71():
 @pytest.fixture(scope="session")
 def solved72():
     return SolvedState(prb.rigid_wedge_push(), n=4)
+
+
+# data scales of the wedge push that the scale tests compare with scale 1
+WEDGE_SCALES = (1e-6, 1e-10, 1e-14)
+
+
+@pytest.fixture(scope="session")
+def scaled_wedges():
+    """ex72 on n = 8 solved with its gap chi and Dirichlet data scaled by
+    alpha, for alpha = 1 and each of WEDGE_SCALES.  With f = g = 0, in exact
+    arithmetic the discrete solution, its residual and every estimator term
+    scale by alpha, and the active set does not move."""
+    p = prb.rigid_wedge_push()
+    return {alpha: SolvedState(dataclasses.replace(
+                p, chi=lambda q, a=alpha: a * p.chi(q),
+                dirichlet=lambda q, a=alpha: a * p.dirichlet(q)), n=8)
+            for alpha in (1.0, *WEDGE_SCALES)}
 
 
 @pytest.fixture(scope="session")

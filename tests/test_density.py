@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import signorini.adaptive as ad
+import signorini.cli as cli
 import signorini.density as dens
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
 
-from conftest import tag_all_dirichlet
+from conftest import WEDGE_SCALES, tag_all_dirichlet
 import quasi_density as qd
 
 # independent degree-3 triangle rule (not the rule used by the package)
@@ -269,16 +270,17 @@ def test_lumped_pairing_matches_algebraic_residual(solved71):
 
 def test_classification_synthetic(solved71):
     # full contact everywhere in the benchmark solve
-    assert (dens.classify_nodes(solved71.solution.u, solved71.trace) == dens.FULL_CONTACT).all()
+    active = solved71.solution.active
+    assert (dens.classify_nodes(active, solved71.trace) == dens.FULL_CONTACT).all()
 
-    # lifting one midpoint off the gap demotes its vertices to semi contact
+    # dropping one midpoint from the active set demotes its vertices to semi contact
     state = solved71
-    u = state.solution.u.copy()
     trace = state.trace
     mid = trace.nodes[trace.nodes >= state.mesh.num_vertices][0]
-    u[2 * mid + trace.comp] -= 0.05 * trace.sign  # u_n -= 0.05
-    classes = dens.classify_nodes(u, trace)
     i_mid = np.searchsorted(trace.nodes, mid)
+    active = active.copy()
+    active[i_mid] = False
+    classes = dens.classify_nodes(active, trace)
     assert classes[i_mid] == dens.NO_CONTACT
     k = np.flatnonzero((trace.edge_pos == i_mid).any(axis=1))[0]
     ends = trace.edge_pos[k][[0, 2]]
@@ -288,11 +290,50 @@ def test_classification_synthetic(solved71):
 def test_no_contact_classification(solved72):
     # wedge tip binds, the corners stay clear of the obstacle
     trace, sol = solved72.trace, solved72.solution
-    classes = dens.classify_nodes(sol.u, trace)
+    classes = dens.classify_nodes(sol.active, trace)
     assert dens.NO_CONTACT in classes
     un = trace.sign * sol.u[trace.dofs]
     clear = trace.gap - un > 1e-6
     assert (classes[clear] == dens.NO_CONTACT).all()
+
+
+@pytest.mark.parametrize("alpha", WEDGE_SCALES)
+def test_classes_do_not_depend_on_the_data_scale(scaled_wedges, alpha):
+    """ex72 with its data scaled by alpha, down to 1e-14, has the node
+    classes of scale 1, and all three of them."""
+    base, scaled = (dens.classify_nodes(s.solution.active, s.trace)
+                    for s in (scaled_wedges[1.0], scaled_wedges[alpha]))
+    assert set(base) == {dens.FULL_CONTACT, dens.SEMI_CONTACT, dens.NO_CONTACT}
+    assert np.array_equal(scaled, base)
+
+
+# a steel block pushed onto an obstacle 2e-8 away: u_n and chi are ~1e-8
+STEEL = {"tagging": "right_contact", "material": {"E": 2e11, "nu": 0.3},
+         "f": [1e4, 0.0], "chi": 2e-8}
+
+
+def test_density_csv_touching_nodes_are_the_active_nodes_at_steel_scale(tmp_path, monkeypatch):
+    """At every level of ``signorini solve --trace`` on the steel problem,
+    the nodes the density dump classes full or semi are exactly the
+    solver's active nodes, though some contact nodes stay inactive."""
+    path = tmp_path / "steel.json"
+    path.write_text(json.dumps(STEEL))
+    solve, active = vi.solve_vi, []
+
+    def recording(system, trace):
+        sol = solve(system, trace)
+        active.append(trace.nodes[sol.active].tolist())
+        return sol
+
+    monkeypatch.setattr(vi, "solve_vi", recording)
+    assert cli.main(["solve", "--problem", str(path), "--levels", "6", "--n0", "4",
+                     "--out", str(tmp_path / "out"), "--trace"]) == 0
+    assert len(active) == 6
+    for level, nodes in enumerate(active):
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / f"density_{level}.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows if r[3] != dens.NO_CONTACT] == nodes
+        assert 0 < len(nodes) < len(rows)
 
 
 def test_node_average_constant_is_one(solved71):
@@ -397,7 +438,7 @@ def test_quasi_density_nonnegative(solved71, seed):
 
 def test_density_csv_dump(tmp_path, solved71):
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, solved71.dofmap, solved71.density, solved71.solution.u)
+    dens.write_density_csv(path, solved71.dofmap, solved71.density, solved71.solution.active)
     lines = path.read_text().splitlines()
     assert lines[0] == "node,x,y,class,lambda_n,lambda_t,weight"
     assert len(lines) == 1 + solved71.trace.nodes.size
@@ -407,12 +448,12 @@ def test_density_csv_contents(tmp_path, solved72):
     """Each row holds its node's id, coordinates, class, density and weight;
     the wedge solve has nodes of all three classes."""
     state = solved72
-    trace, den, u = state.trace, state.density, state.solution.u
+    trace, den, active = state.trace, state.density, state.solution.active
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, state.dofmap, den, u)
+    dens.write_density_csv(path, state.dofmap, den, active)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     node, x, y, cls, lam_n, lam_t, weight = (np.array(col) for col in zip(*rows))
-    classes = dens.classify_nodes(u, trace)
+    classes = dens.classify_nodes(active, trace)
     assert set(classes) == {dens.FULL_CONTACT, dens.SEMI_CONTACT, dens.NO_CONTACT}
     assert np.array_equal(cls, classes)
     assert np.array_equal(node.astype(np.int64), trace.nodes)

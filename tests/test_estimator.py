@@ -1,7 +1,8 @@
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import signorini.adaptive as ad
 import signorini.density as dens
@@ -9,8 +10,9 @@ import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
+import signorini.vi as vi
 
-from conftest import SolvedState, edge_end_stress, interpolate
+from conftest import WEDGE_SCALES, SolvedState, edge_end_stress, interpolate
 import quasi_density as qd
 
 
@@ -23,12 +25,15 @@ def zero_problem(tagging=msh.tag_bottom_contact, material=None):
 
 
 def report_for(problem, mesh, u):
+    """Estimate of a given field ``u``, not a solve: its active set is empty."""
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(dofmap, problem)
-    density = dens.compute_density(system.F - system.K @ u, trace)
-    return est.estimate(dofmap, patches, problem, u, density), dofmap, patches
+    residual = system.F - system.K @ u
+    sol = vi.VISolution(u, np.zeros(trace.size, dtype=bool), [], residual)
+    density = dens.compute_density(residual, trace)
+    return est.estimate(dofmap, patches, problem, sol, density), dofmap, patches
 
 
 def test_eta1_zero_for_linear_field():
@@ -141,18 +146,13 @@ def test_eta45_uniaxial_contact_traction():
     assert np.isclose(report.eta[4], 3.0 * patches.diameter[contact_nodes].max())
 
 
-def lambda_region(mesh, density):
+def lambda_region(mesh, trace, active):
     """Mesh edge ids of the active-density region, one contact node at a
-    time: the contact edges holding a node whose lumped density
-    m_p = lambda_n(p) weight(p) exceeds 1e-12 max(1, max |m|)."""
-    trace = density.trace
-    m = density.normal * trace.weight
-    tol = 1e-12 * max(1.0, np.abs(m).max())
+    time: the contact edges holding a node of the active set ``active``."""
     nv = mesh.num_vertices
     region = set()
-    for p, m_p in zip(trace.nodes, m):
-        if m_p > tol:
-            region |= {int(e) for e in trace.edge_ids if p == nv + e or p in mesh.edges[e]}
+    for p in trace.nodes[active]:
+        region |= {int(e) for e in trace.edge_ids if p == nv + e or p in mesh.edges[e]}
     return region
 
 
@@ -160,26 +160,41 @@ def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density)
+                          state.solution, state.density)
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
     con_ids = state.mesh.boundary_edge_ids[state.mesh.boundary_tags == msh.CONTACT]
-    assert lambda_region(state.mesh, state.density) == set(con_ids)   # full contact everywhere
+    region = lambda_region(state.mesh, state.trace, state.solution.active)
+    assert region == set(con_ids)   # full contact everywhere
 
 
 def test_lambda_region_excludes_zero_density():
-    """eta7 is the gap sup over the edges of nodes with positive density
-    only: an edge all of whose nodes carry zero density does not enter.  On
-    n = 8, two of the wedge push's eight contact edges are such edges."""
+    """eta7 is the gap sup over the edges of active nodes only: an edge none
+    of whose nodes is active, so that all carry zero density, does not
+    enter.  On n = 8, two of the wedge push's eight contact edges are such
+    edges."""
     state = SolvedState(prb.rigid_wedge_push(), n=8)
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density)
+                          state.solution, state.density)
     _, gap = est._consistency_per_edge(state.dofmap, state.problem, state.solution.u,
                                        state.trace)
-    region = np.isin(state.trace.edge_ids, sorted(lambda_region(state.mesh, state.density)))
+    region = np.isin(state.trace.edge_ids,
+                     sorted(lambda_region(state.mesh, state.trace, state.solution.active)))
     assert region.any() and not region.all()
     assert report.eta7 == gap[region].max()
     assert report.eta7 < gap.max()
+
+
+@pytest.mark.parametrize("alpha", WEDGE_SCALES)
+def test_wedge_estimate_scales_with_the_data(scaled_wedges, alpha):
+    """eta7 and eta_h of ex72 with its data scaled by alpha are alpha times
+    those of scale 1, down to 1e-14: the region of eta7 is the solver's
+    active set, which holds no absolute tolerance."""
+    base, scaled = (est.estimate(s.dofmap, s.patches, s.problem, s.solution, s.density)
+                    for s in (scaled_wedges[1.0], scaled_wedges[alpha]))
+    assert base.eta7 > 0.0
+    assert scaled.eta7 / alpha == pytest.approx(base.eta7, rel=1e-9)
+    assert scaled.eta_h / alpha == pytest.approx(base.eta_h, rel=1e-9)
 
 
 def test_total_arithmetic(solved72):
@@ -187,19 +202,21 @@ def test_total_arithmetic(solved72):
     assert np.isclose(est.log_factor(np.exp(-1.0)), 2.0, rtol=1e-15)
     state = solved72
     report = est.estimate(state.dofmap, state.patches, state.problem,
-                          state.solution.u, state.density)
+                          state.solution, state.density)
     assert report.l_h == est.log_factor(report.h_min)
     assert report.eta_h == est.C0 * (report.l_h * report.psi + report.eta6 + report.eta7)
     assert report.eta6 + report.eta7 > 0.0
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.floats(0.03, 30.0))
+@given(alpha=st.floats(-14.0, np.log10(30.0)).map(lambda e: 10.0 ** e))
+@example(alpha=1e-14)
 def test_positive_homogeneity(solved71, alpha):
-    """Scaling u, f, g, chi by alpha scales every estimator part by alpha."""
+    """Scaling u, f, g, chi by alpha, from 1e-14 to 30, scales every
+    estimator part by alpha; the active set does not change."""
     state = solved71
     base = est.estimate(state.dofmap, state.patches, state.problem,
-                        state.solution.u, state.density)
+                        state.solution, state.density)
     p = state.problem
     scaled = prb.ProblemSpec(
         name="scaled", tagging=p.tagging, material=p.material,
@@ -207,19 +224,20 @@ def test_positive_homogeneity(solved71, alpha):
         chi=lambda q: alpha * p.chi(q), dirichlet=prb.ZERO)
     system = fem.assemble(state.dofmap, scaled)
     u = alpha * state.solution.u
-    den = dens.compute_density(system.F - system.K @ u,
-                               dens.build_trace_mesh(state.dofmap, scaled))
-    rep = est.estimate(state.dofmap, state.patches, scaled, u, den)
-    assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12)
-    assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12)
-    assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12)
-    assert np.allclose(rep.indicator, alpha * base.indicator, rtol=1e-12)
+    residual = system.F - system.K @ u
+    sol = dataclasses.replace(state.solution, u=u, residual=residual)
+    den = dens.compute_density(residual, dens.build_trace_mesh(state.dofmap, scaled))
+    rep = est.estimate(state.dofmap, state.patches, scaled, sol, den)
+    assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12, atol=0.0)
+    assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12, atol=0.0)
+    assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12, atol=0.0)
+    assert np.allclose(rep.indicator, alpha * base.indicator, rtol=1e-12, atol=0.0)
 
 
 def test_estimate_deterministic(solved71):
     state = solved71
     args = (state.dofmap, state.patches, state.problem,
-            state.solution.u, state.density)
+            state.solution, state.density)
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
     assert (a.indicator == b.indicator).all()
@@ -248,7 +266,7 @@ def test_patch_maxima_match_per_node_oracle():
     Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, res.trace_mesh))
     pen, gap = (dict(zip(con_ids, v))
                 for v in est._consistency_per_edge(dofmap, problem, u, res.trace_mesh))
-    lam_region = lambda_region(mesh, dens.compute_density(res.solution.residual, res.trace_mesh))
+    lam_region = lambda_region(mesh, res.trace_mesh, res.solution.active)
     tag = dict(zip(mesh.boundary_edge_ids, mesh.boundary_tags))
 
     def sup(vals, ids):
@@ -288,10 +306,12 @@ def test_patch_maxima_match_per_node_oracle():
 
 def test_contact_quantities_match_per_edge_oracle():
     """Hat weights, node-edge incidences, node classes and the consistency
-    sups equal a loop that visits one contact edge at a time."""
+    sups equal a loop that visits one contact edge at a time; a node's class
+    comes from the solver's active set."""
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
     mesh, dofmap, u, trace = res.mesh, res.dofmap, res.solution.u, res.trace_mesh
+    active = res.solution.active
     chi_p = problem.chi(dofmap.coords[trace.nodes])
     comp, sgn = 0, 1.0                        # contact on x = 1, n = (1, 0)
     ncon, nc = trace.nodes.size, trace.edge_ids.size
@@ -315,15 +335,14 @@ def test_contact_quantities_match_per_edge_oracle():
                 cands.append((a * s + b) * s + v0)
         return min(cands), max(cands)
 
-    gmax = np.abs(chi_p).max()
-    tol = 1e-9 * (1.0 + gmax)
     edge_active, edge_sup = np.zeros(nc, dtype=bool), np.zeros(nc)
     pen, gap = np.zeros(nc), np.zeros(nc)
     for k in range(nc):
         nodes = trace.nodes[trace.edge_pos[k]]
         un = sgn * u[2 * nodes + comp]
-        dev = un - chi_p[np.searchsorted(trace.nodes, nodes)]
-        edge_active[k] = np.all(np.abs(dev) <= tol)
+        pos = np.searchsorted(trace.nodes, nodes)
+        dev = un - chi_p[pos]
+        edge_active[k] = active[pos].all()
         lo, hi = quadratic_range(*dev)
         edge_sup[k] = max(abs(lo), abs(hi))
 
@@ -343,10 +362,9 @@ def test_contact_quantities_match_per_edge_oracle():
         gap[k] = max(np.max(-diff), 0.0) + 0.0
 
     classes, selected = np.empty(ncon, dtype="<U4"), np.empty(ncon, dtype=np.int64)
-    for i, p in enumerate(trace.nodes):
+    for i in range(ncon):
         adj = np.array(edges_of[i])
-        touching = abs(sgn * u[2 * p + comp] - chi_p[i]) <= tol
-        if touching:
+        if active[i]:
             classes[i] = dens.FULL_CONTACT if edge_active[adj].all() else dens.SEMI_CONTACT
         else:
             classes[i] = dens.NO_CONTACT
@@ -356,7 +374,7 @@ def test_contact_quantities_match_per_edge_oracle():
     assert (node_edges[:, 0] < node_edges[:, 1]).any() and (gap > 0).any()
     assert np.array_equal(trace.weight, weight)
     assert np.array_equal(qd.node_entries(trace) // 3, node_edges)
-    got_classes = dens.classify_nodes(u, trace)
+    got_classes = dens.classify_nodes(active, trace)
     got_selected = qd.selected_entries(u, trace)
     assert np.array_equal(got_classes, classes)
     assert np.array_equal(got_selected // 3, selected)

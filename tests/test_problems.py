@@ -1,9 +1,11 @@
 import dataclasses
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
+import sympy
 
 import signorini.adaptive as ad
 import signorini.density as dens
@@ -39,6 +41,67 @@ def test_manufactured_self_check_catches_perturbed_data():
         p, g=lambda pts: p.g(pts) + 1e-6 * (pts[:, :1] < 0.5))
     with pytest.raises(AssertionError, match=r"traction data inconsistent on x=0\.0"):
         prb.verify_manufactured(shifted_g)
+
+
+# ex71's closed-form f and g must match the symbolic derivation to this
+# error relative to 1 + max |value|; measured: 1.4e-14 absolute on f (max
+# |f| 63) and 8.9e-16 on g (max |g| 5.4), about 2e-16 relative
+SYMBOLIC_RTOL = 1e-13
+
+
+@functools.lru_cache
+def ex71_symbolic_fields():
+    """ex71's exact u, f = -div sigma(u) and the tractions sigma(u) n on the
+    Neumann sides x = 1 (n = (1, 0)) and x = 0 (n = (-1, 0)), derived by
+    sympy from u and the material, as functions of (n, 2) points."""
+    x, y = sympy.symbols("x y", real=True)
+    u = sympy.Matrix([y ** 2 * (y - 1), sympy.exp(y) * (y - y ** 2) * (x - 2)])
+    mat = prb.bottom_contact_benchmark().material
+    grad = u.jacobian([x, y])
+    eps = (grad + grad.T) / 2
+    sigma = 2 * mat.mu * eps + mat.lam * eps.trace() * sympy.eye(2)
+    f = -sympy.Matrix([sigma[i, 0].diff(x) + sigma[i, 1].diff(y) for i in range(2)])
+    fields = {"u": u, "f": f, "g on x=1": sigma * sympy.Matrix([1, 0]),
+              "g on x=0": sigma * sympy.Matrix([-1, 0])}
+
+    def at_points(expr):
+        func = sympy.lambdify((x, y), list(expr), "numpy")
+        return lambda pts: np.column_stack(np.broadcast_arrays(*func(pts[:, 0], pts[:, 1])))
+
+    return {name: at_points(expr) for name, expr in fields.items()}
+
+
+def symbolic_errors(problem):
+    """Max |closed form - symbolic| / (1 + max |symbolic|) of u and f at
+    1,000 random points of the square, and of g at 1,000 random points of
+    each Neumann side."""
+    rng = np.random.default_rng(0)
+    inside = rng.uniform(0.0, 1.0, (1000, 2))
+    points = {"u": inside, "f": inside}
+    for x0 in (1, 0):
+        points[f"g on x={x0}"] = np.column_stack([np.full(1000, float(x0)),
+                                                  rng.uniform(0.0, 1.0, 1000)])
+    closed = {"u": problem.exact, "f": problem.f, "g on x=1": problem.g, "g on x=0": problem.g}
+    errors = {}
+    for name, field in ex71_symbolic_fields().items():
+        want = field(points[name])
+        errors[name] = np.abs(closed[name](points[name]) - want).max() / (1 + np.abs(want).max())
+    return errors
+
+
+def test_ex71_data_match_the_symbolic_derivation():
+    errors = symbolic_errors(prb.bottom_contact_benchmark())
+    assert max(errors.values()) <= SYMBOLIC_RTOL, errors
+
+
+def test_symbolic_check_catches_perturbed_data():
+    p = prb.bottom_contact_benchmark()
+    shifted_f = symbolic_errors(dataclasses.replace(p, f=lambda pts: p.f(pts) + 1e-6))
+    assert shifted_f["f"] > SYMBOLIC_RTOL
+    # perturbed on the left edge only: the check covers both Neumann edges
+    shifted_g = symbolic_errors(dataclasses.replace(
+        p, g=lambda pts: p.g(pts) + 1e-6 * (pts[:, :1] < 0.5)))
+    assert shifted_g["g on x=0"] > SYMBOLIC_RTOL >= shifted_g["g on x=1"]
 
 
 def test_wedge_gap_values():

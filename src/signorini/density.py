@@ -92,7 +92,6 @@ def build_trace_mesh(dofmap, problem):
     edge_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
     if edge_ids.size == 0:
         raise ValueError("mesh has no contact boundary")
-    edge_ids = np.sort(edge_ids)
     lengths = mesh.edge_lengths[edge_ids]
     edge_nodes = mesh.edge_node_triples[edge_ids]
 

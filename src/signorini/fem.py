@@ -155,11 +155,11 @@ class DofMap:
     """Node enumeration and boundary classification for one mesh.
 
     Nodes 0..nv-1 are the vertices, node nv+e is the midpoint of edge e.
-    ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node.  A boundary
-    midpoint takes its edge's tag.  A boundary vertex takes the tags of its
-    edges in one precedence pass, Neumann, then contact, then Dirichlet, each
-    overwriting the last, so Dirichlet and contact win over Neumann
-    (Dirichlet and contact never meet, which the mesh enforces).
+    ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node, from the mesh's
+    boundary tags (its rule at the boundary-edge midpoints).  A boundary
+    midpoint takes its edge's tag, a boundary vertex those of its edges in
+    one pass, Neumann, then contact, then Dirichlet, each overwriting the
+    last (Dirichlet and contact never meet, which the mesh enforces).
     """
 
     mesh: msh.Mesh

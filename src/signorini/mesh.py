@@ -4,10 +4,12 @@ A mesh is immutable; ``refine`` returns a new one.  Each triangle stores its
 bisection peak as the first vertex, so the refinement edge is the edge
 opposite to it.  Marked refinement uses newest-vertex bisection with closure,
 which keeps the minimum angle bounded over arbitrarily many refinements.
+The boundary is the edges with one triangle, tagged by the problem's rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,30 +35,42 @@ class MeshError(ValueError):
 class Mesh:
     """Conforming triangulation of a polygonal domain.
 
-    vertices        (nv, 2) coordinates
-    triangles       (nt, 3) vertex indices, positively oriented; the edge
-                    opposite the first vertex is the refinement edge
-    boundary_edges  (nb, 2) vertex pairs covering the whole boundary
-    boundary_tags   (nb,)   one of "D", "N", "C" per boundary edge
-    levels          (nt,)   bisection generation of each triangle
+    vertices   (nv, 2) coordinates
+    triangles  (nt, 3) vertex indices, positively oriented; the edge
+               opposite the first vertex is the refinement edge
+    tagging    rule mapping the (nb, 2) midpoints of the edges with one
+               triangle to (nb,) tags "D", "N" or "C"; it runs on construction
+    levels     (nt,) bisection generation of each triangle
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
+    tagging: Callable
     levels: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
-        object.__setattr__(self, "boundary_edges", np.asarray(self.boundary_edges, dtype=np.int64))
-        object.__setattr__(self, "boundary_tags", np.asarray(self.boundary_tags, dtype="<U1"))
-        if self.levels is None:
-            object.__setattr__(self, "levels", np.zeros(len(self.triangles), dtype=np.int64))
-        else:
-            object.__setattr__(self, "levels", np.asarray(self.levels, dtype=np.int64))
-        self._validate()
+        levels = np.zeros(len(self.triangles)) if self.levels is None else self.levels
+        object.__setattr__(self, "levels", np.asarray(levels, dtype=np.int64))
+        for name, arr, cols in (("vertices", self.vertices, 2), ("triangles", self.triangles, 3)):
+            if arr.ndim != 2 or arr.shape[1] != cols:
+                raise MeshError(f"{name} has shape {arr.shape}, expected (n, {cols})")
+        bad = (self.triangles < 0) | (self.triangles >= self.num_vertices)
+        if bad.any():
+            raise MeshError(f"triangles holds vertex id {self.triangles[bad][0]}, outside "
+                            f"0..{self.num_vertices - 1}")
+        if self.levels.shape != (self.num_triangles,):
+            raise MeshError(f"levels has shape {self.levels.shape}, but the mesh has "
+                            f"{self.num_triangles} triangles")
+        if self.triangles.size and self.areas.min() <= 0.0:
+            bad = int(np.argmin(self.areas))
+            raise MeshError(f"triangle {bad} has non-positive area {self.areas[bad]}")
+        # closures of the Dirichlet and contact boundaries must not intersect
+        d_verts = self.boundary_edges[self.boundary_tags == DIRICHLET]
+        c_verts = self.boundary_edges[self.boundary_tags == CONTACT]
+        if np.intersect1d(d_verts, c_verts).size:
+            raise MeshError("Dirichlet and contact boundary closures intersect")
 
     # -- derived connectivity -------------------------------------------------
 
@@ -68,11 +82,6 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
-    def _edge_key(self, pairs):
-        """(k, 2) vertex pairs sorted per row, and their keys min * nv + max."""
-        pairs = np.sort(pairs, axis=1)
-        return pairs, pairs[:, 0] * self.num_vertices + pairs[:, 1]
-
     @cached_property
     def _edge_table(self):
         """Edges, triangle-edge ids, edge-triangle adjacency and edge corners
@@ -80,7 +89,8 @@ class Mesh:
         keys is one edge, and its 1 or 2 entries are its triangles in
         ascending order."""
         ends = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        pairs, key = self._edge_key(ends)
+        pairs = np.sort(ends, axis=1)
+        key = pairs[:, 0] * self.num_vertices + pairs[:, 1]
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         first = np.ones(key.size, dtype=bool)
@@ -123,14 +133,24 @@ class Mesh:
 
     @cached_property
     def boundary_edge_ids(self):
-        """(nb,) index into ``edges`` of each tagged boundary edge."""
-        pairs, key = self._edge_key(self.boundary_edges)
-        ids = np.searchsorted(self.edges[:, 0] * self.num_vertices + self.edges[:, 1], key)
-        ids = np.minimum(ids, len(self.edges) - 1)
-        missing = ~(self.edges[ids] == pairs).all(axis=1)
-        if missing.any():
-            raise MeshError(f"boundary edge {tuple(pairs[np.argmax(missing)])} not found in mesh")
-        return ids
+        """(nb,) ascending ids in ``edges`` of the edges with one triangle."""
+        return np.flatnonzero(self.edge_tris[:, 1] < 0)
+
+    @property
+    def boundary_edges(self):
+        """(nb, 2) vertex pairs (min, max) of the boundary edges."""
+        return self.edges[self.boundary_edge_ids]
+
+    @cached_property
+    def boundary_tags(self):
+        """(nb,) tag of each boundary edge: the rule ``tagging`` at its midpoint."""
+        tags = np.asarray(self.tagging(self.vertices[self.boundary_edges].mean(axis=1)))
+        if tags.shape != self.boundary_edge_ids.shape:
+            raise MeshError(f"boundary_tags has shape {tags.shape} from the tagging rule, "
+                            f"but the mesh has {self.boundary_edge_ids.size} boundary edges")
+        if not np.isin(tags, TAGS).all():
+            raise MeshError(f"unknown boundary tag from the tagging rule in {np.unique(tags)}")
+        return tags.astype("<U1")
 
     @cached_property
     def element_nodes(self):
@@ -192,37 +212,6 @@ class Mesh:
         n = np.column_stack([tang[:, 1], -tang[:, 0]])
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
-    # -- checks ---------------------------------------------------------------
-
-    def _validate(self):
-        for name, arr, cols in (("vertices", self.vertices, 2), ("triangles", self.triangles, 3),
-                                ("boundary_edges", self.boundary_edges, 2)):
-            if arr.ndim != 2 or arr.shape[1] != cols:
-                raise MeshError(f"{name} has shape {arr.shape}, expected (n, {cols})")
-        for name, ids in (("triangles", self.triangles), ("boundary_edges", self.boundary_edges)):
-            bad = (ids < 0) | (ids >= self.num_vertices)
-            if bad.any():
-                raise MeshError(f"{name} holds vertex id {ids[bad][0]}, outside "
-                                f"0..{self.num_vertices - 1}")
-        for name, arr, n, what in (
-                ("levels", self.levels, self.num_triangles, "triangles"),
-                ("boundary_tags", self.boundary_tags, len(self.boundary_edges), "boundary edges")):
-            if arr.shape != (n,):
-                raise MeshError(f"{name} has shape {arr.shape}, but the mesh has {n} {what}")
-        if self.triangles.size and self.areas.min() <= 0.0:
-            bad = int(np.argmin(self.areas))
-            raise MeshError(f"triangle {bad} has non-positive area {self.areas[bad]}")
-        derived = np.flatnonzero(self.edge_tris[:, 1] < 0)
-        if not np.array_equal(np.unique(self.boundary_edge_ids), derived):
-            raise MeshError("tagged boundary edges do not match topological boundary")
-        if not np.isin(self.boundary_tags, TAGS).all():
-            raise MeshError(f"unknown boundary tag in {np.unique(self.boundary_tags)}")
-        # closures of the Dirichlet and contact boundaries must not intersect
-        d_verts = self.boundary_edges[self.boundary_tags == DIRICHLET]
-        c_verts = self.boundary_edges[self.boundary_tags == CONTACT]
-        if np.intersect1d(d_verts, c_verts).size:
-            raise MeshError("Dirichlet and contact boundary closures intersect")
-
 
 # -- structured generation ----------------------------------------------------
 
@@ -245,9 +234,8 @@ def generate_unit_square(n, tagging):
     the bisection peak, so the refinement edge is the hypotenuse and newest
     vertex bisection reproduces the 45-degree minimum angle exactly.
     Vertices run row by row from y=0; each cell, row by row, gives its
-    lower-right then its upper-left triangle.  Boundary edges list bottom
-    and top interleaved, then left and right interleaved.  ``tagging`` maps
-    the (nb, 2) boundary-edge midpoints to (nb,) tag characters.
+    lower-right then its upper-left triangle.  ``tagging`` is the boundary
+    rule (see ``Mesh``) of this mesh and of every mesh refined from it.
     """
     if n < 1:
         raise ValueError(f"subdivision count must be >= 1, got {n}")
@@ -257,14 +245,7 @@ def generate_unit_square(n, tagging):
     v00, v10, v01, v11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
     # lower-right (v10, v11, v00) with its peak at the right angle, upper-left (v01, v00, v11)
     tris = np.stack([v10, v11, v00, v01, v00, v11], axis=-1).reshape(-1, 3)
-
-    def sides(grid):
-        """Edges along the first and last column of ``grid``, interleaved."""
-        ends = grid[:, [0, n]]
-        return np.stack([ends[:-1], ends[1:]], axis=-1).reshape(-1, 2)
-
-    b_edges = np.vstack([sides(ids.T), sides(ids)])
-    return Mesh(vertices, tris, b_edges, tagging(vertices[b_edges].mean(axis=1)))
+    return Mesh(vertices, tris, tagging)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -273,8 +254,9 @@ def refine(mesh, marked):
     """Bisect every marked triangle; closure restores conformity.
 
     ``marked`` holds integer triangle indices; a boolean mask is an error.
-    Children inherit boundary tags from their ancestor edges and carry
-    level = parent level + number of bisections.
+    Children carry level = parent level + number of bisections.  The child
+    tags its boundary with ``mesh.tagging``, so a rule that changes inside a
+    side is followed at every level instead of inherited from coarse edges.
     """
     marked = np.asarray(marked)
     if marked.size == 0:
@@ -295,10 +277,9 @@ def refine(mesh, marked):
             break
         split[tri_edges[need, 0]] = True
 
-    nv = mesh.num_vertices
     split_ids = np.flatnonzero(split)
     mid_of = np.full(mesh.edges.shape[0], -1, dtype=np.int64)
-    mid_of[split_ids] = nv + np.arange(split_ids.size)
+    mid_of[split_ids] = mesh.num_vertices + np.arange(split_ids.size)
     midpoints = mesh.vertices[mesh.edges[split_ids]].mean(axis=1)
     new_vertices = np.vstack([mesh.vertices, midpoints])
 
@@ -326,17 +307,7 @@ def refine(mesh, marked):
         new_tris[start[twice] + 1] = np.column_stack([m, p, q])[twice]
         new_levels[start[twice]] = new_levels[start[twice] + 1] = mesh.levels[twice] + 2
 
-    # a split boundary edge (u, v) becomes (u, m), (m, v) with the same tag
-    b_split = split[mesh.boundary_edge_ids]
-    b_count = 1 + b_split
-    b_first = np.cumsum(b_count) - b_count
-    b_mid = mid_of[mesh.boundary_edge_ids]
-    b_edges = np.empty((b_count.sum(), 2), dtype=np.int64)
-    b_edges[b_first] = mesh.boundary_edges
-    b_edges[b_first[b_split], 1] = b_mid[b_split]
-    b_edges[b_first[b_split] + 1] = np.column_stack([b_mid, mesh.boundary_edges[:, 1]])[b_split]
-    return Mesh(new_vertices, new_tris, b_edges, np.repeat(mesh.boundary_tags, b_count),
-                new_levels)
+    return Mesh(new_vertices, new_tris, mesh.tagging, new_levels)
 
 
 # -- patches ------------------------------------------------------------------

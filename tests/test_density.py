@@ -75,10 +75,14 @@ def test_trace_requires_contact():
 def test_trace_rejects_vertex_on_four_contact_edges():
     # two triangles pinched at vertex 2: a valid mesh whose four contact
     # edges meet there, which the two-column node-edge table cannot hold
+    def tagging(pts):
+        # Neumann on (0, 1) and (3, 4), contact on the four edges at vertex 2
+        x, y = pts.T
+        return np.where((y == 0.0) | (x == 2.0), msh.NEUMANN, msh.CONTACT)
+
     mesh = msh.Mesh([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0)],
-                    [(0, 1, 2), (2, 3, 4)],
-                    [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
-                    ["N", "C", "C", "C", "N", "C"])
+                    [(0, 1, 2), (2, 3, 4)], tagging)
+    assert (mesh.boundary_tags == msh.CONTACT).sum() == 4
     with pytest.raises(ValueError, match="more than two contact edges"):
         trace_of(mesh)
 
@@ -334,6 +338,29 @@ def test_density_csv_touching_nodes_are_the_active_nodes_at_steel_scale(tmp_path
                 (tmp_path / "out" / f"density_{level}.csv").read_text().splitlines()[1:]]
         assert [int(r[0]) for r in rows if r[3] != dens.NO_CONTACT] == nodes
         assert 0 < len(nodes) < len(rows)
+
+
+def test_complementarity_at_steel_scale(tmp_path, monkeypatch):
+    """At every level of the steel problem, lambda_n (gap - u_n) stays within
+    1e-9 max|lambda_n| max|gap|.  ``LevelChecks.comp_scale`` adds 1 to both
+    factors, which at gap 2e-8 makes its bound about 1e8 times looser."""
+    path = tmp_path / "steel.json"
+    path.write_text(json.dumps(STEEL))
+    run_level, seen = ad.run_level, []
+
+    def recording(problem, mesh):
+        out = run_level(problem, mesh)
+        _, sol, density, _, _ = out
+        trace = density.trace
+        comp = density.normal * (trace.gap - trace.normal_part(sol.u))
+        seen.append((comp.max(), np.abs(density.normal).max() * np.abs(trace.gap).max()))
+        return out
+
+    monkeypatch.setattr(ad, "run_level", recording)
+    ad.adapt(prb.get_problem(str(path)), ad.AdaptiveParams(levels=6, n0=4))
+    assert len(seen) == 6
+    for level, (comp_max, scale) in enumerate(seen):
+        assert scale > 0 and comp_max <= 1e-9 * scale, (level, comp_max, scale)
 
 
 def test_node_average_constant_is_one(solved71):

@@ -61,9 +61,15 @@ def test_unit_square_wedge_tagging_contact_on_right():
     assert np.allclose(m.vertices[d][:, :, 0], 0.0)
 
 
+def edge_tags(mesh):
+    """{(min, max) vertex pair: tag} of the boundary edges of ``mesh``."""
+    return {tuple(e): t for e, t in zip(mesh.boundary_edges.tolist(), mesh.boundary_tags)}
+
+
 def _loop_unit_square(n, tagging):
     # the per-cell, per-edge loop generator used to run; the rule is called
-    # on one boundary-edge midpoint at a time
+    # on one boundary-edge midpoint at a time.  Returns the vertices, the
+    # triangles and {(min, max) vertex pair: tag} of the boundary edges
     vertices = np.array([(x, y) for y in np.linspace(0.0, 1.0, n + 1)
                          for x in np.linspace(0.0, 1.0, n + 1)])
 
@@ -84,8 +90,8 @@ def _loop_unit_square(n, tagging):
     for j in range(n):
         b_edges.append((vid(0, j), vid(0, j + 1)))
         b_edges.append((vid(n, j), vid(n, j + 1)))
-    b_tags = [tagging(vertices[[a, b]].mean(axis=0)[None])[0] for a, b in b_edges]
-    return msh.Mesh(vertices, np.array(tris), np.array(b_edges), np.array(b_tags))
+    tags = {(a, b): tagging(vertices[[a, b]].mean(axis=0)[None])[0] for a, b in b_edges}
+    return vertices, np.array(tris), tags
 
 
 def tag_irregular(pts):
@@ -99,10 +105,12 @@ def tag_irregular(pts):
                                      tag_irregular])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
 def test_unit_square_matches_loop_generator(n, tagging):
-    m, ref = msh.generate_unit_square(n, tagging), _loop_unit_square(n, tagging)
-    for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "levels"):
-        a, b = getattr(m, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    m = msh.generate_unit_square(n, tagging)
+    vertices, tris, tags = _loop_unit_square(n, tagging)
+    for a, b in ((m.vertices, vertices), (m.triangles, tris)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(m.levels, np.zeros(2 * n * n, dtype=np.int64))
+    assert edge_tags(m) == tags
 
 
 def test_generate_rejects_zero():
@@ -167,7 +175,8 @@ def test_inv_jac_matches_linalg_inverse():
 
 def _loop_refine_children(mesh, marked):
     # the per-triangle, per-boundary-edge loop refine used to run, with the
-    # same closure; returns triangles, levels, boundary edges and tags
+    # same closure and boundary tags inherited from the parent edge; returns
+    # triangles, levels and {(min, max) vertex pair: tag} of the boundary edges
     marked = np.unique(np.asarray(marked, dtype=np.int64))
     tri_edges = mesh.tri_edges
     split = np.zeros(mesh.edges.shape[0], dtype=bool)
@@ -199,16 +208,14 @@ def _loop_refine_children(mesh, marked):
             else:
                 new_tris.append(child)
                 new_levels.append(lvl + 1)
-    b_edges, b_tags = [], []
+    tags = {}
     for (u, v), tag, eid in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.boundary_edge_ids):
         if split[eid]:
             m = mid_of[eid]
-            b_edges.extend([(u, m), (m, v)])
-            b_tags.extend([tag, tag])
+            tags[tuple(sorted((u, m)))] = tags[tuple(sorted((m, v)))] = tag
         else:
-            b_edges.append((u, v))
-            b_tags.append(tag)
-    return np.array(new_tris), np.array(new_levels), np.array(b_edges), np.array(b_tags)
+            tags[tuple(sorted((u, v)))] = tag
+    return np.array(new_tris), np.array(new_levels), tags
 
 
 @pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
@@ -220,12 +227,11 @@ def test_refine_keeps_loop_order(tagging):
         marked = (rng.choice(m.num_triangles, m.num_triangles // 5, replace=False),
                   np.arange(k % 3, m.num_triangles, 3),
                   [m.num_triangles - 1])[k % 3]
-        tris, levels, b_edges, b_tags = _loop_refine_children(m, marked)
+        tris, levels, tags = _loop_refine_children(m, marked)
         m = msh.refine(m, marked)
         assert np.array_equal(m.triangles, tris)
         assert np.array_equal(m.levels, levels)
-        assert np.array_equal(m.boundary_edges, b_edges)
-        assert np.array_equal(m.boundary_tags, b_tags)
+        assert edge_tags(m) == tags
     assert m.levels.max() >= 6
 
 
@@ -236,6 +242,26 @@ def mixed_mesh(tagging):
         m = msh.refine(m, np.arange(k % 3, m.num_triangles, 3))
     assert m.levels.max() > m.levels.min()
     return m
+
+
+def test_refined_tags_follow_a_rule_that_changes_inside_a_side():
+    """After mixed bisection under ``tag_irregular``, each boundary edge has
+    the rule's tag at its midpoint, not the tag of its coarse ancestor.  The
+    boundary edges are found here as the edges of one triangle, and the rule
+    is called on one midpoint at a time."""
+    m = mixed_mesh(tag_irregular)
+    count = {}
+    for tri in m.triangles.tolist():
+        for k in range(3):
+            edge = tuple(sorted((tri[k], tri[(k + 1) % 3])))
+            count[edge] = count.get(edge, 0) + 1
+    rule = {e: tag_irregular(m.vertices[list(e)].mean(axis=0)[None])[0]
+            for e, c in count.items() if c == 1}
+    assert edge_tags(m) == rule
+    # the one coarse contact edge is [1/3, 2/3]: its children have midpoints
+    # 5/12 and 7/12, while the rule also tags edges of (1/6, 1/3) as contact
+    con = m.vertices[m.boundary_edges[m.boundary_tags == msh.CONTACT], 0].mean(axis=1)
+    assert 0.2 < con.min() < 1 / 3 and con.max() < 0.7
 
 
 @pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
@@ -288,18 +314,20 @@ def test_refinement_keeps_invariants_under_random_marks(marks, rounds):
         marks = [3 * k + 1 for k in marks]
     assert np.isclose(m.areas.sum(), 1.0, atol=1e-12)
     assert min_angle(m) >= angle0 - 1e-12
-    # boundary tags are inherited: the bottom stays contact, the top Dirichlet
+    # boundary tags follow the rule: the bottom stays contact, the top Dirichlet
     mids = m.vertices[m.boundary_edges].mean(axis=1)
     assert all(tag == ("C" if my < 1e-9 else "D" if my > 1 - 1e-9 else "N")
                for (mx, my), tag in zip(mids, m.boundary_tags))
 
 
+def all_neumann(pts):
+    return np.full(len(pts), msh.NEUMANN)
+
+
 def test_mesh_rejects_flat_and_inverted_triangle():
-    edges = [(0, 1), (1, 2), (2, 0)]
     for corner in ((0.5, 0.0), (0.0, -1.0)):     # flat, then clockwise
         with pytest.raises(msh.MeshError, match="non-positive area"):
-            msh.Mesh([(0.0, 0.0), (1.0, 0.0), corner], [(0, 1, 2)], edges,
-                     ["D", "N", "N"])
+            msh.Mesh([(0.0, 0.0), (1.0, 0.0), corner], [(0, 1, 2)], all_neumann)
 
 
 def test_dirichlet_contact_closure_overlap_rejected():
@@ -316,27 +344,21 @@ _SQUARE_TRIS = [(0, 1, 2), (0, 2, 3)]
 # three triangles on the edge (0, 1): above, below and above again
 _FAN = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
 _FAN_TRIS = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
-_FAN_EDGES = [(1, 2), (2, 0), (0, 3), (3, 1), (1, 4), (4, 0)]
 
 _BAD_MESHES = {
-    "edge_in_three_triangles": (_FAN, _FAN_TRIS, _FAN_EDGES, "NNNNNN",
-                                "more than two triangles"),
-    "tagged_edge_not_in_mesh": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (1, 3)],
-                                "DNCN", "boundary edge"),
-    "boundary_edge_untagged": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3)],
-                               "DNC", "topological boundary"),
-    "unknown_tag": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                    "DNXN", "unknown boundary tag"),
-    "interior_edge_tagged": (_SQUARE, _SQUARE_TRIS, [(0, 1), (1, 2), (2, 3), (0, 2)],
-                             "DNCN", "topological boundary"),
+    "edge_in_three_triangles": (_FAN, _FAN_TRIS, all_neumann, "more than two triangles"),
+    # the rule names a tag outside "D", "N", "C" on the top side
+    "unknown_tag": (_SQUARE, _SQUARE_TRIS,
+                    lambda pts: np.where(pts[:, 1] > 0.5, "X", msh.NEUMANN),
+                    r"unknown boundary tag from the tagging rule in \['N' 'X'\]"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MESHES))
 def test_mesh_rejects_bad_connectivity(case):
-    vertices, tris, edges, tags, match = _BAD_MESHES[case]
+    vertices, tris, tagging, match = _BAD_MESHES[case]
     with pytest.raises(msh.MeshError, match=match):
-        msh.Mesh(vertices, tris, edges, list(tags))
+        msh.Mesh(vertices, tris, tagging)
 
 
 def test_diameters_are_longest_edges():
@@ -350,9 +372,8 @@ def test_diameters_are_longest_edges():
 
 
 def _with(m, name, value):
-    fields = {"vertices": m.vertices, "triangles": m.triangles,
-              "boundary_edges": m.boundary_edges, name: value}
-    return msh.Mesh(**fields, boundary_tags=m.boundary_tags)
+    fields = {"vertices": m.vertices, "triangles": m.triangles, name: value}
+    return msh.Mesh(**fields, tagging=m.tagging)
 
 
 def _set_corner(m, value):
@@ -368,8 +389,6 @@ _BAD_ARRAYS = {
                            r"triangles holds vertex id -1, outside 0\.\.8"),
     "vertices_one_column": ("vertices", lambda m: m.vertices[:, :1],
                             r"vertices has shape \(9, 1\), expected \(n, 2\)"),
-    "boundary_edges_one_column": ("boundary_edges", lambda m: m.boundary_edges[:, :1],
-                                  r"boundary_edges has shape \(8, 1\), expected \(n, 2\)"),
     "triangles_two_columns": ("triangles", lambda m: m.triangles[:, :2],
                               r"triangles has shape \(8, 2\), expected \(n, 3\)"),
 }
@@ -386,11 +405,15 @@ def test_mesh_rejects_bad_shape_or_vertex_id(case):
 @pytest.mark.parametrize("field, what", [("levels", "8 triangles"),
                                          ("boundary_tags", "8 boundary edges")])
 def test_mesh_rejects_per_item_array_of_wrong_length(field, what):
+    """Levels one short, or a tagging rule that returns one tag too few."""
     m = msh.generate_unit_square(2, msh.tag_bottom_contact)
-    fields = {"levels": m.levels, "boundary_tags": m.boundary_tags}
-    fields[field] = fields[field][:-1]
-    with pytest.raises(msh.MeshError, match=rf"{field} has shape \(7,\), .* {what}$"):
-        msh.Mesh(m.vertices, m.triangles, m.boundary_edges, **fields)
+
+    def one_short(pts):
+        return m.tagging(pts)[:-1]
+
+    levels, tagging = (m.levels[:-1], m.tagging) if field == "levels" else (m.levels, one_short)
+    with pytest.raises(msh.MeshError, match=rf"{field} has shape \(7,\).* {what}$"):
+        msh.Mesh(m.vertices, m.triangles, tagging, levels)
 
 
 # -- patches -------------------------------------------------------------------

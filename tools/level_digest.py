@@ -1,15 +1,18 @@
 """Print one SHA-256 per level of an adaptive run, to compare two checkouts.
 
-    python tools/level_digest.py SRC PROBLEM --levels N --theta T --n0 M
+    python tools/level_digest.py SRC PROBLEM --levels N --theta T --n0 M [--uniform]
 
 imports ``signorini`` from the directory SRC (the ``src`` of a checkout),
 runs ``adapt`` on PROBLEM (``ex71``, ``ex72`` or a JSON problem file) and
-prints ``level ndof sha256`` per level.  A level's hash covers every input
-``splu`` factors (shape, data, indices, indptr), the solution (u, active
-set, PDAS history, residual), the contact density and its record, every
-``EstimatorReport`` field, the ``LevelChecks``, the marked triangles and
-the level's record without its wall time.  Arrays enter with dtype, shape
-and bytes, and numbers exactly, so equal lines mean bit-equal levels.
+prints ``level ndof sha256`` per level; ``--uniform`` refines every
+triangle, as ``signorini solve --uniform`` does.  A level's hash covers the
+node kinds (``DofMap.kind``), the boundary edge ids in ascending order with
+their tags, every input ``splu`` factors (shape, data, indices, indptr), the
+solution (u, active set, PDAS history, residual), the contact density and
+its record, every ``EstimatorReport`` field, the ``LevelChecks``, the
+marked triangles and the level's record without its wall time.  Arrays
+enter with dtype, shape and bytes, and numbers exactly, so equal lines mean
+bit-equal levels.
 
 BLAS runs on one thread unless the environment says otherwise, so two runs
 on one machine see the same round-off.  Nothing in the package imports this
@@ -52,7 +55,7 @@ def feed(h, obj):
         h.update(repr(obj).encode())
 
 
-def level_digests(src, problem_key, levels, theta, n0):
+def level_digests(src, problem_key, levels, theta, n0, uniform):
     """[(ndof, hex digest)] per level of ``adapt`` run from the package in
     ``src``."""
     src = Path(src).resolve()
@@ -73,12 +76,16 @@ def level_digests(src, problem_key, levels, theta, n0):
     def hashed_run_level(problem, mesh):
         hashes.append(hashlib.sha256())
         out = run_level(problem, mesh)
+        # ascending ids, so that a checkout that lists the boundary in
+        # another order hashes the same
+        order = np.argsort(mesh.boundary_edge_ids)
+        feed(hashes[-1], [out[0].kind, mesh.boundary_edge_ids[order], mesh.boundary_tags[order]])
         feed(hashes[-1], list(out[1:]))      # solution, density, report, checks
         return out
 
     ad.run_level, vi.spla.splu = hashed_run_level, hashed_splu
     try:
-        params = ad.AdaptiveParams(levels=levels, theta=theta, n0=n0)
+        params = ad.AdaptiveParams(levels=levels, theta=theta, n0=n0, uniform=uniform)
         result = ad.adapt(prb.get_problem(problem_key), params)
     finally:
         ad.run_level, vi.spla.splu = run_level, splu
@@ -94,9 +101,11 @@ def main():
     parser.add_argument("--levels", type=int, required=True)
     parser.add_argument("--theta", type=float, required=True)
     parser.add_argument("--n0", type=int, required=True)
+    parser.add_argument("--uniform", action="store_true",
+                        help="refine every triangle; theta is then unused")
     args = parser.parse_args()
-    for level, (ndof, digest) in enumerate(
-            level_digests(args.src, args.problem, args.levels, args.theta, args.n0)):
+    for level, (ndof, digest) in enumerate(level_digests(
+            args.src, args.problem, args.levels, args.theta, args.n0, args.uniform)):
         print(level, ndof, digest)
 
 

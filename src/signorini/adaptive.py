@@ -2,7 +2,8 @@
 
 Each level assembles and solves the contact problem, evaluates the pointwise
 estimator, records a trace row (written as ``convergence.csv`` when an output
-directory is given, together with a legacy VTK dump per level and a
+directory is given, together with a legacy VTK dump per level that holds
+the estimator terms per vertex, and a
 ``config.json`` echo of the effective parameters), then refines the triangles
 selected by maximum marking:  mark T whenever its indicator is at least
 theta times the largest indicator.
@@ -217,8 +218,10 @@ def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_t
     multiplier = np.zeros(nv)
     vert = density.trace.nodes < nv
     multiplier[density.trace.nodes[vert]] = density.multiplier[vert]
+    terms = {f"eta_{k + 1}": eta for k, eta in enumerate(report.eta_p[:, :nv])}
     msh.write_vtk(mesh, out / f"level_{level}.vtk",
-                  point_data={"displacement": disp, "multiplier": multiplier},
+                  point_data={"displacement": disp, "multiplier": multiplier, **terms,
+                              "consistency": report.consistency_p[:nv]},
                   cell_data={"indicator": report.indicator,
                              "level": mesh.levels.astype(float)})
     if write_trace:

@@ -19,7 +19,7 @@ edges holding a node of the solver's active set, where m_p > 0, giving
 Sup norms are taken over sample sets that are exact for the polynomial
 degrees involved; on contact edges a closed-form parabola-vertex check
 locates the extremum of the quadratic trace against a locally affine
-obstacle.
+obstacle.  div sigma(u_h) is the gradient of the linear corner stresses.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def estimate(dofmap, patches, problem, sol, density):
     (u and the active set); the contact record is ``density.trace``."""
     mesh, trace, u = dofmap.mesh, density.trace, sol.u
     h_p = patches.diameter
-    S = _element_residual(mesh, problem, u)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
+    S = _element_residual(mesh, problem, sig)
     # sigma(u_h) at both ends of every edge, seen from both sides; side 1 of
     # a boundary edge holds a corner of triangle -1, which no term reads
     end_sig = sig[mesh.edge_tris[:, :, None], mesh.edge_corners]  # (ne, side, end, 2, 2)
@@ -117,11 +117,12 @@ def estimate(dofmap, patches, problem, sol, density):
 
 # -- per-element and per-edge quantities -----------------------------------------
 
-def _element_residual(mesh, problem, u):
+def _element_residual(mesh, problem, sig):
     """Per triangle: the sup of s(u_h) = f + div sigma(u_h) over the triangle
-    sample set."""
+    sample set; div sigma = sum_r (sig_r - sig_0) grad lambda_r is constant
+    for the linear stress with corner values ``sig``."""
     nt = mesh.num_triangles
-    div = fem.divergence_stress(mesh, problem.material, u)
+    div = np.einsum("nrij,nrj->ni", sig[:, 1:] - sig[:, :1], mesh.inv_jac)
     xy = fem.barycentric_to_xy(mesh, fem.TRI_SAMPLE)
     fv = problem.f(xy.reshape(-1, 2)).reshape(nt, fem.TRI_SAMPLE.shape[0], 2)
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))

@@ -23,8 +23,8 @@ with C the elasticity tensor and R the reference tensor of the six P2 basis
 functions.  The table C (x) R is laid out in dof order, so the 78 entries on
 and above the diagonal of all element matrices come from one
 (nt, 16) @ (16, 78) product; the entries below copy them.  Loads, point
-values, gradients and Hessians follow the same pattern: a reference table at
-the sample points times the element coefficients, as ``np.matmul``.
+values and gradients follow the same pattern: a reference table at the
+sample points times the element coefficients, as ``np.matmul``.
 
 K is assembled exactly symmetric, as CSR with sorted int32 indices: one
 sort of the element node pairs gives the pattern, each pair a 2x2 dof block,
@@ -123,18 +123,6 @@ def trace_coefficients(v0, vm, v1):
     return 2 * v0 - 4 * vm + 2 * v1, -3 * v0 + 4 * vm - v1
 
 
-def shape_hessians_ref():
-    """Constant reference Hessians of the six basis functions: (6, 2, 2)."""
-    H = np.empty((6, 2, 2))
-    for k in range(3):
-        H[k] = 4.0 * np.outer(_DL[k], _DL[k])
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        H[3 + k] = 4.0 * (np.outer(_DL[i], _DL[j]) + np.outer(_DL[j], _DL[i]))
-    return H
-
-
-_HESS_REF = shape_hessians_ref().reshape(6, 4)         # rows a, cols (x, y)
 _CORNER_BARY = np.eye(3)
 _GRAD_REF_QP = shape_grads_ref(TRI_QP)                  # (6, 6, 2)
 # R[(x, y), (a, b)] = sum_q w_q d_x phi_a(q) d_y phi_b(q)
@@ -154,7 +142,8 @@ _EDGE_LOAD_REF = EDGE_QW * np.array([(2 * EDGE_QT - 1) * (EDGE_QT - 1),
 class DofMap:
     """Node enumeration and boundary classification for one mesh.
 
-    Nodes 0..nv-1 are the vertices, node nv+e is the midpoint of edge e.
+    Nodes 0..nv-1 are the vertices, node nv+e is the midpoint of edge e;
+    ``coords`` is the mesh's ``node_coords`` array itself.
     ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node, from the mesh's
     boundary tags (its rule at the boundary-edge midpoints).  A boundary
     midpoint takes its edge's tag, a boundary vertex those of its edges in
@@ -168,18 +157,16 @@ class DofMap:
 
     def __post_init__(self):
         m = self.mesh
-        nv = m.num_vertices
-        coords = np.vstack([m.vertices, m.vertices[m.edges].mean(axis=1)])
-        kind = np.full(nv + m.edges.shape[0], "i", dtype="<U1")
+        kind = np.full(m.num_nodes, "i", dtype="<U1")
         for tag in (msh.NEUMANN, msh.CONTACT, msh.DIRICHLET):
             kind[m.boundary_edges[m.boundary_tags == tag]] = tag
-        kind[nv + m.boundary_edge_ids] = m.boundary_tags
-        object.__setattr__(self, "coords", coords)
+        kind[m.num_vertices + m.boundary_edge_ids] = m.boundary_tags
+        object.__setattr__(self, "coords", m.node_coords)
         object.__setattr__(self, "kind", kind)
 
     @property
     def n_nodes(self):
-        return self.coords.shape[0]
+        return self.mesh.num_nodes
 
     @property
     def ndof(self):
@@ -258,7 +245,7 @@ def _stiffness_matrix(mesh, material):
     scipy's block-sparse row format, which lays out the CSR arrays.
     """
     nodes = mesh.element_nodes
-    n_nodes = mesh.num_vertices + mesh.edges.shape[0]
+    n_nodes = mesh.num_nodes
     pairs, pair_of = np.unique(nodes[:, :, None] * n_nodes + nodes[:, None, :],
                                return_inverse=True)
     row, col = np.divmod(pairs, n_nodes)
@@ -359,16 +346,4 @@ def corner_stress(mesh, material, u):
     """
     grads = gradient_at(mesh, u, _CORNER_BARY)
     return stress_from_grad(grads, material)
-
-
-def divergence_stress(mesh, material, u):
-    """div sigma(u_h), constant per element: (nt, 2)."""
-    # reference Hessians of each component, then J^{-T} H J^{-1}: (nt, c, d, g)
-    href = (np.swapaxes(_coefficients(mesh, u), 1, 2) @ _HESS_REF).reshape(-1, 2, 2, 2)
-    inv = mesh.inv_jac[:, None]
-    Hu = np.swapaxes(inv, -1, -2) @ href @ inv
-    mu, lam = material.mu, material.lam
-    lap = Hu[:, :, 0, 0] + Hu[:, :, 1, 1]
-    grad_div = Hu[:, 0, 0, :] + Hu[:, 1, 1, :]
-    return mu * lap + (mu + lam) * grad_div
 

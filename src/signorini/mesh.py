@@ -82,6 +82,10 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
+    @property
+    def num_nodes(self):
+        return self.num_vertices + self.edges.shape[0]
+
     @cached_property
     def _edge_table(self):
         """Edges, triangle-edge ids, edge-triangle adjacency and edge corners
@@ -144,13 +148,19 @@ class Mesh:
     @cached_property
     def boundary_tags(self):
         """(nb,) tag of each boundary edge: the rule ``tagging`` at its midpoint."""
-        tags = np.asarray(self.tagging(self.vertices[self.boundary_edges].mean(axis=1)))
+        mids = self.node_coords[self.num_vertices + self.boundary_edge_ids]
+        tags = np.asarray(self.tagging(mids))
         if tags.shape != self.boundary_edge_ids.shape:
             raise MeshError(f"boundary_tags has shape {tags.shape} from the tagging rule, "
                             f"but the mesh has {self.boundary_edge_ids.size} boundary edges")
         if not np.isin(tags, TAGS).all():
             raise MeshError(f"unknown boundary tag from the tagging rule in {np.unique(tags)}")
         return tags.astype("<U1")
+
+    @cached_property
+    def node_coords(self):
+        """(num_nodes, 2) P2 node coordinates: vertices, then edge e's midpoint as nv + e."""
+        return np.vstack([self.vertices, self.vertices[self.edges].mean(axis=1)])
 
     @cached_property
     def element_nodes(self):
@@ -280,8 +290,7 @@ def refine(mesh, marked):
     split_ids = np.flatnonzero(split)
     mid_of = np.full(mesh.edges.shape[0], -1, dtype=np.int64)
     mid_of[split_ids] = mesh.num_vertices + np.arange(split_ids.size)
-    midpoints = mesh.vertices[mesh.edges[split_ids]].mean(axis=1)
-    new_vertices = np.vstack([mesh.vertices, midpoints])
+    new_vertices = np.vstack([mesh.vertices, mesh.node_coords[mesh.num_vertices + split_ids]])
 
     # Children replace their parent in place, in the order of one bisection
     # of the refinement edge e0: child (m0, c, a) with refinement edge e1,

@@ -133,6 +133,23 @@ def test_vtk_multiplier_is_the_nodal_contact_residual(tmp_path):
     assert not multiplier[np.setdiff1d(np.arange(nv), trace.nodes)].any()
 
 
+def test_vtk_estimator_terms_are_the_report(tmp_path):
+    """The last level's VTK file holds eta_1..eta_5 and the consistency term
+    of the final report at every vertex, bit for bit, after the multiplier."""
+    res = ad.adapt(prb.rigid_wedge_push(), ad.AdaptiveParams(levels=3, n0=3),
+                   out_dir=tmp_path)
+    lines = (tmp_path / "level_2.vtk").read_text().splitlines()
+    nv = res.mesh.num_vertices
+    names = [f"eta_{k}" for k in range(1, 6)] + ["consistency"]
+    heads = [lines.index(f"SCALARS {name} double 1") for name in names]
+    assert lines.index("SCALARS multiplier double 1") < heads[0]
+    assert heads == sorted(heads)
+    columns = np.array([lines[h + 2:h + 2 + nv] for h in heads], dtype=float)
+    want = np.vstack([res.report.eta_p[:, :nv], res.report.consistency_p[:nv]])
+    assert np.array_equal(columns, want)
+    assert (want > 0).any(axis=1).all()
+
+
 def test_error_column_nan_without_exact(tmp_path):
     res = ad.adapt(prb.rigid_wedge_push(), ad.AdaptiveParams(levels=2, n0=2))
     assert np.isnan(res.records[0].err_inf)

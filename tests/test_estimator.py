@@ -254,8 +254,9 @@ def test_patch_maxima_match_per_node_oracle():
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
 
-    S = est._element_residual(mesh, problem, u)
-    end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, problem.material, u))
+    sig = fem.corner_stress(mesh, problem.material, u)
+    S = est._element_residual(mesh, problem, sig)
+    end_sig = edge_end_stress(mesh, sig)
     # per-edge values keyed by mesh edge id, from the arrays aligned with
     # the interior, Neumann and contact edge ids
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -235,18 +236,22 @@ def test_element_residual_known_hessian():
     mat = fem.MaterialLaw(1.0, 1.0)
     u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
                                                        np.zeros(len(p))]))
-    div = fem.divergence_stress(mesh, mat, u)
-    assert np.allclose(div[:, 0], 6.0, atol=1e-11)
-    assert np.abs(div[:, 1]).max() < 1e-11
+    sig = fem.corner_stress(mesh, mat, u)
+    # with f = 0 the residual is |div sigma| = 6; f = (-6, 0) cancels it
+    unloaded = dataclasses.replace(problem, f=prb.ZERO)
+    assert np.allclose(est._element_residual(mesh, unloaded, sig), 6.0, atol=1e-11)
+    balanced = dataclasses.replace(problem, f=lambda p: np.tile([-6.0, 0.0], (len(p), 1)))
+    assert est._element_residual(mesh, balanced, sig).max() < 1e-11
 
 
 def test_element_residual_linear_field_vanishes():
-    problem = prb.bottom_contact_benchmark()
+    problem = dataclasses.replace(prb.bottom_contact_benchmark(), f=prb.ZERO)
     mesh = problem.mesh(2)
     dofmap = fem.DofMap(mesh)
     u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
                                                        p[:, 1]]))
-    assert np.abs(fem.divergence_stress(mesh, problem.material, u)).max() < 1e-12
+    sig = fem.corner_stress(mesh, problem.material, u)
+    assert est._element_residual(mesh, problem, sig).max() < 1e-12
 
 
 def test_element_residual_manufactured_interpolant_small():
@@ -256,11 +261,9 @@ def test_element_residual_manufactured_interpolant_small():
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         u = interpolate(dofmap, problem.exact)
-        # s(u_h) = f + div sigma(u_h) at the degree-4 points of every element
-        div = fem.divergence_stress(mesh, problem.material, u)
-        xy = fem.barycentric_to_xy(mesh, fem.TRI_QP)
-        s = problem.f(xy.reshape(-1, 2)).reshape(xy.shape) + div[:, None, :]
-        norms.append(np.abs(s).max())
+        # s(u_h) = f + div sigma(u_h) over the sample set of every element
+        sig = fem.corner_stress(mesh, problem.material, u)
+        norms.append(est._element_residual(mesh, problem, sig).max())
     # P2 interpolation leaves an O(h) residual of the strong equation
     assert norms[1] < 0.7 * norms[0]
 
@@ -294,6 +297,17 @@ def bisected():
         mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
     u = np.random.default_rng(7).standard_normal(fem.DofMap(mesh).ndof)
     return mesh, u
+
+
+def _loop_hessians_ref():
+    """Constant reference Hessians of the six P2 basis functions: (6, 2, 2)."""
+    dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # barycentric gradients
+    H = np.empty((6, 2, 2))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        H[k] = 4.0 * np.outer(dl[k], dl[k])
+        H[3 + k] = 4.0 * (np.outer(dl[i], dl[j]) + np.outer(dl[j], dl[i]))
+    return H
 
 
 def _loop_inv_jac(mesh, t):
@@ -347,6 +361,7 @@ def test_pointwise_evaluators_match_loops(bisected):
     vals = np.empty((nt, bary.shape[0], 2))
     grads = np.empty((nt, bary.shape[0], 2, 2))
     div = np.empty((nt, 2))
+    hess_ref = _loop_hessians_ref()
     for t in range(nt):
         p = mesh.vertices[mesh.triangles[t]]
         nodes = mesh.element_nodes[t]
@@ -356,7 +371,7 @@ def test_pointwise_evaluators_match_loops(bisected):
             xy[t, q] = lam_q[0] * p[0] + lam_q[1] * p[1] + lam_q[2] * p[2]
             vals[t, q] = fem.shape_values(lam_q) @ coeff
             grads[t, q] = coeff.T @ (fem.shape_grads_ref(lam_q) @ inv)
-        hess = [sum(coeff[a, c] * inv.T @ fem.shape_hessians_ref()[a] @ inv
+        hess = [sum(coeff[a, c] * inv.T @ hess_ref[a] @ inv
                     for a in range(6)) for c in range(2)]
         lap = np.array([np.trace(hess[c]) for c in range(2)])
         grad_div = hess[0][0] + hess[1][1]
@@ -364,7 +379,13 @@ def test_pointwise_evaluators_match_loops(bisected):
     assert _relative(fem.barycentric_to_xy(mesh, bary), xy) <= 1e-14
     assert _relative(fem.displacement_at(mesh, u, bary), vals) <= 1e-14
     assert _relative(fem.gradient_at(mesh, u, bary), grads) <= 1e-14
-    assert _relative(fem.divergence_stress(mesh, material, u), div) <= 1e-14
+    # f = -div at every sample point of triangle t, so the element residual
+    # from the corner stresses is the difference of the two divergences
+    npts = fem.TRI_SAMPLE.shape[0]
+    cancel = dataclasses.replace(prb.bottom_contact_benchmark(),
+                                 f=lambda p: -np.repeat(div, npts, axis=0))
+    diff = est._element_residual(mesh, cancel, fem.corner_stress(mesh, material, u))
+    assert diff.max() / np.abs(div).max() <= 1e-14
 
 
 # -- array-form CSR assembly against a COO reference ------------------------------

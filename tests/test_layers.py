@@ -128,8 +128,6 @@ READ_OUTSIDE_CLASSES = {"adaptive.LevelChecks", "adaptive.AdaptiveResult"}
 READ_OUTSIDE_FIELDS = {
     "adaptive.LevelRecord.checks",            # the benchmark worker dumps them per level
     "vi.VISolution.iterations",               # the benchmark tracer sums them
-    "estimator.EstimatorReport.eta_p",        # per-term VTK fields, ROADMAP item 7
-    "estimator.EstimatorReport.consistency_p",  # likewise
 }
 
 

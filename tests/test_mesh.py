@@ -302,6 +302,29 @@ def test_edge_points_give_ends_and_midpoints(tagging):
     assert np.array_equal(fem.DofMap(m).coords[m.edge_node_triples[ids]], pts)
 
 
+@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
+def test_node_table_is_the_one_midpoint_source(tagging):
+    """Node nv + e of ``Mesh.node_coords`` is the midpoint of edge e bit for
+    bit, the dof map's coordinates are that array, and a mixed ``refine``
+    takes each new vertex from the parent's row of its split edge."""
+    m = mixed_mesh(tagging)
+    nv = m.num_vertices
+    assert m.num_nodes == nv + m.edges.shape[0] == m.node_coords.shape[0]
+    assert np.array_equal(m.node_coords[:nv], m.vertices)
+    ends = m.vertices[m.edges]
+    assert np.array_equal(m.node_coords[nv:], (ends[:, 0] + ends[:, 1]) / 2)
+    assert fem.DofMap(m).coords is m.node_coords
+    marked = np.arange(1, m.num_triangles, 5)
+    child = msh.refine(m, marked)
+    assert np.array_equal(child.vertices[:nv], m.vertices)
+    # midpoints of distinct edges are distinct, so a row names its edge
+    edge_of = {tuple(p): e for e, p in enumerate(m.node_coords[nv:].tolist())}
+    split = [edge_of[tuple(p)] for p in child.vertices[nv:].tolist()]
+    assert split == sorted(set(split))
+    assert set(m.tri_edges[marked, 0]) <= set(split) and len(split) > marked.size
+    assert np.array_equal(child.vertices[nv:], m.node_coords[nv + np.array(split)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=0, max_size=12),
        st.integers(min_value=1, max_value=3))

@@ -1,18 +1,30 @@
-"""Print one SHA-256 per level of an adaptive run, to compare two checkouts.
+"""Print SHA-256 digests per level of an adaptive run, to compare two checkouts.
 
     python tools/level_digest.py SRC PROBLEM --levels N --theta T --n0 M [--uniform]
 
 imports ``signorini`` from the directory SRC (the ``src`` of a checkout),
 runs ``adapt`` on PROBLEM (``ex71``, ``ex72`` or a JSON problem file) and
-prints ``level ndof sha256`` per level; ``--uniform`` refines every
-triangle, as ``signorini solve --uniform`` does.  A level's hash covers the
-node kinds (``DofMap.kind``), the boundary edge ids in ascending order with
-their tags, every input ``splu`` factors (shape, data, indices, indptr), the
-solution (u, active set, PDAS history, residual), the contact density and
-its record, every ``EstimatorReport`` field, the ``LevelChecks``, the
-marked triangles and the level's record without its wall time.  Arrays
-enter with dtype, shape and bytes, and numbers exactly, so equal lines mean
-bit-equal levels.
+prints one line per level,
+
+    level ndof sha256 mesh=H solve=H estimate=H marked=H
+
+``--uniform`` refines every triangle, as ``signorini solve --uniform`` does.
+The full sha256 covers the whole level; each H is the first 12 hex digits of
+the SHA-256 of one part of it:
+
+    mesh      the node kinds (``DofMap.kind``), the boundary edge ids in
+              ascending order with their tags, the node coordinates and the
+              triangles
+    solve     every input ``splu`` factors (shape, data, indices, indptr),
+              the solution (u, active set, PDAS history, residual), the
+              contact density and its record
+    estimate  every ``EstimatorReport`` field, the ``LevelChecks`` and the
+              level's record without its wall time and marked triangles
+    marked    the marked triangles
+
+Arrays enter with dtype, shape and bytes, and numbers exactly, so equal
+lines mean bit-equal levels, and a change that only moves the estimator in
+round-off leaves the mesh, solve and marked hashes equal.
 
 BLAS runs on one thread unless the environment says otherwise, so two runs
 on one machine see the same round-off.  Nothing in the package imports this
@@ -55,8 +67,27 @@ def feed(h, obj):
         h.update(repr(obj).encode())
 
 
+PARTS = ("mesh", "solve", "estimate", "marked")
+
+
+class LevelHash:
+    """The full SHA-256 of one level and one SHA-256 per part of it."""
+
+    def __init__(self):
+        self.full = hashlib.sha256()
+        self.parts = {name: hashlib.sha256() for name in PARTS}
+
+    def add(self, part, obj):
+        feed(self.full, obj)
+        feed(self.parts[part], obj)
+
+    def line(self):
+        return " ".join([self.full.hexdigest()] + [
+            f"{name}={h.hexdigest()[:12]}" for name, h in self.parts.items()])
+
+
 def level_digests(src, problem_key, levels, theta, n0, uniform):
-    """[(ndof, hex digest)] per level of ``adapt`` run from the package in
+    """[(ndof, digest line)] per level of ``adapt`` run from the package in
     ``src``."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
@@ -70,17 +101,20 @@ def level_digests(src, problem_key, levels, theta, n0, uniform):
     run_level, splu = ad.run_level, vi.spla.splu
 
     def hashed_splu(A, *args, **kwargs):
-        feed(hashes[-1], [A.shape, A.data, A.indices, A.indptr])
+        hashes[-1].add("solve", [A.shape, A.data, A.indices, A.indptr])
         return splu(A, *args, **kwargs)
 
     def hashed_run_level(problem, mesh):
-        hashes.append(hashlib.sha256())
+        hashes.append(LevelHash())
         out = run_level(problem, mesh)
+        dofmap, sol, density, report, checks = out
         # ascending ids, so that a checkout that lists the boundary in
         # another order hashes the same
         order = np.argsort(mesh.boundary_edge_ids)
-        feed(hashes[-1], [out[0].kind, mesh.boundary_edge_ids[order], mesh.boundary_tags[order]])
-        feed(hashes[-1], list(out[1:]))      # solution, density, report, checks
+        hashes[-1].add("mesh", [dofmap.kind, mesh.boundary_edge_ids[order],
+                                mesh.boundary_tags[order], dofmap.coords, mesh.triangles])
+        hashes[-1].add("solve", [sol, density])
+        hashes[-1].add("estimate", [report, checks])
         return out
 
     ad.run_level, vi.spla.splu = hashed_run_level, hashed_splu
@@ -90,8 +124,10 @@ def level_digests(src, problem_key, levels, theta, n0, uniform):
     finally:
         ad.run_level, vi.spla.splu = run_level, splu
     for h, rec in zip(hashes, result.records):
-        feed(h, [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.name != "seconds"])
-    return [(rec.ndof, h.hexdigest()) for h, rec in zip(hashes, result.records)]
+        h.add("estimate", [getattr(rec, f.name) for f in dataclasses.fields(rec)
+                           if f.name not in ("seconds", "marked")])
+        h.add("marked", rec.marked)
+    return [(rec.ndof, h.line()) for h, rec in zip(hashes, result.records)]
 
 
 def main():
@@ -104,9 +140,9 @@ def main():
     parser.add_argument("--uniform", action="store_true",
                         help="refine every triangle; theta is then unused")
     args = parser.parse_args()
-    for level, (ndof, digest) in enumerate(level_digests(
+    for level, (ndof, line) in enumerate(level_digests(
             args.src, args.problem, args.levels, args.theta, args.n0, args.uniform)):
-        print(level, ndof, digest)
+        print(level, ndof, line)
 
 
 if __name__ == "__main__":

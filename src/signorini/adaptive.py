@@ -12,6 +12,7 @@ theta times the largest indicator.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -27,6 +28,9 @@ from . import vi
 
 CSV_HEADER = ("level,ndof,hmin,lh,eta1,eta2,eta3,eta4,eta5,eta6,eta7,"
               "psi,eta_h,err_inf,eff_index,active_nodes,seconds")
+# the files a run writes into its output directory
+_RUN_FILE = re.compile(r"config\.json|convergence\.csv|pdas_trace\.csv|"
+                      r"level_\d+\.vtk|density_\d+\.csv")
 
 
 @dataclass
@@ -147,12 +151,22 @@ def run_level(problem, mesh):
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
     system = fem.assemble(dofmap, problem)
-    trace_mesh = dens.build_trace_mesh(dofmap, problem)
+    trace_mesh = dens.build_trace_mesh(mesh, problem)
     sol = vi.solve_vi(system, trace_mesh)
     density = dens.compute_density(sol.residual, trace_mesh)
     report = est.estimate(dofmap, patches, problem, sol, density)
     checks = _level_checks(system, sol, density)
     return dofmap, sol, density, report, checks
+
+
+def check_out_dir(out_dir):
+    """Refuse a directory that already holds a file a run writes, so that
+    the files of two runs never mix; nothing is deleted."""
+    out = Path(out_dir)
+    taken = sorted(p.name for p in out.glob("*") if _RUN_FILE.fullmatch(p.name))
+    if taken:
+        raise FileExistsError(f"output directory {out} already holds {taken[0]} "
+                              "from an earlier run; give a new or empty directory")
 
 
 def adapt(problem, params, out_dir=None, write_trace=False):
@@ -162,6 +176,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     csv_lines = [CSV_HEADER]
     pdas_lines = ["level,iteration,active_size,residual_norm"]
     if out is not None:
+        check_out_dir(out)
         out.mkdir(parents=True, exist_ok=True)
         cfg = {"problem": problem.name, **asdict(params)}
         (out / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
@@ -171,6 +186,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     for level in range(params.levels):
         if level:
             mesh = msh.refine(mesh, records[-1].marked)
+            del dofmap, sol, density, report   # not held while the next level factors
         tic = time.perf_counter()
         try:
             dofmap, sol, density, report, checks = run_level(problem, mesh)
@@ -184,7 +200,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
         seconds = time.perf_counter() - tic
-        ndof = dofmap.ndof - 2 * dofmap.dirichlet_nodes.size
+        ndof = 2 * (mesh.num_nodes - dofmap.dirichlet_nodes.size)
         rec = LevelRecord(
             level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
             eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,
@@ -203,8 +219,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
 
         csv_lines.append(rec.csv_row())
         if out is not None:
-            _write_level_outputs(out, level, mesh, dofmap, sol, report, density,
-                                 write_trace)
+            _write_level_outputs(out, level, mesh, sol, report, density, write_trace)
             (out / "convergence.csv").write_text("\n".join(csv_lines) + "\n")
             if write_trace:
                 (out / "pdas_trace.csv").write_text("\n".join(pdas_lines) + "\n")
@@ -212,7 +227,7 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     return AdaptiveResult(problem, records, mesh, dofmap, sol, report, density.trace)
 
 
-def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_trace):
+def _write_level_outputs(out, level, mesh, sol, report, density, write_trace):
     nv = mesh.num_vertices
     disp = np.column_stack([sol.u[0:2 * nv:2], sol.u[1:2 * nv:2]])
     multiplier = np.zeros(nv)
@@ -225,4 +240,4 @@ def _write_level_outputs(out, level, mesh, dofmap, sol, report, density, write_t
                   cell_data={"indicator": report.indicator,
                              "level": mesh.levels.astype(float)})
     if write_trace:
-        dens.write_density_csv(out / f"density_{level}.csv", dofmap, density, sol.active)
+        dens.write_density_csv(out / f"density_{level}.csv", mesh, density, sol.active)

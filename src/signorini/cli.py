@@ -42,7 +42,8 @@ def main(argv=None):
     try:
         params.validate()
         problem = prb.get_problem(args.problem)
-    except ValueError as exc:   # bad input; errors during the run keep their traceback
+        adaptive.check_out_dir(args.out)
+    except (ValueError, FileExistsError) as exc:   # bad input; run errors keep their traceback
         parser.error(str(exc))
     try:   # the last check, so that a usage error above leaves no directory behind
         Path(args.out).mkdir(parents=True, exist_ok=True)

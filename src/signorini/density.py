@@ -75,8 +75,8 @@ class ContactTraceMesh:
         return self.nodes.size
 
 
-def build_trace_mesh(dofmap, problem):
-    """Contact record of ``dofmap``'s mesh for ``problem``.
+def build_trace_mesh(mesh, problem):
+    """Contact record of ``mesh`` (its contact-tagged edges) for ``problem``.
 
     The split contact-edge mesh has closed-form hat weights: a midpoint hat
     spans the two half-edges of its edge (weight h/2); a vertex hat spans
@@ -88,7 +88,6 @@ def build_trace_mesh(dofmap, problem):
     that is not finite is an error, since a side without an obstacle is a
     Neumann side.
     """
-    mesh = dofmap.mesh
     edge_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.CONTACT]
     if edge_ids.size == 0:
         raise ValueError("mesh has no contact boundary")
@@ -104,7 +103,7 @@ def build_trace_mesh(dofmap, problem):
         raise ValueError("the contact boundary must face one axis direction; "
                          f"its outward normals are {normals.tolist()}")
     comp = int(np.flatnonzero(normals[0])[0])
-    xy = dofmap.coords[nodes]
+    xy = mesh.node_coords[nodes]
     gap = problem.chi(xy)
     bad = np.flatnonzero(~np.isfinite(gap))
     if bad.size:
@@ -149,11 +148,11 @@ def classify_nodes(active, trace):
     return np.where(active, np.where(full, FULL_CONTACT, SEMI_CONTACT), NO_CONTACT)
 
 
-def write_density_csv(path, dofmap, density, active):
-    """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight); the
-    classes are those of the solver's active set ``active``."""
+def write_density_csv(path, mesh, density, active):
+    """Dump rows (node id, x, y, class, lambda_n, lambda_t, weight), with
+    (x, y) from ``mesh.node_coords``; the classes are those of ``active``."""
     trace = density.trace
-    x, y = dofmap.coords[trace.nodes].T
+    x, y = mesh.node_coords[trace.nodes].T
     columns = (trace.nodes, x, y, classify_nodes(active, trace), density.normal,
                density.tangential, trace.weight)
     values = np.column_stack([np.asarray(c, dtype=object) for c in columns])

@@ -80,7 +80,7 @@ def estimate(dofmap, patches, problem, sol, density):
     J = _interior_jumps(mesh, end_sig, inner)
     R = _neumann_residual(mesh, end_sig, problem, neu_ids)
     Tn, Tt = _contact_tractions(end_sig, trace)
-    pen, gap = _consistency_per_edge(dofmap, problem, u, trace)
+    pen, gap = _consistency_per_edge(mesh, problem, u, trace)
 
     # positions in con_ids of the contact edges that hold an active node
     hot = np.flatnonzero(sol.active[trace.edge_pos].any(axis=1))
@@ -156,7 +156,7 @@ def _contact_tractions(end_sig, trace):
     return np.abs(ends[..., c, c]).max(axis=1), np.abs(ends[..., 1 - c, c]).max(axis=1)
 
 
-def _consistency_per_edge(dofmap, problem, u, trace):
+def _consistency_per_edge(mesh, problem, u, trace):
     """Penetration and gap sups per contact edge of ``trace``.
 
     The trace of u_n is quadratic along the edge; the obstacle is sampled
@@ -174,7 +174,7 @@ def _consistency_per_edge(dofmap, problem, u, trace):
     applies = (A != 0.0)[:, None] & (lo < s_star) & (s_star < lo + 0.5)
     s = np.hstack([np.broadcast_to(EDGE_SAMPLE, (A.size, EDGE_SAMPLE.size)),
                    np.where(applies, s_star, 0.0)])
-    pts = dofmap.mesh.edge_points(trace.edge_ids, s)
+    pts = mesh.edge_points(trace.edge_ids, s)
     un_s = (A[:, None] * s + B[:, None]) * s + un[:, :1]
     diff = un_s - problem.chi(pts.reshape(-1, 2)).reshape(s.shape)
     return np.maximum(diff.max(axis=1), 0.0) + 0.0, np.maximum((-diff).max(axis=1), 0.0) + 0.0

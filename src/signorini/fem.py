@@ -1,7 +1,8 @@
 """Quadratic Lagrange vector elements for plane linear elasticity.
 
-Degrees of freedom sit at vertices and edge midpoints, two displacement
-components per node (dof index = 2*node + component).  The bilinear form is
+Degrees of freedom sit at the mesh's P2 nodes (``Mesh.node_coords``), two
+displacement components per node (dof index = 2*node + component); ``DofMap``
+is the table of their kinds.  The bilinear form is
 
     a(z, v) = int_Omega sigma(z) : eps(v) dx,
     sigma(v) = 2 mu eps(v) + lam tr(eps(v)) I,
@@ -140,10 +141,8 @@ _EDGE_LOAD_REF = EDGE_QW * np.array([(2 * EDGE_QT - 1) * (EDGE_QT - 1),
 
 @dataclass(frozen=True)
 class DofMap:
-    """Node enumeration and boundary classification for one mesh.
+    """The node-kind table of one mesh's P2 nodes (``mesh.node_coords``).
 
-    Nodes 0..nv-1 are the vertices, node nv+e is the midpoint of edge e;
-    ``coords`` is the mesh's ``node_coords`` array itself.
     ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node, from the mesh's
     boundary tags (its rule at the boundary-edge midpoints).  A boundary
     midpoint takes its edge's tag, a boundary vertex those of its edges in
@@ -152,7 +151,6 @@ class DofMap:
     """
 
     mesh: msh.Mesh
-    coords: np.ndarray = field(init=False)
     kind: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -161,16 +159,7 @@ class DofMap:
         for tag in (msh.NEUMANN, msh.CONTACT, msh.DIRICHLET):
             kind[m.boundary_edges[m.boundary_tags == tag]] = tag
         kind[m.num_vertices + m.boundary_edge_ids] = m.boundary_tags
-        object.__setattr__(self, "coords", m.node_coords)
         object.__setattr__(self, "kind", kind)
-
-    @property
-    def n_nodes(self):
-        return self.mesh.num_nodes
-
-    @property
-    def ndof(self):
-        return 2 * self.n_nodes
 
     @property
     def dirichlet_nodes(self):
@@ -277,8 +266,8 @@ def assemble(dofmap, problem):
     if d_nodes.size == 0:
         raise ValueError(f"problem {problem.name!r} has no Dirichlet edge, so nothing "
                          f"fixes the rigid motions ({mesh.num_triangles} triangles)")
-    d_xy = dofmap.coords[d_nodes]
-    lift = np.zeros((dofmap.n_nodes, 2))
+    d_xy = mesh.node_coords[d_nodes]
+    lift = np.zeros((mesh.num_nodes, 2))
     lift[d_nodes] = problem.dirichlet(d_xy)
     bad = np.flatnonzero(~np.isfinite(lift[d_nodes]).all(axis=1))
     if bad.size:
@@ -298,7 +287,7 @@ def assemble(dofmap, problem):
         # (nt, 6, 2) element loads sum_q w_q area f_c(x_q) N_a(x_q) at dof 2 a + c
         fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
         dofs = 2 * mesh.element_nodes[:, :, None] + np.arange(2)
-        F = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=dofmap.ndof)
+        F = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=2 * mesh.num_nodes)
         _add_neumann_load(mesh, F, problem.g)
     return SparseSystem(K, F, lift.ravel(), free, material)
 

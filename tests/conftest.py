@@ -16,10 +16,10 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 
-def interpolate(dofmap, func):
-    """Nodal interpolant of a vectorized field func(points) -> (n, 2), as
-    dofs interleaved (2p, 2p + 1)."""
-    return np.array(func(dofmap.coords), dtype=float).ravel()
+def interpolate(mesh, func):
+    """Nodal interpolant of a vectorized field func(points) -> (n, 2) on the
+    mesh's P2 nodes, as dofs interleaved (2p, 2p + 1)."""
+    return np.array(func(mesh.node_coords), dtype=float).ravel()
 
 
 def edge_end_stress(mesh, sig):
@@ -36,7 +36,7 @@ def prescribed(dofmap, problem):
     """The Dirichlet dofs, sorted, and their values, from the node kinds and
     ``problem.dirichlet`` alone, not from the assembled system."""
     nodes = np.flatnonzero(dofmap.kind == msh.DIRICHLET)
-    values = np.asarray(problem.dirichlet(dofmap.coords[nodes]), dtype=float)
+    values = np.asarray(problem.dirichlet(dofmap.mesh.node_coords[nodes]), dtype=float)
     return (2 * nodes[:, None] + np.arange(2)).ravel(), values.ravel()
 
 
@@ -63,7 +63,7 @@ class SolvedState:
         self.dofmap = fem.DofMap(self.mesh)
         self.patches = msh.build_patches(self.mesh)
         self.system = fem.assemble(self.dofmap, problem)
-        self.trace = dens.build_trace_mesh(self.dofmap, problem)
+        self.trace = dens.build_trace_mesh(self.mesh, problem)
         self.solution = vi.solve_vi(self.system, self.trace)
         self.residual = self.solution.residual
         self.density = dens.compute_density(self.residual, self.trace)

@@ -176,15 +176,14 @@ def test_criterion_6_bruteforce_vi_oracle():
 def test_criterion_7_assembly_oracles():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    system = fem.assemble(dofmap, problem)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    system = fem.assemble(fem.DofMap(mesh), problem)
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     energy = u @ (system.K @ u)
     expected = problem.material.stress_scale * 1.0
     assert abs(energy - expected) <= 1e-12 * expected
     kmax = np.abs(system.K).max()
     for mode in ((1.0, 0.0), (0.0, 1.0)):
-        v = interpolate(dofmap, lambda p: np.tile(mode, (len(p), 1)))
+        v = interpolate(mesh, lambda p: np.tile(mode, (len(p), 1)))
         assert np.abs(system.K @ v).max() <= 1e-10 * kmax
     x, y = fem.TRI_QP[:, 1], fem.TRI_QP[:, 2]
     assert abs(0.5 * np.sum(fem.TRI_QW * x ** 2) - 1.0 / 12.0) <= 1e-14

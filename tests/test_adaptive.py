@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import weakref
 
 import numpy as np
@@ -38,6 +39,28 @@ def test_each_level_frees_its_stiffness_system(monkeypatch):
     monkeypatch.setattr(fem, "assemble", spy)
     ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=4, n0=2))
     assert len(systems) == 4
+
+
+def test_each_level_releases_the_previous_mesh_before_factoring(monkeypatch):
+    # nothing of level k (its mesh, dof map, solution, density, report) may
+    # be held while level k + 1 factors
+    meshes, factored = [], []
+    run_level, splu = ad.run_level, vi.spla.splu
+
+    def track_level(problem, mesh):
+        meshes.append(weakref.ref(mesh))
+        return run_level(problem, mesh)
+
+    def spy(*args, **kwargs):
+        alive = [level for level, ref in enumerate(meshes[:-1]) if ref() is not None]
+        assert not alive, f"mesh of level(s) {alive} alive at level {len(meshes) - 1}"
+        factored.append(len(meshes) - 1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "run_level", track_level)
+    monkeypatch.setattr(vi.spla, "splu", spy)
+    ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=4, n0=2))
+    assert len(meshes) == 4 and set(factored) == {0, 1, 2, 3}
 
 
 def test_ndof_strictly_increasing_and_marks_nonempty():
@@ -278,6 +301,46 @@ def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys, under, why):
     assert err.strip().splitlines()[-1] == \
         f"signorini: error: cannot create output directory {out}: {why}"
     assert taken.read_text() == "kept\n"
+
+
+def test_cli_refuses_an_out_that_holds_an_earlier_run(tmp_path, capsys):
+    """A second run into the directory of a first is a usage error that
+    names the directory and its first run file, and changes nothing there;
+    without the check, the first run's level_2.vtk and density_2.csv would
+    sit beside the second run's config.json and convergence.csv."""
+    out = tmp_path / "D"
+    assert cli.main(["solve", "--problem", "ex72", "--levels", "3", "--theta", "1.0",
+                     "--n0", "2", "--out", str(out), "--trace"]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--problem", "ex71", "--levels", "2", "--n0", "1", "--uniform",
+                  "--out", str(out), "--trace"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        f"signorini: error: output directory {out} already holds config.json "
+        "from an earlier run; give a new or empty directory")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name, refused", [
+    ("config.json", True), ("convergence.csv", True), ("pdas_trace.csv", True),
+    ("level_7.vtk", True), ("density_12.csv", True),
+    ("notes.txt", False), ("level_a.vtk", False), ("density_1.csv.bak", False)])
+def test_adapt_refuses_only_the_files_a_run_writes(tmp_path, name, refused):
+    (tmp_path / name).write_text("kept\n")
+    params = ad.AdaptiveParams(levels=1, n0=1)
+    if refused:
+        with pytest.raises(FileExistsError, match=re.escape(f"{tmp_path} already holds {name} ")):
+            ad.adapt(prb.bottom_contact_benchmark(), params, out_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+    else:
+        ad.adapt(prb.bottom_contact_benchmark(), params, out_dir=tmp_path)
+        assert (tmp_path / "level_0.vtk").exists()
+    assert (tmp_path / name).read_text() == "kept\n"
 
 
 def test_cli_overflowing_load_raises_solver_error_with_level(tmp_path):

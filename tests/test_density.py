@@ -29,7 +29,7 @@ def test_trace_weights_uniform_mesh(solved71):
     trace = solved71.trace
     mesh = solved71.mesh
     h = 0.25
-    coords = solved71.dofmap.coords[trace.nodes]
+    coords = solved71.mesh.node_coords[trace.nodes]
     is_mid = trace.nodes >= mesh.num_vertices
     endpoints = (np.isclose(coords[:, 0], 0.0) | np.isclose(coords[:, 0], 1.0)) & ~is_mid
     inner_vertex = ~is_mid & ~endpoints
@@ -63,7 +63,7 @@ def test_trace_single_chain(solved71):
 
 def trace_of(mesh):
     """Contact record of ``mesh`` against the flat obstacle of ex71."""
-    return dens.build_trace_mesh(fem.DofMap(mesh), prb.bottom_contact_benchmark())
+    return dens.build_trace_mesh(mesh, prb.bottom_contact_benchmark())
 
 
 def test_trace_requires_contact():
@@ -155,11 +155,10 @@ def test_contact_record_is_the_dofmap_contact_set(key, frame, tmp_path):
     for k in range(4):
         mesh = msh.refine(mesh, np.arange(k % 3, mesh.num_triangles, 3))
     assert mesh.levels.max() > mesh.levels.min()
-    dofmap = fem.DofMap(mesh)
-    trace = dens.build_trace_mesh(dofmap, problem)
+    trace = dens.build_trace_mesh(mesh, problem)
 
-    assert np.array_equal(trace.nodes, np.flatnonzero(dofmap.kind == msh.CONTACT))
-    gap = problem.chi(dofmap.coords[trace.nodes])
+    assert np.array_equal(trace.nodes, np.flatnonzero(fem.DofMap(mesh).kind == msh.CONTACT))
+    gap = problem.chi(mesh.node_coords[trace.nodes])
     assert trace.gap.dtype == gap.dtype and trace.gap.tobytes() == gap.tobytes()
     ends = mesh.edges[trace.edge_ids]
     edge_nodes = np.column_stack([ends[:, 0], mesh.num_vertices + trace.edge_ids, ends[:, 1]])
@@ -212,9 +211,8 @@ def test_density_against_independent_quadrature():
         chi=lambda p: np.full(len(p), 0.01),
         dirichlet=prb.ZERO)
     mesh = problem.mesh(1)
-    dofmap = fem.DofMap(mesh)
-    system = fem.assemble(dofmap, problem)
-    trace = dens.build_trace_mesh(dofmap, problem)
+    system = fem.assemble(fem.DofMap(mesh), problem)
+    trace = dens.build_trace_mesh(mesh, problem)
     sol = vi.solve_vi(system, trace)
     den = dens.compute_density(system.F - system.K @ sol.u, trace)
     sig_q = fem.stress_from_grad(fem.gradient_at(mesh, sol.u, _D3_B), problem.material)
@@ -393,7 +391,7 @@ def test_node_average_linear_field_against_independent_rule(solved71):
         return num / den_
 
     checked = 0
-    for p in range(dofmap.n_nodes):
+    for p in range(mesh.num_nodes):
         if dofmap.kind[p] in (msh.DIRICHLET, msh.CONTACT):
             continue
         assert abs(got[p] - oracle_volume(p)) < 1e-12
@@ -403,7 +401,7 @@ def test_node_average_linear_field_against_independent_rule(solved71):
     # value at the patch center
     interior = [q for q in range(mesh.num_vertices) if dofmap.kind[q] == "i"]
     q = interior[0]
-    assert abs(got[q] - v(dofmap.coords[[q]])[0]) < 1e-12
+    assert abs(got[q] - v(mesh.node_coords[[q]])[0]) < 1e-12
 
 
 def test_boundary_averages_quadratic_field_against_independent_rule(solved71, solved72):
@@ -465,7 +463,7 @@ def test_quasi_density_nonnegative(solved71, seed):
 
 def test_density_csv_dump(tmp_path, solved71):
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, solved71.dofmap, solved71.density, solved71.solution.active)
+    dens.write_density_csv(path, solved71.mesh, solved71.density, solved71.solution.active)
     lines = path.read_text().splitlines()
     assert lines[0] == "node,x,y,class,lambda_n,lambda_t,weight"
     assert len(lines) == 1 + solved71.trace.nodes.size
@@ -477,7 +475,7 @@ def test_density_csv_contents(tmp_path, solved72):
     state = solved72
     trace, den, active = state.trace, state.density, state.solution.active
     path = tmp_path / "density.csv"
-    dens.write_density_csv(path, state.dofmap, den, active)
+    dens.write_density_csv(path, state.mesh, den, active)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     node, x, y, cls, lam_n, lam_t, weight = (np.array(col) for col in zip(*rows))
     classes = dens.classify_nodes(active, trace)
@@ -485,7 +483,7 @@ def test_density_csv_contents(tmp_path, solved72):
     assert np.array_equal(cls, classes)
     assert np.array_equal(node.astype(np.int64), trace.nodes)
     assert np.array_equal(np.column_stack([x, y]).astype(float),
-                          state.dofmap.coords[trace.nodes])
+                          state.mesh.node_coords[trace.nodes])
     assert np.array_equal(lam_n.astype(float), den.normal)
     assert np.array_equal(lam_t.astype(float), den.tangential)
     assert np.array_equal(weight.astype(float), trace.weight)

@@ -29,7 +29,7 @@ def report_for(problem, mesh, u):
     dofmap = fem.DofMap(mesh)
     patches = msh.build_patches(mesh)
     system = fem.assemble(dofmap, problem)
-    trace = dens.build_trace_mesh(dofmap, problem)
+    trace = dens.build_trace_mesh(mesh, problem)
     residual = system.F - system.K @ u
     sol = vi.VISolution(u, np.zeros(trace.size, dtype=bool), [], residual)
     density = dens.compute_density(residual, trace)
@@ -39,8 +39,7 @@ def report_for(problem, mesh, u):
 def test_eta1_zero_for_linear_field():
     problem = zero_problem()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
     report, _, _ = report_for(problem, mesh, u)
     assert report.eta[0] < 1e-12
 
@@ -50,8 +49,7 @@ def test_eta1_constant_force():
     problem = dataclasses.replace(zero_problem(),
                                   f=lambda p: np.tile(c, (len(p), 1)))
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    report, _, patches = report_for(problem, mesh, np.zeros(dofmap.ndof))
+    report, _, patches = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
     assert np.allclose(report.eta_p[0], patches.diameter ** 2 * np.abs(c).max(),
                        atol=1e-14)
 
@@ -59,8 +57,7 @@ def test_eta1_constant_force():
 def test_eta2_zero_for_global_linear():
     problem = zero_problem()
     mesh = problem.mesh(3)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(mesh, lambda p: np.column_stack(
         [0.3 * p[:, 0] + 0.1 * p[:, 1], 0.5 * p[:, 1]]))
     report, _, _ = report_for(problem, mesh, u)
     assert report.eta[1] < 1e-12
@@ -77,10 +74,9 @@ def test_eta2_hand_built_jump():
     alpha = 0.25
     problem = zero_problem()
     mesh = problem.mesh(1)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(mesh, lambda p: np.column_stack(
         [alpha * np.maximum(p[:, 1] - p[:, 0], 0.0), np.zeros(len(p))]))
-    report, dofmap, patches = report_for(problem, mesh, u)
+    report, _, patches = report_for(problem, mesh, u)
     diag = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
     p_mid = mesh.num_vertices + diag
     assert np.isclose(patches.diameter[p_mid], np.sqrt(2.0))
@@ -114,8 +110,7 @@ def test_eta3_manufactured_quadratic_exact():
         chi=lambda p: np.zeros(len(p)), dirichlet=exact,
         exact=exact)
     mesh = problem.mesh(3)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, exact)
+    u = interpolate(mesh, exact)
     report, _, _ = report_for(problem, mesh, u)
     scale = 1.0 + np.abs(u).max()
     assert report.eta[0] <= 1e-9 * scale
@@ -126,8 +121,7 @@ def test_eta3_manufactured_quadratic_exact():
 def test_eta3_zero_data():
     problem = zero_problem()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    report, _, _ = report_for(problem, mesh, np.zeros(dofmap.ndof))
+    report, _, _ = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
     assert report.eta[2] == 0.0
     assert report.eta_h == 0.0 and report.psi == 0.0
 
@@ -136,8 +130,7 @@ def test_eta45_uniaxial_contact_traction():
     # u = (x, 0) with contact on x=1 (n = (1,0)): normal traction 3, tangential 0
     problem = zero_problem(tagging=msh.tag_right_contact)
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     report, dofmap, patches = report_for(problem, mesh, u)
     contact_nodes = np.flatnonzero(dofmap.kind == msh.CONTACT)
     assert np.allclose(report.eta_p[4, contact_nodes],
@@ -176,7 +169,7 @@ def test_lambda_region_excludes_zero_density():
     state = SolvedState(prb.rigid_wedge_push(), n=8)
     report = est.estimate(state.dofmap, state.patches, state.problem,
                           state.solution, state.density)
-    _, gap = est._consistency_per_edge(state.dofmap, state.problem, state.solution.u,
+    _, gap = est._consistency_per_edge(state.mesh, state.problem, state.solution.u,
                                        state.trace)
     region = np.isin(state.trace.edge_ids,
                      sorted(lambda_region(state.mesh, state.trace, state.solution.active)))
@@ -226,7 +219,7 @@ def test_positive_homogeneity(solved71, alpha):
     u = alpha * state.solution.u
     residual = system.F - system.K @ u
     sol = dataclasses.replace(state.solution, u=u, residual=residual)
-    den = dens.compute_density(residual, dens.build_trace_mesh(state.dofmap, scaled))
+    den = dens.compute_density(residual, dens.build_trace_mesh(state.mesh, scaled))
     rep = est.estimate(state.dofmap, state.patches, scaled, sol, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12, atol=0.0)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12, atol=0.0)
@@ -248,9 +241,9 @@ def test_patch_maxima_match_per_node_oracle():
     patch's triangles, interior edges and Neumann/contact edges explicitly."""
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
-    mesh, dofmap, u, report = res.mesh, res.dofmap, res.solution.u, res.report
+    mesh, u, report = res.mesh, res.solution.u, res.report
     patches = msh.build_patches(mesh)
-    nv, nn = mesh.num_vertices, dofmap.n_nodes
+    nv, nn = mesh.num_vertices, mesh.num_nodes
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
 
@@ -266,7 +259,7 @@ def test_patch_maxima_match_per_node_oracle():
     R = dict(zip(neu_ids, est._neumann_residual(mesh, end_sig, problem, neu_ids)))
     Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, res.trace_mesh))
     pen, gap = (dict(zip(con_ids, v))
-                for v in est._consistency_per_edge(dofmap, problem, u, res.trace_mesh))
+                for v in est._consistency_per_edge(mesh, problem, u, res.trace_mesh))
     lam_region = lambda_region(mesh, res.trace_mesh, res.solution.active)
     tag = dict(zip(mesh.boundary_edge_ids, mesh.boundary_tags))
 
@@ -311,9 +304,9 @@ def test_contact_quantities_match_per_edge_oracle():
     comes from the solver's active set."""
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
-    mesh, dofmap, u, trace = res.mesh, res.dofmap, res.solution.u, res.trace_mesh
+    mesh, u, trace = res.mesh, res.solution.u, res.trace_mesh
     active = res.solution.active
-    chi_p = problem.chi(dofmap.coords[trace.nodes])
+    chi_p = problem.chi(mesh.node_coords[trace.nodes])
     comp, sgn = 0, 1.0                        # contact on x = 1, n = (1, 0)
     ncon, nc = trace.nodes.size, trace.edge_ids.size
 
@@ -347,7 +340,7 @@ def test_contact_quantities_match_per_edge_oracle():
         lo, hi = quadratic_range(*dev)
         edge_sup[k] = max(abs(lo), abs(hi))
 
-        pts_nodes = dofmap.coords[nodes]
+        pts_nodes = mesh.node_coords[nodes]
         A, B = fem.trace_coefficients(*un)
         chi_nodes = problem.chi(pts_nodes)
         svals = [est.EDGE_SAMPLE]
@@ -380,6 +373,6 @@ def test_contact_quantities_match_per_edge_oracle():
     assert np.array_equal(got_classes, classes)
     assert np.array_equal(got_selected // 3, selected)
     assert np.array_equal(trace.edge_pos.ravel()[got_selected], np.arange(ncon))
-    got_pen, got_gap = est._consistency_per_edge(dofmap, problem, u, trace)
+    got_pen, got_gap = est._consistency_per_edge(mesh, problem, u, trace)
     assert np.array_equal(got_pen, pen)
     assert np.array_equal(got_gap, gap)

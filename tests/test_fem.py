@@ -58,15 +58,14 @@ def test_partition_of_unity(a, b):
 
 def test_gradient_at_physical_gradients():
     mesh = msh.generate_unit_square(2, msh.tag_bottom_contact)
-    dofmap = fem.DofMap(mesh)
     pts = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]])
     # a constant field: values reproduce it, gradients vanish
-    const = interpolate(dofmap, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
+    const = interpolate(mesh, lambda p: np.tile([1.0, -2.0], (len(p), 1)))
     assert np.allclose(fem.displacement_at(mesh, const, pts),
                        [1.0, -2.0], atol=1e-14)
     assert np.abs(fem.gradient_at(mesh, const, pts)).max() < 1e-13
     # gradients reproduce the exact gradient of an interpolated linear field
-    lin = interpolate(dofmap, lambda p: np.column_stack(
+    lin = interpolate(mesh, lambda p: np.column_stack(
         [2.0 * p[:, 0] - 0.5 * p[:, 1], p[:, 0] + 3.0 * p[:, 1]]))
     got = fem.gradient_at(mesh, lin, pts)
     assert np.allclose(got, [[2.0, -0.5], [1.0, 3.0]], atol=1e-13)
@@ -102,20 +101,20 @@ def assembled():
 
 
 def test_energy_of_uniaxial_field(assembled):
-    mesh, dofmap, system = assembled
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    mesh, _, system = assembled
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     energy = u @ (system.K @ u)
     expected = 2.0 * 1.0 + 1.0   # (2 mu + lam) |Omega|
     assert abs(energy - expected) < 1e-12 * expected
 
 
 def test_rigid_body_kernel(assembled):
-    _, dofmap, system = assembled
+    mesh, _, system = assembled
     kmax = np.abs(system.K).max()
     for mode in (lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]),
                  lambda p: np.column_stack([np.zeros(len(p)), np.ones(len(p))]),
                  lambda p: np.column_stack([-p[:, 1], p[:, 0]])):
-        v = interpolate(dofmap, mode)
+        v = interpolate(mesh, mode)
         assert np.abs(system.K @ v).max() <= 1e-10 * kmax
 
 
@@ -127,7 +126,7 @@ def test_stiffness_symmetric(assembled):
 
 def test_free_block_positive_definite(assembled):
     _, dofmap, system = assembled
-    free = np.ones(dofmap.ndof, dtype=bool)
+    free = np.ones(system.ndof, dtype=bool)
     free[prescribed(dofmap, prb.bottom_contact_benchmark())[0]] = False
     Kff = system.K.toarray()[np.ix_(free, free)]
     np.linalg.cholesky(Kff)   # raises if not SPD
@@ -146,13 +145,13 @@ def test_assemble_builds_the_lift_and_the_free_mask(case):
                                   chi=lambda p: np.zeros(len(p)), dirichlet=base.exact)
     dofmap = fem.DofMap(problem.mesh(4))
     system = fem.assemble(dofmap, problem)
-    x, y = dofmap.coords.T
+    x, y = dofmap.mesh.node_coords.T
     on_dirichlet = x == 0 if case == "ex72" else np.isin(x, (0, 1)) | np.isin(y, (0, 1))
     nodes = np.flatnonzero(on_dirichlet)
     dofs, values = prescribed(dofmap, problem)
     assert np.array_equal(dofs, (2 * nodes[:, None] + np.arange(2)).ravel())
     assert np.array_equal(np.flatnonzero(~system.free), dofs)
-    lift = np.zeros(dofmap.ndof)
+    lift = np.zeros(system.ndof)
     lift[dofs] = values
     assert np.array_equal(system.lift, lift)
     if case == "ex72":
@@ -174,11 +173,11 @@ def test_dirichlet_classification_corners():
     for tagging, kinds in cases.items():
         mesh = msh.generate_unit_square(2, tagging)
         dofmap = fem.DofMap(mesh)
-        coords = dofmap.coords
+        coords = mesh.node_coords
         for target, kind in kinds.items():
             node = int(np.argmin(np.abs(coords - np.array(target, float)).sum(axis=1)))
             assert dofmap.kind[node] == kind, (tagging.__name__, target)
-        assert dofmap.n_nodes == mesh.num_vertices + mesh.edges.shape[0]
+        assert dofmap.kind.size == mesh.num_vertices + mesh.edges.shape[0]
         # every boundary midpoint has its edge's tag, every other one is interior
         mid = np.full(mesh.edges.shape[0], "i")
         mid[mesh.boundary_edge_ids] = mesh.boundary_tags
@@ -189,9 +188,8 @@ def test_dirichlet_classification_corners():
 def test_traction_uniaxial_hand_value():
     problem = prb.rigid_wedge_push()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
     mat = fem.MaterialLaw(1.0, 1.0)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
     edges = mesh.boundary_edge_ids[mesh.boundary_tags == "C"]   # on x = 1, n = (1, 0)
     end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, mat, u))
     n = mesh.outward_normals(edges)
@@ -203,9 +201,8 @@ def test_traction_uniaxial_hand_value():
 def test_traction_rigid_motion_zero():
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack([np.full(len(p), 2.0),
-                                                       np.full(len(p), -1.0)]))
+    u = interpolate(mesh, lambda p: np.column_stack([np.full(len(p), 2.0),
+                                                     np.full(len(p), -1.0)]))
     end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, problem.material, u))
     assert np.abs(end_sig[mesh.boundary_edge_ids, 0]).max() < 1e-13
     jumps = est._interior_jumps(mesh, end_sig, np.flatnonzero(mesh.edge_tris[:, 1] >= 0))
@@ -217,8 +214,7 @@ def test_traction_two_sided_consistency():
     # tractions seen from the two triangles sharing an edge cancel
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack(
+    u = interpolate(mesh, lambda p: np.column_stack(
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
     sig = fem.corner_stress(mesh, problem.material, u)
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
@@ -232,10 +228,9 @@ def test_element_residual_known_hessian():
     # u = (x^2, 0), mu = lam = 1: div sigma = (mu*2 + (mu+lam)*2, 0) = (6, 0)
     problem = prb.bottom_contact_benchmark()
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
     mat = fem.MaterialLaw(1.0, 1.0)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] ** 2,
-                                                       np.zeros(len(p))]))
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0] ** 2,
+                                                     np.zeros(len(p))]))
     sig = fem.corner_stress(mesh, mat, u)
     # with f = 0 the residual is |div sigma| = 6; f = (-6, 0) cancels it
     unloaded = dataclasses.replace(problem, f=prb.ZERO)
@@ -247,9 +242,8 @@ def test_element_residual_known_hessian():
 def test_element_residual_linear_field_vanishes():
     problem = dataclasses.replace(prb.bottom_contact_benchmark(), f=prb.ZERO)
     mesh = problem.mesh(2)
-    dofmap = fem.DofMap(mesh)
-    u = interpolate(dofmap, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
-                                                       p[:, 1]]))
+    u = interpolate(mesh, lambda p: np.column_stack([p[:, 0] - 2 * p[:, 1],
+                                                     p[:, 1]]))
     sig = fem.corner_stress(mesh, problem.material, u)
     assert est._element_residual(mesh, problem, sig).max() < 1e-12
 
@@ -259,8 +253,7 @@ def test_element_residual_manufactured_interpolant_small():
     sizes, norms = (4, 8), []
     for n in sizes:
         mesh = problem.mesh(n)
-        dofmap = fem.DofMap(mesh)
-        u = interpolate(dofmap, problem.exact)
+        u = interpolate(mesh, problem.exact)
         # s(u_h) = f + div sigma(u_h) over the sample set of every element
         sig = fem.corner_stress(mesh, problem.material, u)
         norms.append(est._element_residual(mesh, problem, sig).max())
@@ -295,7 +288,7 @@ def bisected():
     mesh = prb.bottom_contact_benchmark().mesh(2)
     for _ in range(4):
         mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
-    u = np.random.default_rng(7).standard_normal(fem.DofMap(mesh).ndof)
+    u = np.random.default_rng(7).standard_normal(2 * mesh.num_nodes)
     return mesh, u
 
 
@@ -402,9 +395,8 @@ def _coo_stiffness(mesh, material, ndof):
 def test_stiffness_matches_coo_assembly(bisected):
     mesh, _ = bisected
     problem = prb.bottom_contact_benchmark()
-    dofmap = fem.DofMap(mesh)
-    K = fem.assemble(dofmap, problem).K
-    ref = _coo_stiffness(mesh, problem.material, dofmap.ndof)
+    K = fem.assemble(fem.DofMap(mesh), problem).K
+    ref = _coo_stiffness(mesh, problem.material, 2 * mesh.num_nodes)
     assert K.format == "csr" and K.indices.dtype == K.indptr.dtype == np.int32
     assert np.array_equal(K.indptr, ref.indptr)
     assert np.array_equal(K.indices, ref.indices)

@@ -295,25 +295,24 @@ def test_edge_points_give_ends_and_midpoints(tagging):
     s = np.array([0.0, 0.5, 1.0])
     pts = m.edge_points(ids, s)
     assert np.array_equal(pts[:, 0], m.vertices[m.edges[ids, 0]])
-    assert np.array_equal(pts[:, 1], fem.DofMap(m).coords[m.num_vertices + ids])
+    assert np.array_equal(pts[:, 1], m.node_coords[m.num_vertices + ids])
     assert np.array_equal(pts[:, 2], m.vertices[m.edges[ids, 1]])
     assert np.array_equal(m.edge_points(ids, np.tile(s, (ids.size, 1))), pts)
     # the P2 node table lists the same three nodes, in the same order
-    assert np.array_equal(fem.DofMap(m).coords[m.edge_node_triples[ids]], pts)
+    assert np.array_equal(m.node_coords[m.edge_node_triples[ids]], pts)
 
 
 @pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
 def test_node_table_is_the_one_midpoint_source(tagging):
     """Node nv + e of ``Mesh.node_coords`` is the midpoint of edge e bit for
-    bit, the dof map's coordinates are that array, and a mixed ``refine``
-    takes each new vertex from the parent's row of its split edge."""
+    bit, and a mixed ``refine`` takes each new vertex from the parent's row
+    of its split edge."""
     m = mixed_mesh(tagging)
     nv = m.num_vertices
     assert m.num_nodes == nv + m.edges.shape[0] == m.node_coords.shape[0]
     assert np.array_equal(m.node_coords[:nv], m.vertices)
     ends = m.vertices[m.edges]
     assert np.array_equal(m.node_coords[nv:], (ends[:, 0] + ends[:, 1]) / 2)
-    assert fem.DofMap(m).coords is m.node_coords
     marked = np.arange(1, m.num_triangles, 5)
     child = msh.refine(m, marked)
     assert np.array_equal(child.vertices[:nv], m.vertices)

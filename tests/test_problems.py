@@ -148,7 +148,7 @@ def test_problem_file_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg))
     p = prb.get_problem(str(path))
     assert p.name == "pushdown"
-    trace = dens.build_trace_mesh(fem.DofMap(p.mesh(2)), p)
+    trace = dens.build_trace_mesh(p.mesh(2), p)
     assert (trace.comp, trace.sign) == (1, -1.0)
     pts = np.zeros((3, 2))
     assert np.allclose(p.f(pts), [[0.0, -1.0]] * 3)
@@ -219,11 +219,10 @@ def test_problem_file_rejects_a_top_level_array(tmp_path):
 def test_measure_error_zero_field():
     p = prb.bottom_contact_benchmark()
     mesh = p.mesh(2)
-    dofmap = fem.DofMap(mesh)
     zero_exact = lambda pts: np.zeros((len(pts), 2))
-    assert prb.measure_error(mesh, np.zeros(dofmap.ndof), zero_exact) == 0.0
+    assert prb.measure_error(mesh, np.zeros(2 * mesh.num_nodes), zero_exact) == 0.0
     with pytest.raises(ValueError):
-        prb.measure_error(mesh, np.zeros(dofmap.ndof), None)
+        prb.measure_error(mesh, np.zeros(2 * mesh.num_nodes), None)
 
 
 def test_measure_error_interpolant_cubic_decay():
@@ -231,8 +230,7 @@ def test_measure_error_interpolant_cubic_decay():
     errs = []
     for n in (2, 4, 8):
         mesh = p.mesh(n)
-        dofmap = fem.DofMap(mesh)
-        u = interpolate(dofmap, p.exact)
+        u = interpolate(mesh, p.exact)
         errs.append(prb.measure_error(mesh, u, p.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.6, (errs, rates)

@@ -74,7 +74,7 @@ def random_contact_problem(rng, n, style):
     mesh = problem.mesh(n)
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
-    return system, dens.build_trace_mesh(dofmap, problem), prescribed(dofmap, problem)
+    return system, dens.build_trace_mesh(mesh, problem), prescribed(dofmap, problem)
 
 
 def test_unconstrained_surrogate_matches_linear_solve(solved71):
@@ -108,9 +108,9 @@ def test_residual_identities_at_contact_rows(solved71):
     assert np.array_equal(solved71.solution.residual, r)   # carried by the solve
     system, con, dofmap = solved71.system, solved71.trace, solved71.dofmap
     scale = max(np.abs(system.F).max(), np.abs(system.K @ solved71.solution.u).max())
-    free = np.ones(dofmap.ndof, dtype=bool)
+    free = np.ones(system.ndof, dtype=bool)
     free[prescribed(dofmap, solved71.problem)[0]] = False
-    con_mask = np.zeros(dofmap.ndof, dtype=bool)
+    con_mask = np.zeros(system.ndof, dtype=bool)
     con_mask[con.dofs] = True
     con_mask[con.tangential_dofs] = True
     assert np.abs(r[free & ~con_mask]).max() <= 1e-8 * scale
@@ -203,7 +203,7 @@ def test_contact_solve_converges_at_p2_rate():
         mesh = problem.mesh(n)
         dofmap = fem.DofMap(mesh)
         system = fem.assemble(dofmap, problem)
-        sol = vi.solve_vi(system, dens.build_trace_mesh(dofmap, problem))
+        sol = vi.solve_vi(system, dens.build_trace_mesh(mesh, problem))
         errs.append(prb.measure_error(mesh, sol.u, problem.exact))
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 2.5, (errs, rates)
@@ -216,7 +216,7 @@ def test_free_block_reaches_splu_as_csc_without_conversion(monkeypatch):
         mesh = msh.refine(mesh, np.arange(0, mesh.num_triangles, 3))
     dofmap = fem.DofMap(mesh)
     system = fem.assemble(dofmap, problem)
-    trace = dens.build_trace_mesh(dofmap, problem)
+    trace = dens.build_trace_mesh(mesh, problem)
     handed = []
     splu = vi.spla.splu
 

@@ -13,8 +13,8 @@ The full sha256 covers the whole level; each H is the first 12 hex digits of
 the SHA-256 of one part of it:
 
     mesh      the node kinds (``DofMap.kind``), the boundary edge ids in
-              ascending order with their tags, the node coordinates and the
-              triangles
+              ascending order with their tags, the node coordinates
+              (``Mesh.node_coords``) and the triangles
     solve     every input ``splu`` factors (shape, data, indices, indptr),
               the solution (u, active set, PDAS history, residual), the
               contact density and its record
@@ -112,7 +112,7 @@ def level_digests(src, problem_key, levels, theta, n0, uniform):
         # another order hashes the same
         order = np.argsort(mesh.boundary_edge_ids)
         hashes[-1].add("mesh", [dofmap.kind, mesh.boundary_edge_ids[order],
-                                mesh.boundary_tags[order], dofmap.coords, mesh.triangles])
+                                mesh.boundary_tags[order], mesh.node_coords, mesh.triangles])
         hashes[-1].add("solve", [sol, density])
         hashes[-1].add("estimate", [report, checks])
         return out

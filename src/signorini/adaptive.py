@@ -1,12 +1,12 @@
 """SOLVE -> ESTIMATE -> MARK -> REFINE loop with per-level reporting.
 
-Each level assembles and solves the contact problem, evaluates the pointwise
-estimator, records a trace row (written as ``convergence.csv`` when an output
-directory is given, together with a legacy VTK dump per level that holds
-the estimator terms per vertex, and a
-``config.json`` echo of the effective parameters), then refines the triangles
-selected by maximum marking:  mark T whenever its indicator is at least
-theta times the largest indicator.
+``levels`` yields each level: it solves the contact problem, evaluates the
+pointwise estimator, records a trace row and marks by maximum marking (T is
+marked when its indicator is at least theta times the largest one).  A
+yielded level is the caller's until the next is requested, which refines the
+marked triangles.  ``adapt`` writes the rows to ``convergence.csv``, a legacy
+VTK dump per level with the estimator terms per vertex and a ``config.json``
+echo of the parameters into an output directory, if one is given.
 """
 
 from __future__ import annotations
@@ -92,15 +92,22 @@ class LevelRecord:
                 f"{self.seconds:.3f}")
 
 
-@dataclass
-class AdaptiveResult:
-    problem: prb.ProblemSpec
-    records: list
+@dataclass(frozen=True)
+class Level:
+    """One level of the loop, the caller's until the next is requested."""
+
     mesh: msh.Mesh
-    dofmap: fem.DofMap
     solution: vi.VISolution
+    density: dens.DensityField
     report: est.EstimatorReport
-    trace_mesh: dens.ContactTraceMesh
+    record: LevelRecord
+
+
+@dataclass(frozen=True)
+class AdaptiveResult(Level):
+    """A run's last level and the records of all its levels."""
+
+    records: list
 
 
 def mark(indicators, theta, diameters):
@@ -142,23 +149,6 @@ def _level_checks(system, sol, density):
     )
 
 
-def run_level(problem, mesh):
-    """Assemble, solve, and estimate on one mesh; no refinement.
-
-    The stiffness system is not returned, so it is freed when the level
-    ends and not held while the next level assembles and factors.
-    """
-    dofmap = fem.DofMap(mesh)
-    patches = msh.build_patches(mesh)
-    system = fem.assemble(dofmap, problem)
-    trace_mesh = dens.build_trace_mesh(mesh, problem)
-    sol = vi.solve_vi(system, trace_mesh)
-    density = dens.compute_density(sol.residual, trace_mesh)
-    report = est.estimate(dofmap, patches, problem, sol, density)
-    checks = _level_checks(system, sol, density)
-    return dofmap, sol, density, report, checks
-
-
 def check_out_dir(out_dir):
     """Refuse a directory that already holds a file a run writes, so that
     the files of two runs never mix; nothing is deleted."""
@@ -169,8 +159,54 @@ def check_out_dir(out_dir):
                               "from an earlier run; give a new or empty directory")
 
 
+def levels(problem, params):
+    """Run the adaptive loop, yielding one ``Level`` per level.  A yielded
+    level is the caller's until the next is requested: then the loop keeps
+    its marked triangles only, so a caller that drops the level too holds
+    nothing of it while the next level assembles and factors."""
+    params.validate()
+    mesh = problem.mesh(params.n0)
+    for level in range(params.levels):
+        if level:
+            mesh = msh.refine(mesh, rec.marked)
+        tic = time.perf_counter()
+        dofmap = fem.DofMap(mesh)
+        patches = msh.build_patches(mesh)
+        system = fem.assemble(dofmap, problem)
+        trace_mesh = dens.build_trace_mesh(mesh, problem)
+        try:
+            sol = vi.solve_vi(system, trace_mesh)
+        except vi.SolverError as exc:
+            raise vi.SolverError(f"level {level}: {exc}") from exc
+        density = dens.compute_density(sol.residual, trace_mesh)
+        report = est.estimate(dofmap, patches, problem, sol, density)
+        checks = _level_checks(system, sol, density)
+        del system, patches   # not held across the yield
+        bad = np.flatnonzero(~np.isfinite(report.indicator))
+        if bad.size or not np.isfinite(report.eta_h):
+            first = f", the first is triangle {bad[0]}" if bad.size else ""
+            raise ValueError(f"level {level}: non-finite estimate (eta_h = {report.eta_h}): "
+                             f"{bad.size} triangles have a non-finite indicator{first}")
+        err = prb.measure_error(mesh, sol.u, problem.exact) \
+            if problem.exact is not None else float("nan")
+        ndof = 2 * (mesh.num_nodes - dofmap.dirichlet_nodes.size)
+        if level and ndof <= rec.ndof:
+            raise RuntimeError("degrees of freedom did not increase between levels")
+        rec = LevelRecord(
+            level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
+            eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,
+            psi=report.psi, eta_h=report.eta_h, err_inf=err,
+            eff_index=report.eta_h / err if err == err and err > 0 else float("nan"),
+            active_nodes=int(sol.active.sum()), seconds=time.perf_counter() - tic, checks=checks)
+        if level < params.levels - 1:
+            rec.marked = (np.arange(mesh.num_triangles) if params.uniform
+                          else mark(report.indicator, params.theta, mesh.diameters))
+        yield Level(mesh, sol, density, report, rec)
+        del dofmap, trace_mesh, sol, density, report   # rec alone crosses a level
+
+
 def adapt(problem, params, out_dir=None, write_trace=False):
-    """Run the adaptive loop; returns the per-level trace and final state."""
+    """Run the adaptive loop and write its outputs; returns an AdaptiveResult."""
     params.validate()
     out = Path(out_dir) if out_dir is not None else None
     csv_lines = [CSV_HEADER]
@@ -181,53 +217,25 @@ def adapt(problem, params, out_dir=None, write_trace=False):
         cfg = {"problem": problem.name, **asdict(params)}
         (out / "config.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    mesh = problem.mesh(params.n0)
     records = []
-    for level in range(params.levels):
-        if level:
-            mesh = msh.refine(mesh, records[-1].marked)
-            del dofmap, sol, density, report   # not held while the next level factors
-        tic = time.perf_counter()
-        try:
-            dofmap, sol, density, report, checks = run_level(problem, mesh)
-        except vi.SolverError as exc:
-            raise vi.SolverError(f"level {level}: {exc}") from exc
-        bad = np.flatnonzero(~np.isfinite(report.indicator))
-        if bad.size or not np.isfinite(report.eta_h):
-            first = f", the first is triangle {bad[0]}" if bad.size else ""
-            raise ValueError(f"level {level}: non-finite estimate (eta_h = {report.eta_h}): "
-                             f"{bad.size} triangles have a non-finite indicator{first}")
-        err = prb.measure_error(mesh, sol.u, problem.exact) \
-            if problem.exact is not None else float("nan")
-        seconds = time.perf_counter() - tic
-        ndof = 2 * (mesh.num_nodes - dofmap.dirichlet_nodes.size)
-        rec = LevelRecord(
-            level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
-            eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,
-            psi=report.psi, eta_h=report.eta_h, err_inf=err,
-            eff_index=report.eta_h / err if err == err and err > 0 else float("nan"),
-            active_nodes=int(sol.active.sum()), seconds=seconds, checks=checks)
-        if records and rec.ndof <= records[-1].ndof:
-            raise RuntimeError("degrees of freedom did not increase between levels")
-        records.append(rec)
-        for row in sol.history:
-            pdas_lines.append(f"{level},{row[0]},{row[1]},{row[2]:.17g}")
-
-        if level < params.levels - 1:
-            rec.marked = (np.arange(mesh.num_triangles) if params.uniform
-                          else mark(report.indicator, params.theta, mesh.diameters))
-
-        csv_lines.append(rec.csv_row())
+    for lvl in levels(problem, params):
+        records.append(lvl.record)
+        pdas_lines.extend(f"{lvl.record.level},{row[0]},{row[1]},{row[2]:.17g}"
+                          for row in lvl.solution.history)
+        csv_lines.append(lvl.record.csv_row())
         if out is not None:
-            _write_level_outputs(out, level, mesh, sol, report, density, write_trace)
+            _write_level_outputs(out, lvl, write_trace)
             (out / "convergence.csv").write_text("\n".join(csv_lines) + "\n")
             if write_trace:
                 (out / "pdas_trace.csv").write_text("\n".join(pdas_lines) + "\n")
+        if len(records) < params.levels:
+            del lvl   # not held while the next level factors
+    return AdaptiveResult(**vars(lvl), records=records)
 
-    return AdaptiveResult(problem, records, mesh, dofmap, sol, report, density.trace)
 
-
-def _write_level_outputs(out, level, mesh, sol, report, density, write_trace):
+def _write_level_outputs(out, lvl, write_trace):
+    mesh, sol, report, density, level = (lvl.mesh, lvl.solution, lvl.report, lvl.density,
+                                         lvl.record.level)
     nv = mesh.num_vertices
     disp = np.column_stack([sol.u[0:2 * nv:2], sol.u[1:2 * nv:2]])
     multiplier = np.zeros(nv)

@@ -322,8 +322,7 @@ def stress_from_grad(grad, material):
     eps = 0.5 * (grad + np.swapaxes(grad, -1, -2))
     tr = eps[..., 0, 0] + eps[..., 1, 1]
     sig = 2.0 * material.mu * eps
-    sig[..., 0, 0] += material.lam * tr
-    sig[..., 1, 1] += material.lam * tr
+    sig[..., [0, 1], [0, 1]] += material.lam * tr[..., None]
     return sig
 
 

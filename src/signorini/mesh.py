@@ -185,13 +185,8 @@ class Mesh:
         edge vectors from the first vertex to the second and the third."""
         p = self.vertices[self.triangles]
         a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        det = 2.0 * self.areas
-        inv = np.empty((self.num_triangles, 2, 2))
-        inv[:, 0, 0] = b[:, 1] / det
-        inv[:, 0, 1] = -b[:, 0] / det
-        inv[:, 1, 0] = -a[:, 1] / det
-        inv[:, 1, 1] = a[:, 0] / det
-        return inv
+        inv = np.stack([b[:, 1], -b[:, 0], -a[:, 1], a[:, 0]], axis=1).reshape(-1, 2, 2)
+        return inv / (2.0 * self.areas)[:, None, None]
 
     @cached_property
     def edge_lengths(self):
@@ -405,8 +400,7 @@ def write_vtk(mesh, path, point_data, cell_data):
     blocks = ["# vtk DataFile Version 3.0\nsignorini mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
               f"POINTS {nv} double\n", _rows("{:.17g} {:.17g} 0.0\n", mesh.vertices),
               f"CELLS {nt} {4 * nt}\n", _rows("3 {} {} {}\n", mesh.triangles),
-              f"CELL_TYPES {nt}\n", "5\n" * nt]
-    blocks.append(f"POINT_DATA {nv}\n")
+              f"CELL_TYPES {nt}\n", "5\n" * nt, f"POINT_DATA {nv}\n"]
     for name, arr in point_data.items():
         arr = np.asarray(arr, dtype=float)
         if arr.ndim == 2:

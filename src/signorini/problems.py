@@ -264,8 +264,7 @@ def _hessians_fd(u, pts, h):
                          + 16 * u(pts - step) - u(pts - 2 * step)) / (12 * h * h)
     mixed = (-_grad_fd(u, pts + 2 * ey, ex, h) + 8 * _grad_fd(u, pts + ey, ex, h)
              - 8 * _grad_fd(u, pts - ey, ex, h) + _grad_fd(u, pts - 2 * ey, ex, h)) / (12 * h)
-    H[:, :, 0, 1] = mixed
-    H[:, :, 1, 0] = mixed
+    H[:, :, 0, 1] = H[:, :, 1, 0] = mixed
     return H
 
 

@@ -41,26 +41,51 @@ def test_each_level_frees_its_stiffness_system(monkeypatch):
     assert len(systems) == 4
 
 
-def test_each_level_releases_the_previous_mesh_before_factoring(monkeypatch):
-    # nothing of level k (its mesh, dof map, solution, density, report) may
-    # be held while level k + 1 factors
-    meshes, factored = [], []
-    run_level, splu = ad.run_level, vi.spla.splu
+PARTS = ("mesh", "solution", "density", "report")
 
-    def track_level(problem, mesh):
-        meshes.append(weakref.ref(mesh))
-        return run_level(problem, mesh)
+
+def spy_factorizations(monkeypatch, yielded):
+    """Make every ``splu`` call assert that no part of a level in
+    ``yielded``, weak references to the parts of the levels yielded so far,
+    is alive; returns the levels factored, each by the count of levels
+    yielded before the call."""
+    splu, factored = vi.spla.splu, []
 
     def spy(*args, **kwargs):
-        alive = [level for level, ref in enumerate(meshes[:-1]) if ref() is not None]
-        assert not alive, f"mesh of level(s) {alive} alive at level {len(meshes) - 1}"
-        factored.append(len(meshes) - 1)
+        alive = [(level, part) for level, refs in enumerate(yielded)
+                 for part, ref in zip(PARTS, refs) if ref() is not None]
+        assert not alive, f"(level, part) {alive} alive at level {len(yielded)}"
+        factored.append(len(yielded))
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(ad, "run_level", track_level)
     monkeypatch.setattr(vi.spla, "splu", spy)
+    return factored
+
+
+def test_each_level_releases_the_previous_mesh_before_factoring(monkeypatch):
+    # nothing of level k (its mesh, solution, density, report) may be held
+    # by adapt or by the loop while level k + 1 factors; a level is made and
+    # yielded after its last factorization
+    yielded = []
+    factored = spy_factorizations(monkeypatch, yielded)
+    level_init = ad.Level.__init__
+
+    def level_hook(self, *args, **kwargs):
+        level_init(self, *args, **kwargs)
+        yielded.append([weakref.ref(getattr(self, part)) for part in PARTS])
+
+    monkeypatch.setattr(ad.Level, "__init__", level_hook)
     ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=4, n0=2))
-    assert len(meshes) == 4 and set(factored) == {0, 1, 2, 3}
+    assert len(yielded) == 4 and set(factored) == {0, 1, 2, 3}
+
+
+def test_a_caller_that_drops_each_level_holds_no_earlier_level(monkeypatch):
+    yielded = []
+    factored = spy_factorizations(monkeypatch, yielded)
+    for lvl in ad.levels(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=4, n0=2)):
+        yielded.append([weakref.ref(getattr(lvl, part)) for part in PARTS])
+        del lvl   # dropped before the next level is requested
+    assert len(yielded) == 4 and set(factored) == {0, 1, 2, 3}
 
 
 def test_ndof_strictly_increasing_and_marks_nonempty():
@@ -149,7 +174,7 @@ def test_vtk_multiplier_is_the_nodal_contact_residual(tmp_path):
     start = lines.index("SCALARS multiplier double 1") + 2
     nv = res.mesh.num_vertices
     multiplier = np.array(lines[start:start + nv], dtype=float)
-    trace = res.trace_mesh
+    trace = res.density.trace
     vert = trace.nodes < nv
     m = trace.sign * res.solution.residual[trace.dofs]
     assert np.array_equal(multiplier[trace.nodes[vert]], m[vert])

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import signorini.adaptive as ad
 import signorini.problems as prb
+import signorini.vi as vi
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,31 +31,32 @@ def test_tracing_instruments_every_wrapped_name():
 
 
 def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
-    # hooked as the worker hooks it: the record of level k is made after level
-    # k's solve and error and before its marking, and nothing of level k + 1
+    # hooked as the worker and its tracer hook it: the record of level k is
+    # made after level k's solve and error and before its marking, and
+    # nothing of level k + 1
     events, meshes = [], []
-    record_init, run_level = ad.LevelRecord.__init__, ad.run_level
+    record_init, solve_vi = ad.LevelRecord.__init__, vi.solve_vi
     measure_error, mark = prb.measure_error, ad.mark
 
     def record_hook(self, *a, **k):
         record_init(self, *a, **k)
         events.append(("record", self.level))
 
-    def run_level_hook(problem, mesh):
-        meshes.append(mesh)
-        events.append(("solve", len(meshes) - 1))
-        return run_level(problem, mesh)
+    def solve_vi_hook(*a, **k):
+        events.append(("solve", len(meshes)))
+        return solve_vi(*a, **k)
 
-    def measure_error_hook(*a, **k):
+    def measure_error_hook(mesh, *a, **k):
+        meshes.append(mesh)
         events.append(("error", len(meshes) - 1))
-        return measure_error(*a, **k)
+        return measure_error(mesh, *a, **k)
 
     def mark_hook(*a, **k):
         events.append(("mark", len(meshes) - 1))
         return mark(*a, **k)
 
     monkeypatch.setattr(ad.LevelRecord, "__init__", record_hook)
-    monkeypatch.setattr(ad, "run_level", run_level_hook)
+    monkeypatch.setattr(vi, "solve_vi", solve_vi_hook)
     monkeypatch.setattr(prb, "measure_error", measure_error_hook)
     monkeypatch.setattr(ad, "mark", mark_hook)
     levels = 3
@@ -65,6 +67,5 @@ def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
     assert events == expected
     assert [r.level for r in result.records] == list(range(levels))
     assert result.mesh is meshes[-1]
-    assert result.dofmap.mesh is result.mesh
     for r in result.records:
         json.dumps(dataclasses.asdict(r.checks))

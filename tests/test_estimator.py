@@ -241,7 +241,7 @@ def test_patch_maxima_match_per_node_oracle():
     patch's triangles, interior edges and Neumann/contact edges explicitly."""
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
-    mesh, u, report = res.mesh, res.solution.u, res.report
+    mesh, u, report, trace = res.mesh, res.solution.u, res.report, res.density.trace
     patches = msh.build_patches(mesh)
     nv, nn = mesh.num_vertices, mesh.num_nodes
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
@@ -254,13 +254,13 @@ def test_patch_maxima_match_per_node_oracle():
     # the interior, Neumann and contact edge ids
     inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
-    con_ids = res.trace_mesh.edge_ids
+    con_ids = trace.edge_ids
     J = dict(zip(inner, est._interior_jumps(mesh, end_sig, inner)))
     R = dict(zip(neu_ids, est._neumann_residual(mesh, end_sig, problem, neu_ids)))
-    Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, res.trace_mesh))
+    Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, trace))
     pen, gap = (dict(zip(con_ids, v))
-                for v in est._consistency_per_edge(mesh, problem, u, res.trace_mesh))
-    lam_region = lambda_region(mesh, res.trace_mesh, res.solution.active)
+                for v in est._consistency_per_edge(mesh, problem, u, trace))
+    lam_region = lambda_region(mesh, trace, res.solution.active)
     tag = dict(zip(mesh.boundary_edge_ids, mesh.boundary_tags))
 
     def sup(vals, ids):
@@ -304,7 +304,7 @@ def test_contact_quantities_match_per_edge_oracle():
     comes from the solver's active set."""
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
-    mesh, u, trace = res.mesh, res.solution.u, res.trace_mesh
+    mesh, u, trace = res.mesh, res.solution.u, res.density.trace
     active = res.solution.active
     chi_p = problem.chi(mesh.node_coords[trace.nodes])
     comp, sgn = 0, 1.0                        # contact on x = 1, n = (1, 0)

@@ -121,10 +121,9 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
     assert not unset, f"defaulted parameters that no call in the package sets: {unset}"
 
 
-# dataclasses whose readers all sit outside the package: the benchmark gate,
-# the acceptance suite and API callers read the per-level checks and the
-# run's final state
-READ_OUTSIDE_CLASSES = {"adaptive.LevelChecks", "adaptive.AdaptiveResult"}
+# dataclasses whose readers all sit outside the package: the benchmark gate
+# and the acceptance suite read the per-level checks
+READ_OUTSIDE_CLASSES = {"adaptive.LevelChecks"}
 READ_OUTSIDE_FIELDS = {
     "adaptive.LevelRecord.checks",            # the benchmark worker dumps them per level
     "vi.VISolution.iterations",               # the benchmark tracer sums them

@@ -3,8 +3,8 @@
     python tools/level_digest.py SRC PROBLEM --levels N --theta T --n0 M [--uniform]
 
 imports ``signorini`` from the directory SRC (the ``src`` of a checkout),
-runs ``adapt`` on PROBLEM (``ex71``, ``ex72`` or a JSON problem file) and
-prints one line per level,
+iterates ``adaptive.levels`` on PROBLEM (``ex71``, ``ex72`` or a JSON problem
+file) and prints one line per level,
 
     level ndof sha256 mesh=H solve=H estimate=H marked=H
 
@@ -25,6 +25,11 @@ the SHA-256 of one part of it:
 Arrays enter with dtype, shape and bytes, and numbers exactly, so equal
 lines mean bit-equal levels, and a change that only moves the estimator in
 round-off leaves the mesh, solve and marked hashes equal.
+
+A level is hashed as it is made: the ``splu`` inputs while it solves, then
+its mesh, solve and estimate parts, then its marked triangles.  A checkout
+whose package has no ``adaptive.levels`` is digested with its own copy of
+this tool.
 
 BLAS runs on one thread unless the environment says otherwise, so two runs
 on one machine see the same round-off.  Nothing in the package imports this
@@ -87,47 +92,47 @@ class LevelHash:
 
 
 def level_digests(src, problem_key, levels, theta, n0, uniform):
-    """[(ndof, digest line)] per level of ``adapt`` run from the package in
-    ``src``."""
+    """[(ndof, digest line)] per level of ``adaptive.levels`` run from the
+    package in ``src``."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
     import signorini.adaptive as ad
+    import signorini.fem as fem
     import signorini.problems as prb
     import signorini.vi as vi
 
     if Path(ad.__file__).resolve().parent != src / "signorini":
         raise SystemExit(f"imported signorini from {ad.__file__}, not from {src}")
-    hashes = []
-    run_level, splu = ad.run_level, vi.spla.splu
+    if not hasattr(ad, "levels"):
+        raise SystemExit(f"{src} has no adaptive.levels; digest it with its own "
+                         "tools/level_digest.py")
+    hashes, splu = [LevelHash()], vi.spla.splu
 
     def hashed_splu(A, *args, **kwargs):
         hashes[-1].add("solve", [A.shape, A.data, A.indices, A.indptr])
         return splu(A, *args, **kwargs)
 
-    def hashed_run_level(problem, mesh):
-        hashes.append(LevelHash())
-        out = run_level(problem, mesh)
-        dofmap, sol, density, report, checks = out
-        # ascending ids, so that a checkout that lists the boundary in
-        # another order hashes the same
-        order = np.argsort(mesh.boundary_edge_ids)
-        hashes[-1].add("mesh", [dofmap.kind, mesh.boundary_edge_ids[order],
-                                mesh.boundary_tags[order], mesh.node_coords, mesh.triangles])
-        hashes[-1].add("solve", [sol, density])
-        hashes[-1].add("estimate", [report, checks])
-        return out
-
-    ad.run_level, vi.spla.splu = hashed_run_level, hashed_splu
+    lines = []
+    params = ad.AdaptiveParams(levels=levels, theta=theta, n0=n0, uniform=uniform)
+    vi.spla.splu = hashed_splu
     try:
-        params = ad.AdaptiveParams(levels=levels, theta=theta, n0=n0, uniform=uniform)
-        result = ad.adapt(prb.get_problem(problem_key), params)
+        for lvl in ad.levels(prb.get_problem(problem_key), params):
+            h, mesh, rec = hashes[-1], lvl.mesh, lvl.record
+            # ascending ids, so that a checkout that lists the boundary in
+            # another order hashes the same
+            order = np.argsort(mesh.boundary_edge_ids)
+            h.add("mesh", [fem.DofMap(mesh).kind, mesh.boundary_edge_ids[order],
+                           mesh.boundary_tags[order], mesh.node_coords, mesh.triangles])
+            h.add("solve", [lvl.solution, lvl.density])
+            h.add("estimate", [lvl.report, rec.checks])
+            h.add("estimate", [getattr(rec, f.name) for f in dataclasses.fields(rec)
+                               if f.name not in ("seconds", "marked")])
+            h.add("marked", rec.marked)
+            lines.append((rec.ndof, h.line()))
+            hashes.append(LevelHash())
     finally:
-        ad.run_level, vi.spla.splu = run_level, splu
-    for h, rec in zip(hashes, result.records):
-        h.add("estimate", [getattr(rec, f.name) for f in dataclasses.fields(rec)
-                           if f.name not in ("seconds", "marked")])
-        h.add("marked", rec.marked)
-    return [(rec.ndof, h.line()) for h, rec in zip(hashes, result.records)]
+        vi.spla.splu = splu
+    return lines
 
 
 def main():

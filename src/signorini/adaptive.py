@@ -33,14 +33,14 @@ _RUN_FILE = re.compile(r"config\.json|convergence\.csv|pdas_trace\.csv|"
                       r"level_\d+\.vtk|density_\d+\.csv")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveParams:
     levels: int = 12
     theta: float = 0.5
     n0: int = 4
     uniform: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.levels < 1:
             raise ValueError("need at least one level")
         if not 0.0 < self.theta <= 1.0:
@@ -164,7 +164,6 @@ def levels(problem, params):
     level is the caller's until the next is requested: then the loop keeps
     its marked triangles only, so a caller that drops the level too holds
     nothing of it while the next level assembles and factors."""
-    params.validate()
     mesh = problem.mesh(params.n0)
     for level in range(params.levels):
         if level:
@@ -181,6 +180,7 @@ def levels(problem, params):
         density = dens.compute_density(sol.residual, trace_mesh)
         report = est.estimate(dofmap, patches, problem, sol, density)
         checks = _level_checks(system, sol, density)
+        ndof = int(np.count_nonzero(system.free))
         del system, patches   # not held across the yield
         bad = np.flatnonzero(~np.isfinite(report.indicator))
         if bad.size or not np.isfinite(report.eta_h):
@@ -189,7 +189,6 @@ def levels(problem, params):
                              f"{bad.size} triangles have a non-finite indicator{first}")
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
-        ndof = 2 * (mesh.num_nodes - dofmap.dirichlet_nodes.size)
         if level and ndof <= rec.ndof:
             raise RuntimeError("degrees of freedom did not increase between levels")
         rec = LevelRecord(
@@ -207,10 +206,7 @@ def levels(problem, params):
 
 def adapt(problem, params, out_dir=None, write_trace=False):
     """Run the adaptive loop and write its outputs; returns an AdaptiveResult."""
-    params.validate()
     out = Path(out_dir) if out_dir is not None else None
-    csv_lines = [CSV_HEADER]
-    pdas_lines = ["level,iteration,active_size,residual_norm"]
     if out is not None:
         check_out_dir(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -220,32 +216,34 @@ def adapt(problem, params, out_dir=None, write_trace=False):
     records = []
     for lvl in levels(problem, params):
         records.append(lvl.record)
-        pdas_lines.extend(f"{lvl.record.level},{row[0]},{row[1]},{row[2]:.17g}"
-                          for row in lvl.solution.history)
-        csv_lines.append(lvl.record.csv_row())
         if out is not None:
             _write_level_outputs(out, lvl, write_trace)
-            (out / "convergence.csv").write_text("\n".join(csv_lines) + "\n")
-            if write_trace:
-                (out / "pdas_trace.csv").write_text("\n".join(pdas_lines) + "\n")
         if len(records) < params.levels:
             del lvl   # not held while the next level factors
     return AdaptiveResult(**vars(lvl), records=records)
 
 
 def _write_level_outputs(out, lvl, write_trace):
-    mesh, sol, report, density, level = (lvl.mesh, lvl.solution, lvl.report, lvl.density,
-                                         lvl.record.level)
+    """Write the level's VTK file and append its row to convergence.csv, and
+    with ``write_trace`` its density dump and PDAS rows; level 0 starts the
+    CSV files."""
+    mesh, sol, report, density, rec = lvl.mesh, lvl.solution, lvl.report, lvl.density, lvl.record
     nv = mesh.num_vertices
-    disp = np.column_stack([sol.u[0:2 * nv:2], sol.u[1:2 * nv:2]])
     multiplier = np.zeros(nv)
     vert = density.trace.nodes < nv
     multiplier[density.trace.nodes[vert]] = density.multiplier[vert]
     terms = {f"eta_{k + 1}": eta for k, eta in enumerate(report.eta_p[:, :nv])}
-    msh.write_vtk(mesh, out / f"level_{level}.vtk",
-                  point_data={"displacement": disp, "multiplier": multiplier, **terms,
+    msh.write_vtk(mesh, out / f"level_{rec.level}.vtk",
+                  point_data={"displacement": sol.u.reshape(-1, 2)[:nv],
+                              "multiplier": multiplier, **terms,
                               "consistency": report.consistency_p[:nv]},
                   cell_data={"indicator": report.indicator,
                              "level": mesh.levels.astype(float)})
+    first = rec.level == 0
+    with open(out / "convergence.csv", "a") as f:
+        f.write(f"{CSV_HEADER}\n" * first + f"{rec.csv_row()}\n")
     if write_trace:
-        dens.write_density_csv(out / f"density_{level}.csv", mesh, density, sol.active)
+        dens.write_density_csv(out / f"density_{rec.level}.csv", mesh, density, sol.active)
+        with open(out / "pdas_trace.csv", "a") as f:
+            f.write("level,iteration,active_size,residual_norm\n" * first + "".join(
+                f"{rec.level},{it},{size},{norm:.17g}\n" for it, size, norm in sol.history))

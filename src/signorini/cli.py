@@ -37,10 +37,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = adaptive.AdaptiveParams(
-        levels=args.levels, theta=args.theta, n0=args.n0, uniform=args.uniform)
     try:
-        params.validate()
+        params = adaptive.AdaptiveParams(
+            levels=args.levels, theta=args.theta, n0=args.n0, uniform=args.uniform)
         problem = prb.get_problem(args.problem)
         adaptive.check_out_dir(args.out)
     except (ValueError, FileExistsError) as exc:   # bad input; run errors keep their traceback

@@ -156,7 +156,6 @@ def write_density_csv(path, mesh, density, active):
     columns = (trace.nodes, x, y, classify_nodes(active, trace), density.normal,
                density.tangential, trace.weight)
     values = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    row = "{},{:.17g},{:.17g},{},{:.17g},{:.17g},{:.17g}\n"
     with open(path, "w") as out:
         out.write("node,x,y,class,lambda_n,lambda_t,weight\n"
-                  + (row * trace.size).format(*values.ravel().tolist()))
+                  + msh.format_rows("{},{:.17g},{:.17g},{},{:.17g},{:.17g},{:.17g}\n", values))

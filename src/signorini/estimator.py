@@ -94,9 +94,9 @@ def estimate(dofmap, patches, problem, sol, density):
     ])
     cons_p = patches.edge_max(pen, con_ids) + patches.edge_max(gap[hot], con_ids[hot])
 
-    neu_node, con_node = dofmap.kind == msh.NEUMANN, dofmap.kind == msh.CONTACT
+    neu_node = dofmap.kind == msh.NEUMANN
     glob = np.array([eta_p[0].max(), eta_p[1].max(), _abs_max(eta_p[2, neu_node]),
-                     _abs_max(eta_p[3, con_node]), _abs_max(eta_p[4, con_node])])
+                     eta_p[3, trace.nodes].max(), eta_p[4, trace.nodes].max()])
     psi = float(glob.sum())
 
     eta6 = float(pen.max())

@@ -161,10 +161,6 @@ class DofMap:
         kind[m.num_vertices + m.boundary_edge_ids] = m.boundary_tags
         object.__setattr__(self, "kind", kind)
 
-    @property
-    def dirichlet_nodes(self):
-        return np.flatnonzero(self.kind == msh.DIRICHLET)
-
 
 def barycentric_to_xy(mesh, bary):
     """Map barycentric sample points to physical coordinates, (nt, npts, 2)."""
@@ -262,7 +258,8 @@ def assemble(dofmap, problem):
     is not finite has no solution; both are errors before K is built.
     """
     mesh, material = dofmap.mesh, problem.material
-    d_nodes = dofmap.dirichlet_nodes
+    free_node = dofmap.kind != msh.DIRICHLET
+    d_nodes = np.flatnonzero(~free_node)
     if d_nodes.size == 0:
         raise ValueError(f"problem {problem.name!r} has no Dirichlet edge, so nothing "
                          f"fixes the rigid motions ({mesh.num_triangles} triangles)")
@@ -274,7 +271,7 @@ def assemble(dofmap, problem):
         raise ValueError(f"problem {problem.name!r}: the Dirichlet data is not finite at "
                          f"{bad.size} of {d_nodes.size} Dirichlet nodes, first at node "
                          f"{d_nodes[bad[0]]} {tuple(d_xy[bad[0]].tolist())}")
-    free = np.repeat(dofmap.kind != msh.DIRICHLET, 2)
+    free = np.repeat(free_node, 2)
     lift.flags.writeable = free.flags.writeable = False
     nt = mesh.num_triangles
     # data so large that K or F overflows is reported by the solver, which

@@ -398,24 +398,24 @@ def write_vtk(mesh, path, point_data, cell_data):
     """
     nv, nt = mesh.num_vertices, mesh.num_triangles
     blocks = ["# vtk DataFile Version 3.0\nsignorini mesh\nASCII\nDATASET UNSTRUCTURED_GRID\n",
-              f"POINTS {nv} double\n", _rows("{:.17g} {:.17g} 0.0\n", mesh.vertices),
-              f"CELLS {nt} {4 * nt}\n", _rows("3 {} {} {}\n", mesh.triangles),
+              f"POINTS {nv} double\n", format_rows("{:.17g} {:.17g} 0.0\n", mesh.vertices),
+              f"CELLS {nt} {4 * nt}\n", format_rows("3 {} {} {}\n", mesh.triangles),
               f"CELL_TYPES {nt}\n", "5\n" * nt, f"POINT_DATA {nv}\n"]
     for name, arr in point_data.items():
         arr = np.asarray(arr, dtype=float)
         if arr.ndim == 2:
-            blocks += [f"VECTORS {name} double\n", _rows("{:.17g} {:.17g} 0.0\n", arr)]
+            blocks += [f"VECTORS {name} double\n", format_rows("{:.17g} {:.17g} 0.0\n", arr)]
         else:
             blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
-                       _rows("{:.17g}\n", arr)]
+                       format_rows("{:.17g}\n", arr)]
     blocks.append(f"CELL_DATA {nt}\n")
     for name, arr in cell_data.items():
         blocks += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
-                   _rows("{:.17g}\n", np.asarray(arr, dtype=float))]
+                   format_rows("{:.17g}\n", np.asarray(arr, dtype=float))]
     with open(path, "w") as out:
         out.write("".join(blocks))
 
 
-def _rows(fmt, arr):
+def format_rows(fmt, arr):
     """One text block with ``fmt`` applied to each row of ``arr``."""
     return (fmt * len(arr)).format(*np.ravel(arr).tolist())

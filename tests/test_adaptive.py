@@ -229,11 +229,16 @@ def test_first_mesh_keeps_contact_distances_and_corners(name):
     assert np.array_equal(mesh.vertices[corners(mesh)], first.vertices[corners(first)])
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=0))
-    with pytest.raises(ValueError):
-        ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(theta=1.5))
+def test_params_validation(tmp_path, capsys):
+    for bad in ({"levels": 0}, {"theta": 1.5}, {"n0": 0}):
+        with pytest.raises(ValueError):
+            ad.AdaptiveParams(**bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ad.AdaptiveParams().theta = 0.0
+    # the CLI reports a marking fraction outside (0, 1] as a usage error
+    for theta in ("0", "nan"):
+        line = cli_usage_error(tmp_path, capsys, "--problem", "ex71", "--theta", theta)
+        assert line == f"signorini: error: marking fraction must be in (0, 1], got {float(theta)}"
 
 
 def test_cli_end_to_end(tmp_path, capsys):

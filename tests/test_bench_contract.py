@@ -67,5 +67,6 @@ def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
     assert events == expected
     assert [r.level for r in result.records] == list(range(levels))
     assert result.mesh is meshes[-1]
-    for r in result.records:
-        json.dumps(dataclasses.asdict(r.checks))
+    for r in result.records:   # the fields the worker reports per level
+        json.dumps([r.level, r.ndof, r.eta_h, r.err_inf, r.active_nodes, r.seconds,
+                    dataclasses.asdict(r.checks)])

@@ -119,7 +119,7 @@ def mark(indicators, theta, diameters):
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"marking fraction must be in (0, 1], got {theta}")
     indicators = np.asarray(indicators, dtype=float)
-    top = indicators.max() if indicators.size else 0.0
+    top = indicators.max(initial=0.0)
     if top <= 0.0:
         return np.array([int(np.argmax(diameters))])
     return np.flatnonzero(indicators >= theta * top)
@@ -170,18 +170,20 @@ def levels(problem, params):
             mesh = msh.refine(mesh, rec.marked)
         tic = time.perf_counter()
         dofmap = fem.DofMap(mesh)
-        patches = msh.build_patches(mesh)
         system = fem.assemble(dofmap, problem)
+        ndof = int(np.count_nonzero(system.free))
+        if level and ndof <= rec.ndof:
+            raise RuntimeError(f"level {level}: {ndof} degrees of freedom, no more than "
+                               f"the {rec.ndof} of level {level - 1}")
         trace_mesh = dens.build_trace_mesh(mesh, problem)
         try:
             sol = vi.solve_vi(system, trace_mesh)
         except vi.SolverError as exc:
             raise vi.SolverError(f"level {level}: {exc}") from exc
         density = dens.compute_density(sol.residual, trace_mesh)
-        report = est.estimate(dofmap, patches, problem, sol, density)
+        report = est.estimate(dofmap, problem, sol, density)
         checks = _level_checks(system, sol, density)
-        ndof = int(np.count_nonzero(system.free))
-        del system, patches   # not held across the yield
+        del system   # not held across the yield
         bad = np.flatnonzero(~np.isfinite(report.indicator))
         if bad.size or not np.isfinite(report.eta_h):
             first = f", the first is triangle {bad[0]}" if bad.size else ""
@@ -189,8 +191,6 @@ def levels(problem, params):
                              f"{bad.size} triangles have a non-finite indicator{first}")
         err = prb.measure_error(mesh, sol.u, problem.exact) \
             if problem.exact is not None else float("nan")
-        if level and ndof <= rec.ndof:
-            raise RuntimeError("degrees of freedom did not increase between levels")
         rec = LevelRecord(
             level=level, ndof=ndof, h_min=report.h_min, l_h=report.l_h,
             eta=tuple(report.eta), eta6=report.eta6, eta7=report.eta7,

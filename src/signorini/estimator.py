@@ -8,6 +8,13 @@ Patchwise terms, each scaled by the patch diameter h_p:
     eta_4,p = h_p   ||tangential traction||_inf over patch contact edges
     eta_5,p = h_p   ||normal traction||_inf     over patch contact edges
 
+The patch of node p is the set of triangles whose six P2 nodes include p,
+and h_p is its diameter (``mesh.build_patches``).  A Neumann or contact
+edge lies on the patch of every node of its one triangle.  An interior edge
+lies only on the patches of its own three nodes, its ends and its midpoint,
+since two triangles share one edge at most.  Each patch value is a
+scatter-maximum of per-triangle or per-edge values over these incidences.
+
 The total combines the global maxima Psi = eta_1 + ... + eta_5 with the
 logarithmic factor l_h = 1 + |log h_min|^2 and two obstacle-consistency
 terms: the penetration sup (u_n - chi)^+ over the whole contact boundary
@@ -58,15 +65,11 @@ def log_factor(h_min):
     return 1.0 + np.log(h_min) ** 2
 
 
-def _abs_max(arr):
-    return np.abs(arr).max() if arr.size else 0.0
-
-
-def estimate(dofmap, patches, problem, sol, density):
+def estimate(dofmap, problem, sol, density):
     """Evaluate all estimator contributions for the level solved by ``sol``
     (u and the active set); the contact record is ``density.trace``."""
     mesh, trace, u = dofmap.mesh, density.trace, sol.u
-    h_p = patches.diameter
+    n, h_p = mesh.num_nodes, msh.build_patches(mesh)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
     S = _element_residual(mesh, problem, sig)
     # sigma(u_h) at both ends of every edge, seen from both sides; side 1 of
@@ -85,22 +88,24 @@ def estimate(dofmap, patches, problem, sol, density):
     # positions in con_ids of the contact edges that hold an active node
     hot = np.flatnonzero(sol.active[trace.edge_pos].any(axis=1))
 
+    # a boundary edge lies on the patches of the six nodes of its triangle
+    on_neu, on_con = (mesh.element_nodes[mesh.edge_tris[ids, 0]] for ids in (neu_ids, con_ids))
     eta_p = np.stack([
-        h_p ** 2 * patches.tri_max(S),
-        h_p * patches.edge_max(J, inner),
-        h_p * patches.edge_max(R, neu_ids),
-        h_p * patches.edge_max(Tt, con_ids),
-        h_p * patches.edge_max(Tn, con_ids),
+        h_p ** 2 * _patch_max(n, mesh.element_nodes, S),
+        h_p * _patch_max(n, mesh.edge_node_triples[inner], J),
+        h_p * _patch_max(n, on_neu, R),
+        h_p * _patch_max(n, on_con, Tt),
+        h_p * _patch_max(n, on_con, Tn),
     ])
-    cons_p = patches.edge_max(pen, con_ids) + patches.edge_max(gap[hot], con_ids[hot])
+    cons_p = _patch_max(n, on_con, pen) + _patch_max(n, on_con[hot], gap[hot])
 
     neu_node = dofmap.kind == msh.NEUMANN
-    glob = np.array([eta_p[0].max(), eta_p[1].max(), _abs_max(eta_p[2, neu_node]),
+    glob = np.array([eta_p[0].max(), eta_p[1].max(), eta_p[2, neu_node].max(initial=0.0),
                      eta_p[3, trace.nodes].max(), eta_p[4, trace.nodes].max()])
     psi = float(glob.sum())
 
     eta6 = float(pen.max())
-    eta7 = float(gap[hot].max()) if hot.size else 0.0
+    eta7 = float(gap[hot].max(initial=0.0))
 
     h_min = float(mesh.diameters.min())
     l_h = float(log_factor(h_min))
@@ -113,6 +118,14 @@ def estimate(dofmap, patches, problem, sol, density):
         h_min=h_min, l_h=l_h, eta=glob, psi=psi, eta6=eta6, eta7=eta7,
         eta_h=eta_h, eta_p=eta_p, consistency_p=cons_p,
         indicator=indicator)
+
+
+def _patch_max(n, incidence, values):
+    """(n,) per node, the max of the nonnegative ``values`` over the rows of
+    ``incidence`` (aligned with them) that hold the node, 0 where none does."""
+    out = np.zeros(n)
+    np.maximum.at(out, incidence, values[:, None])
+    return out
 
 
 # -- per-element and per-edge quantities -----------------------------------------

@@ -1,4 +1,4 @@
-"""Conforming triangle meshes: boundary tags, patches, bisection refinement.
+"""Conforming triangle meshes: boundary tags, patch diameters, bisection refinement.
 
 A mesh is immutable; ``refine`` returns a new one.  Each triangle stores its
 bisection peak as the first vertex, so the refinement edge is the edge
@@ -316,55 +316,18 @@ def refine(mesh, marked):
 
 # -- patches ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatchTable:
-    """Patches of the quadratic nodes (vertices, then edge midpoints).
-
-    The patch of node p is the set of triangles whose six P2 nodes include
-    p.  A tagged boundary edge lies on the patch of every node of its
-    triangle.  An interior edge is interior to the patches of its two ends
-    and its midpoint only, since two triangles share one edge at most.
-    Patch maxima are scatter-maxima over these incidences.
-
-    tri_nodes   (nt, 6) nodes whose patch holds each triangle
-    edge_nodes  (ne, 6) nodes whose patch holds each edge, padded by repeats
-    diameter    (n_nodes,) largest distance between two patch corners
-    """
-
-    tri_nodes: np.ndarray
-    edge_nodes: np.ndarray
-    diameter: np.ndarray
-
-    def tri_max(self, values):
-        """Per node, the max of nonnegative per-triangle values over its patch."""
-        return self._scatter_max(self.tri_nodes, values)
-
-    def edge_max(self, values, ids):
-        """Per node, the max of nonnegative ``values`` of the edges ``ids``
-        (aligned with them) lying on its patch, 0 where there are none."""
-        return self._scatter_max(self.edge_nodes[ids], values)
-
-    def _scatter_max(self, incidence, values):
-        out = np.zeros(self.diameter.size)
-        np.maximum.at(out, incidence, values[:, None])
-        return out
-
-
 def build_patches(mesh):
-    """Patch incidences and diameters for all quadratic nodes of ``mesh``.
+    """(num_nodes,) diameter h_p of the patch of each quadratic node of
+    ``mesh``: the largest distance between two corners of the triangles
+    whose six P2 nodes include p.
 
     The corners of a vertex patch are the vertex and its edge neighbours;
     those of a midpoint patch are the edge ends and the vertex opposite the
-    edge in each adjacent triangle.  Rows are padded with a repeated corner.
-    A diameter is the largest distance over the distinct corner pairs
-    (i < j) of its row; a padded pair adds a zero distance.
+    edge in each adjacent triangle.  Rows are padded with a repeated corner,
+    and a padded pair adds a zero distance.
     """
     nv = mesh.num_vertices
     edge_tris = mesh.edge_tris
-    inner = edge_tris[:, 1] >= 0
-    edge_nodes = mesh.element_nodes[edge_tris[:, 0]]
-    edge_nodes[inner] = np.tile(mesh.edge_node_triples[inner], 2)
-
     src = mesh.edges.ravel()
     dst = mesh.edges[:, ::-1].ravel()
     order = np.argsort(src, kind="stable")
@@ -385,7 +348,7 @@ def build_patches(mesh):
         x, y = mesh.vertices[corners, 0], mesh.vertices[corners, 1]
         d2 = (x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2
         diam.append(np.sqrt(d2.max(axis=1)))
-    return PatchTable(mesh.element_nodes, edge_nodes, np.concatenate(diam))
+    return np.concatenate(diam)
 
 
 # -- VTK output ---------------------------------------------------------------

@@ -90,7 +90,7 @@ def solve_vi(system, trace):
             raise SolverError(f"non-finite solution in active-set iteration {it} "
                               f"({system.ndof} dofs)")
         r = system.F - system.K @ u
-        free_res = np.abs(r[free_idx]).max() if free_idx.size else 0.0
+        free_res = np.abs(r[free_idx]).max(initial=0.0)
         history.append((it, int(active.sum()), float(free_res)))
         nxt = trace.normal_part(r) + c * (trace.normal_part(u) - trace.gap) > 0
         if np.array_equal(nxt, active):

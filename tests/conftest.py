@@ -61,7 +61,6 @@ class SolvedState:
         self.problem = problem
         self.mesh = problem.mesh(n)
         self.dofmap = fem.DofMap(self.mesh)
-        self.patches = msh.build_patches(self.mesh)
         self.system = fem.assemble(self.dofmap, problem)
         self.trace = dens.build_trace_mesh(self.mesh, problem)
         self.solution = vi.solve_vi(self.system, self.trace)

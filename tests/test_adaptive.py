@@ -483,3 +483,20 @@ def test_non_finite_eta_h_raises_with_level(monkeypatch):
     with pytest.raises(ValueError, match=r"^level 1: non-finite estimate \(eta_h = inf\): "
                                          r"0 triangles have a non-finite indicator$"):
         ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=3, n0=2))
+
+
+def test_ndof_that_does_not_grow_is_an_error_before_solving(monkeypatch):
+    # a refinement that returns its input leaves level 1 with level 0's dofs
+    solves = []
+    solve_vi = vi.solve_vi
+
+    def counting(*args):
+        solves.append(None)
+        return solve_vi(*args)
+
+    monkeypatch.setattr(msh, "refine", lambda mesh, marked: mesh)
+    monkeypatch.setattr(vi, "solve_vi", counting)
+    with pytest.raises(RuntimeError, match=r"^level 1: 40 degrees of freedom, no more than "
+                                           r"the 40 of level 0$"):
+        ad.adapt(prb.bottom_contact_benchmark(), ad.AdaptiveParams(levels=3, n0=2))
+    assert len(solves) == 1

@@ -365,12 +365,12 @@ def test_node_average_constant_is_one(solved71):
 
 def test_node_average_linear_field_against_independent_rule(solved71):
     state = solved71
-    mesh, dofmap, patches = state.mesh, state.dofmap, state.patches
+    mesh, dofmap = state.mesh, state.dofmap
     v = lambda pts: 0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2
     got = qd.node_averages(dofmap, state.trace, v)
 
     def oracle_volume(p):
-        tris = np.flatnonzero((patches.tri_nodes == p).any(axis=1))
+        tris = np.flatnonzero((mesh.element_nodes == p).any(axis=1))
         num = den_ = 0.0
         for t in tris:
             pts = np.einsum("qk,kd->qd", _D3_B, mesh.vertices[mesh.triangles[t]])

@@ -27,20 +27,19 @@ def zero_problem(tagging=msh.tag_bottom_contact, material=None):
 def report_for(problem, mesh, u):
     """Estimate of a given field ``u``, not a solve: its active set is empty."""
     dofmap = fem.DofMap(mesh)
-    patches = msh.build_patches(mesh)
     system = fem.assemble(dofmap, problem)
     trace = dens.build_trace_mesh(mesh, problem)
     residual = system.F - system.K @ u
     sol = vi.VISolution(u, np.zeros(trace.size, dtype=bool), [], residual)
     density = dens.compute_density(residual, trace)
-    return est.estimate(dofmap, patches, problem, sol, density), dofmap, patches
+    return est.estimate(dofmap, problem, sol, density)
 
 
 def test_eta1_zero_for_linear_field():
     problem = zero_problem()
     mesh = problem.mesh(2)
     u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
-    report, _, _ = report_for(problem, mesh, u)
+    report = report_for(problem, mesh, u)
     assert report.eta[0] < 1e-12
 
 
@@ -49,8 +48,8 @@ def test_eta1_constant_force():
     problem = dataclasses.replace(zero_problem(),
                                   f=lambda p: np.tile(c, (len(p), 1)))
     mesh = problem.mesh(2)
-    report, _, patches = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
-    assert np.allclose(report.eta_p[0], patches.diameter ** 2 * np.abs(c).max(),
+    report = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
+    assert np.allclose(report.eta_p[0], msh.build_patches(mesh) ** 2 * np.abs(c).max(),
                        atol=1e-14)
 
 
@@ -59,7 +58,7 @@ def test_eta2_zero_for_global_linear():
     mesh = problem.mesh(3)
     u = interpolate(mesh, lambda p: np.column_stack(
         [0.3 * p[:, 0] + 0.1 * p[:, 1], 0.5 * p[:, 1]]))
-    report, _, _ = report_for(problem, mesh, u)
+    report = report_for(problem, mesh, u)
     assert report.eta[1] < 1e-12
 
 
@@ -76,10 +75,10 @@ def test_eta2_hand_built_jump():
     mesh = problem.mesh(1)
     u = interpolate(mesh, lambda p: np.column_stack(
         [alpha * np.maximum(p[:, 1] - p[:, 0], 0.0), np.zeros(len(p))]))
-    report, _, patches = report_for(problem, mesh, u)
+    report = report_for(problem, mesh, u)
     diag = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
     p_mid = mesh.num_vertices + diag
-    assert np.isclose(patches.diameter[p_mid], np.sqrt(2.0))
+    assert np.isclose(msh.build_patches(mesh)[p_mid], np.sqrt(2.0))
     assert np.isclose(report.eta_p[1, p_mid], 4.0 * alpha, atol=1e-13)
 
 
@@ -111,7 +110,7 @@ def test_eta3_manufactured_quadratic_exact():
         exact=exact)
     mesh = problem.mesh(3)
     u = interpolate(mesh, exact)
-    report, _, _ = report_for(problem, mesh, u)
+    report = report_for(problem, mesh, u)
     scale = 1.0 + np.abs(u).max()
     assert report.eta[0] <= 1e-9 * scale
     assert report.eta[1] <= 1e-9 * scale
@@ -121,7 +120,7 @@ def test_eta3_manufactured_quadratic_exact():
 def test_eta3_zero_data():
     problem = zero_problem()
     mesh = problem.mesh(2)
-    report, _, _ = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
+    report = report_for(problem, mesh, np.zeros(2 * mesh.num_nodes))
     assert report.eta[2] == 0.0
     assert report.eta_h == 0.0 and report.psi == 0.0
 
@@ -131,12 +130,12 @@ def test_eta45_uniaxial_contact_traction():
     problem = zero_problem(tagging=msh.tag_right_contact)
     mesh = problem.mesh(2)
     u = interpolate(mesh, lambda p: np.column_stack([p[:, 0], np.zeros(len(p))]))
-    report, dofmap, patches = report_for(problem, mesh, u)
-    contact_nodes = np.flatnonzero(dofmap.kind == msh.CONTACT)
-    assert np.allclose(report.eta_p[4, contact_nodes],
-                       3.0 * patches.diameter[contact_nodes], atol=1e-12)
+    report = report_for(problem, mesh, u)
+    contact_nodes = np.flatnonzero(fem.DofMap(mesh).kind == msh.CONTACT)
+    h_p = msh.build_patches(mesh)
+    assert np.allclose(report.eta_p[4, contact_nodes], 3.0 * h_p[contact_nodes], atol=1e-12)
     assert np.abs(report.eta_p[3, contact_nodes]).max() < 1e-12
-    assert np.isclose(report.eta[4], 3.0 * patches.diameter[contact_nodes].max())
+    assert np.isclose(report.eta[4], 3.0 * h_p[contact_nodes].max())
 
 
 def lambda_region(mesh, trace, active):
@@ -152,7 +151,7 @@ def lambda_region(mesh, trace, active):
 def test_consistency_terms_flat_obstacle(solved71):
     # full contact against chi = 0: no penetration, empty inactive region
     state = solved71
-    report = est.estimate(state.dofmap, state.patches, state.problem,
+    report = est.estimate(state.dofmap, state.problem,
                           state.solution, state.density)
     assert report.eta6 == 0.0
     assert report.eta7 == 0.0
@@ -167,7 +166,7 @@ def test_lambda_region_excludes_zero_density():
     enter.  On n = 8, two of the wedge push's eight contact edges are such
     edges."""
     state = SolvedState(prb.rigid_wedge_push(), n=8)
-    report = est.estimate(state.dofmap, state.patches, state.problem,
+    report = est.estimate(state.dofmap, state.problem,
                           state.solution, state.density)
     _, gap = est._consistency_per_edge(state.mesh, state.problem, state.solution.u,
                                        state.trace)
@@ -183,7 +182,7 @@ def test_wedge_estimate_scales_with_the_data(scaled_wedges, alpha):
     """eta7 and eta_h of ex72 with its data scaled by alpha are alpha times
     those of scale 1, down to 1e-14: the region of eta7 is the solver's
     active set, which holds no absolute tolerance."""
-    base, scaled = (est.estimate(s.dofmap, s.patches, s.problem, s.solution, s.density)
+    base, scaled = (est.estimate(s.dofmap, s.problem, s.solution, s.density)
                     for s in (scaled_wedges[1.0], scaled_wedges[alpha]))
     assert base.eta7 > 0.0
     assert scaled.eta7 / alpha == pytest.approx(base.eta7, rel=1e-9)
@@ -194,7 +193,7 @@ def test_total_arithmetic(solved72):
     assert est.log_factor(1.0) == 1.0
     assert np.isclose(est.log_factor(np.exp(-1.0)), 2.0, rtol=1e-15)
     state = solved72
-    report = est.estimate(state.dofmap, state.patches, state.problem,
+    report = est.estimate(state.dofmap, state.problem,
                           state.solution, state.density)
     assert report.l_h == est.log_factor(report.h_min)
     assert report.eta_h == est.C0 * (report.l_h * report.psi + report.eta6 + report.eta7)
@@ -208,7 +207,7 @@ def test_positive_homogeneity(solved71, alpha):
     """Scaling u, f, g, chi by alpha, from 1e-14 to 30, scales every
     estimator part by alpha; the active set does not change."""
     state = solved71
-    base = est.estimate(state.dofmap, state.patches, state.problem,
+    base = est.estimate(state.dofmap, state.problem,
                         state.solution, state.density)
     p = state.problem
     scaled = prb.ProblemSpec(
@@ -220,7 +219,7 @@ def test_positive_homogeneity(solved71, alpha):
     residual = system.F - system.K @ u
     sol = dataclasses.replace(state.solution, u=u, residual=residual)
     den = dens.compute_density(residual, dens.build_trace_mesh(state.mesh, scaled))
-    rep = est.estimate(state.dofmap, state.patches, scaled, sol, den)
+    rep = est.estimate(state.dofmap, scaled, sol, den)
     assert np.allclose(rep.eta, alpha * base.eta, rtol=1e-12, atol=0.0)
     assert np.isclose(rep.eta6, alpha * base.eta6, rtol=1e-12, atol=0.0)
     assert np.isclose(rep.eta7, alpha * base.eta7, rtol=1e-12, atol=0.0)
@@ -229,7 +228,7 @@ def test_positive_homogeneity(solved71, alpha):
 
 def test_estimate_deterministic(solved71):
     state = solved71
-    args = (state.dofmap, state.patches, state.problem,
+    args = (state.dofmap, state.problem,
             state.solution, state.density)
     a, b = est.estimate(*args), est.estimate(*args)
     assert a.eta_h == b.eta_h
@@ -242,7 +241,6 @@ def test_patch_maxima_match_per_node_oracle():
     problem = prb.rigid_wedge_push()
     res = ad.adapt(problem, ad.AdaptiveParams(levels=4, theta=0.5, n0=4))
     mesh, u, report, trace = res.mesh, res.solution.u, res.report, res.density.trace
-    patches = msh.build_patches(mesh)
     nv, nn = mesh.num_vertices, mesh.num_nodes
     assert len(set(np.bincount(mesh.triangles.ravel()).tolist())) > 3
     assert set(mesh.boundary_tags) == {"D", "N", "C"}
@@ -272,7 +270,7 @@ def test_patch_maxima_match_per_node_oracle():
             tris = np.flatnonzero((mesh.triangles == p).any(axis=1))
         else:
             tris = mesh.edge_tris[p - nv][mesh.edge_tris[p - nv] >= 0]
-        assert np.array_equal(np.flatnonzero((patches.tri_nodes == p).any(axis=1)), tris)
+        assert np.array_equal(np.flatnonzero((mesh.element_nodes == p).any(axis=1)), tris)
         interior_edges, neumann_edges, contact_edges = [], [], []
         for e in np.unique(mesh.tri_edges[tris]):
             t0, t1 = mesh.edge_tris[e]
@@ -293,7 +291,7 @@ def test_patch_maxima_match_per_node_oracle():
         cons_p[p] = sup(pen, contact_edges) + sup(gap, lam)
 
     assert lam_region and (cons_p > 0).any()
-    assert np.array_equal(patches.diameter, diameter)
+    assert np.array_equal(msh.build_patches(mesh), diameter)
     assert np.array_equal(report.eta_p, eta_p)
     assert np.array_equal(report.consistency_p, cons_p)
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
+
+from test_estimator import report_for, zero_problem
 
 
 def bottom_mesh(n):
@@ -440,44 +443,57 @@ def test_mesh_rejects_per_item_array_of_wrong_length(field, what):
 
 # -- patches -------------------------------------------------------------------
 
-def patch_size(patches, p):
+def patch_size(m, p):
     """Number of triangles on the patch of node p."""
-    return int((patches.tri_nodes == p).any(axis=1).sum())
+    return int((m.element_nodes == p).any(axis=1).sum())
 
 
-def patch_edges(patches, p, ids):
-    """The edges among ``ids`` that lie on the patch of node p."""
-    return ids[(patches.edge_nodes[ids] == p).any(axis=1)].tolist()
+def patch_edges(m, p, ids):
+    """The edges among ``ids``, all interior or all contact edges, that
+    ``estimate`` puts on the patch of node p.  One edge at a time, the
+    estimator's residual of their kind is 1 on that edge and 0 on the
+    others; the edge lies on the patch when p's term of that kind, eta_2 or
+    eta_5, is positive."""
+    interior = bool((m.edge_tris[ids, 1] >= 0).all())
+    on_patch = []
+    for e in ids:
+        with pytest.MonkeyPatch.context() as mp:
+            if interior:
+                mp.setattr(est, "_interior_jumps", lambda mesh, end_sig, inner: (inner == e) * 1.0)
+            else:
+                mp.setattr(est, "_contact_tractions",
+                           lambda end_sig, trace: ((trace.edge_ids == e) * 1.0,) * 2)
+            report = report_for(zero_problem(), m, np.zeros(2 * m.num_nodes))
+        if report.eta_p[1 if interior else 4, p] > 0:
+            on_patch.append(int(e))
+    return on_patch
 
 
 def test_patch_interior_vertex_valence_six():
     m = bottom_mesh(4)
     dm = fem.DofMap(m)
-    patches = msh.build_patches(m)
     interior = [v for v in range(m.num_vertices) if dm.kind[v] == "i"]
     assert interior
-    assert all(patch_size(patches, v) == 6 for v in interior)
+    assert all(patch_size(m, v) == 6 for v in interior)
 
 
 def test_patch_interior_edge_midpoint():
     m = bottom_mesh(2)
-    patches = msh.build_patches(m)
     inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
     p = m.num_vertices + inner[0]
-    assert patch_size(patches, p) == 2
-    assert patch_edges(patches, p, inner) == [inner[0]]
+    assert patch_size(m, p) == 2
+    assert patch_edges(m, p, inner) == [inner[0]]
 
 
 def test_patch_contact_edge_midpoint():
     m = bottom_mesh(2)
-    patches = msh.build_patches(m)
     con = m.boundary_edge_ids[m.boundary_tags == "C"]
     p = m.num_vertices + con[0]
-    assert patch_edges(patches, p, con) == [con[0]]
-    assert patch_size(patches, p) == 1
+    assert patch_edges(m, p, con) == [con[0]]
+    assert patch_size(m, p) == 1
     # edges of a one-triangle patch all lie on the patch boundary
     inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
-    assert patch_edges(patches, p, inner) == []
+    assert patch_edges(m, p, inner) == []
 
 
 def test_patch_diameter_positive_and_consistent():
@@ -487,7 +503,7 @@ def test_patch_diameter_positive_and_consistent():
     for k in range(4):
         m = msh.refine(m, np.arange(k % 3, m.num_triangles, 3))
     assert len(set(np.bincount(m.triangles.ravel()).tolist())) > 3
-    diameter = msh.build_patches(m).diameter
+    diameter = msh.build_patches(m)
     nv = m.num_vertices
     # every ordered pair of corners of the patch's triangles, one at a time
     for p in range(nv + m.edges.shape[0]):

@@ -1,10 +1,15 @@
 """Smoke tests of the scripts under tools/."""
 
 import functools
+import hashlib
+import importlib.util
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PARTS = ("mesh", "solve", "estimate", "marked")
@@ -51,3 +56,28 @@ def test_level_digest_parts_split_a_level():
         digest_twice("1.0", *flags)[0] for flags in (("--uniform",), ()))
     assert all(parts_u[part] == parts_m[part] for part in ("mesh", "solve", "estimate"))
     assert parts_u["marked"] != parts_m["marked"] and full_u != full_m
+
+
+def test_level_digest_hashes_numpy_scalars_apart_from_python_numbers(monkeypatch):
+    """A numpy integer or bool, which JSON cannot encode, hashes apart from
+    the Python number of the same value, so a record field that turns into
+    one changes the digest; Python ints, bools and floats hash as before."""
+    # the tool sets these at import; monkeypatch restores them afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("level_digest",
+                                                  ROOT / "tools" / "level_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def digest(obj):
+        h = hashlib.sha256()
+        tool.feed(h, obj)
+        return h.hexdigest()
+
+    assert digest(3) != digest(np.int64(3)) != digest(np.int32(3))
+    assert digest(True) != digest(np.bool_(True))
+    assert digest(3) == hashlib.sha256(b"i3").hexdigest()
+    assert digest(True) == hashlib.sha256(b"T").hexdigest()
+    assert digest(np.float64(0.1)) == digest(0.1) \
+        == hashlib.sha256(b"f0x1.999999999999ap-4").hexdigest()

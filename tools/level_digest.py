@@ -22,9 +22,10 @@ the SHA-256 of one part of it:
               level's record without its wall time and marked triangles
     marked    the marked triangles
 
-Arrays enter with dtype, shape and bytes, and numbers exactly, so equal
-lines mean bit-equal levels, and a change that only moves the estimator in
-round-off leaves the mesh, solve and marked hashes equal.
+Arrays enter with dtype, shape and bytes, numpy integer and bool scalars
+with their dtype, and numbers exactly, so equal lines mean bit-equal
+levels, and a change that only moves the estimator in round-off leaves the
+mesh, solve and marked hashes equal.
 
 A level is hashed as it is made: the ``splu`` inputs while it solves, then
 its mesh, solve and estimate parts, then its marked triangles.  A checkout
@@ -51,7 +52,8 @@ import numpy as np  # noqa: E402  (after the thread settings)
 
 def feed(h, obj):
     """Add ``obj`` to the hash ``h``: dataclasses field by field, arrays
-    with dtype and shape, floats by their exact hex form."""
+    and numpy integer and bool scalars with their dtype, floats by their
+    exact hex form."""
     if dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             feed(h, getattr(obj, f.name))
@@ -62,10 +64,13 @@ def feed(h, obj):
         h.update(f"[{len(obj)}".encode())
         for item in obj:
             feed(h, item)
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, (np.integer, np.bool_)):
+        # a numpy scalar, unlike an int, fails to JSON-encode
+        h.update(f"{obj.dtype.str}{obj.item()}".encode())
+    elif isinstance(obj, bool):
         h.update(b"T" if obj else b"F")
-    elif isinstance(obj, (int, np.integer)):
-        h.update(f"i{int(obj)}".encode())
+    elif isinstance(obj, int):
+        h.update(f"i{obj}".encode())
     elif isinstance(obj, (float, np.floating)):
         h.update(f"f{float(obj).hex()}".encode())
     else:

@@ -21,12 +21,6 @@ CONTACT = "C"
 TAGS = (DIRICHLET, NEUMANN, CONTACT)
 
 
-# Entry 3 t + j of the edge table is the edge from corner j + 1 to corner
-# j + 2 (mod 3) of triangle t.  Row 2 j + swap holds those two corners in the
-# order of the edge's ends (min, max); swap is 1 where that order reverses them.
-_EDGE_CORNERS = np.array([[1, 2], [2, 1], [2, 0], [0, 2], [0, 1], [1, 0]])
-
-
 class MeshError(ValueError):
     pass
 
@@ -88,12 +82,11 @@ class Mesh:
 
     @cached_property
     def _edge_table(self):
-        """Edges, triangle-edge ids, edge-triangle adjacency and edge corners
-        from one stable sort of the triangle-edge keys: each run of equal
-        keys is one edge, and its 1 or 2 entries are its triangles in
-        ascending order."""
-        ends = self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2)
-        pairs = np.sort(ends, axis=1)
+        """Edges, triangle-edge ids and edge-triangle adjacency from one
+        stable sort of the triangle-edge keys.  Entry 3 t + j is the edge
+        opposite corner j of triangle t; each run of equal keys is one edge,
+        and its 1 or 2 entries are its triangles in ascending order."""
+        pairs = np.sort(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
         key = pairs[:, 0] * self.num_vertices + pairs[:, 1]
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
@@ -106,11 +99,9 @@ class Mesh:
         tri_edges = np.empty(key.size, dtype=np.int64)
         tri_edges[order] = np.cumsum(first) - 1
         outer = count == 1
-        entry = order[np.column_stack([starts, starts + ~outer])]  # a boundary edge repeats side 0
-        edge_tris = entry // 3
-        edge_corners = _EDGE_CORNERS[2 * (entry % 3) + (ends[entry, 0] > ends[entry, 1])]
-        edge_tris[outer, 1] = edge_corners[outer, 1] = -1
-        return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris, edge_corners
+        edge_tris = order[np.column_stack([starts, starts + ~outer])] // 3
+        edge_tris[outer, 1] = -1
+        return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris
 
     @property
     def edges(self):
@@ -128,12 +119,15 @@ class Mesh:
         edge is boundary."""
         return self._edge_table[2]
 
-    @property
+    @cached_property
     def edge_corners(self):
         """(ne, 2 sides, 2 ends) local corner of ``edges[e, end]`` in triangle
-        ``edge_tris[e, side]``, -1 on the missing side of a boundary edge.
-        The corner opposite the edge is 3 minus the sum of its two corners."""
-        return self._edge_table[3]
+        ``edge_tris[e, side]``, found among that triangle's corners; -1 on the
+        missing side of a boundary edge.  The corner opposite the edge is 3
+        minus the sum of its two corners."""
+        found = (self.triangles[self.edge_tris][:, :, None, :]
+                 == self.edges[:, None, :, None]).argmax(-1)
+        return np.where(self.edge_tris[:, :, None] < 0, -1, found)
 
     @cached_property
     def boundary_edge_ids(self):
@@ -322,12 +316,11 @@ def build_patches(mesh):
     whose six P2 nodes include p.
 
     The corners of a vertex patch are the vertex and its edge neighbours;
-    those of a midpoint patch are the edge ends and the vertex opposite the
-    edge in each adjacent triangle.  Rows are padded with a repeated corner,
-    and a padded pair adds a zero distance.
+    those of a midpoint patch are the corners of the edge's triangles, where
+    the missing side of a boundary edge repeats side 0.  Rows are padded with
+    a repeated corner, which adds only a zero or a repeated distance.
     """
     nv = mesh.num_vertices
-    edge_tris = mesh.edge_tris
     src = mesh.edges.ravel()
     dst = mesh.edges[:, ::-1].ravel()
     order = np.argsort(src, kind="stable")
@@ -336,11 +329,8 @@ def build_patches(mesh):
     v_corners = np.repeat(np.arange(nv)[:, None], counts.max() + 1, axis=1)
     v_corners[src[order], 1 + rank] = dst[order]
 
-    missing = edge_tris < 0
-    adj = np.where(missing, edge_tris[:, :1], edge_tris)
-    opposite = 3 - mesh.edge_corners.sum(axis=2)
-    opposite = np.where(missing, opposite[:, :1], opposite)
-    e_corners = np.hstack([mesh.edges, mesh.triangles[adj, opposite]])
+    adj = np.where(mesh.edge_tris < 0, mesh.edge_tris[:, :1], mesh.edge_tris)
+    e_corners = mesh.triangles[adj].reshape(-1, 6)
 
     diam = []
     for corners in (v_corners, e_corners):

@@ -4,6 +4,8 @@ Its traced run wraps functions of the package by name: instrumenting in a
 fresh interpreter fails here, in the test suite, when a wrapped function or
 attribute is renamed or removed.  Every run timestamps each level when its
 ``LevelRecord`` is made and reports the record's checks and the final mesh.
+A traced ex71 run must pass the benchmark's gate, whose pinned solver and
+mesh counts a change to the solve or the refinement would move.
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import signorini.adaptive as ad
@@ -18,12 +21,13 @@ import signorini.problems as prb
 import signorini.vi as vi
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_tracing_instruments_every_wrapped_name():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")])
+        [str(ROOT / "src"), str(PERFBENCH), env.get("PYTHONPATH", "")])
     code = "import tracing; tracing.instrument(tracing.Tracer(), {})"
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
@@ -70,3 +74,24 @@ def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
     for r in result.records:   # the fields the worker reports per level
         json.dumps([r.level, r.ndof, r.eta_h, r.err_inf, r.active_nodes, r.seconds,
                     dataclasses.asdict(r.checks)])
+
+
+def test_traced_ex71_run_passes_the_gate(tmp_path, monkeypatch):
+    # the worker as the benchmark starts it, traced, so the gate compares
+    # the exact counts of reference.json as well as the levels
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gate
+    import run
+
+    report_path = tmp_path / "report.json"
+    env = {**os.environ, **run.WORKER_ENV, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "ex71-adapt",
+           "--src", str(ROOT / "src"), "--report", str(report_path), "--trace",
+           "--spawned-at", repr(time.monotonic())]
+    proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(report_path.read_text())
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert "layers" in report
+    assert gate.problems("ex71-adapt", report, reference) == []

@@ -343,6 +343,19 @@ def test_refinement_keeps_invariants_under_random_marks(marks, rounds):
     mids = m.vertices[m.boundary_edges].mean(axis=1)
     assert all(tag == ("C" if my < 1e-9 else "D" if my > 1 - 1e-9 else "N")
                for (mx, my), tag in zip(mids, m.boundary_tags))
+    # each edge's ends sit at its corners in both triangles, -1 on a missing side
+    for side in (0, 1):
+        has = m.edge_tris[:, side] >= 0
+        assert np.array_equal(m.triangles[m.edge_tris[has, side, None],
+                                          m.edge_corners[has, side]], m.edges[has])
+        assert (m.edge_corners[~has, side] == -1).all()
+    # a midpoint's patch diameter spans the corners of its edge's triangles
+    diameter = msh.build_patches(m)
+    for e, tris in enumerate(m.edge_tris):
+        pts = m.vertices[m.triangles[tris[tris >= 0]]].reshape(-1, 2).tolist()
+        brute = max(math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+                    for ax, ay in pts for bx, by in pts)
+        assert diameter[m.num_vertices + e] == brute, e
 
 
 def all_neumann(pts):

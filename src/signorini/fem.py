@@ -25,7 +25,8 @@ functions.  The table C (x) R is laid out in dof order, so the 78 entries on
 and above the diagonal of all element matrices come from one
 (nt, 16) @ (16, 78) product; the entries below copy them.  Loads, point
 values and gradients follow the same pattern: a reference table at the
-sample points times the element coefficients, as ``np.matmul``.
+sample points times the element coefficients, as ``np.matmul``.  One
+``np.bincount`` adds the element loads, then the Neumann edge loads, into F.
 
 K is assembled exactly symmetric, as CSR with sorted int32 indices: one
 sort of the element node pairs gives the pattern, each pair a 2x2 dof block,
@@ -144,10 +145,10 @@ class DofMap:
     """The node-kind table of one mesh's P2 nodes (``mesh.node_coords``).
 
     ``kind`` holds 'i' (interior), 'D', 'N' or 'C' per node, from the mesh's
-    boundary tags (its rule at the boundary-edge midpoints).  A boundary
-    midpoint takes its edge's tag, a boundary vertex those of its edges in
-    one pass, Neumann, then contact, then Dirichlet, each overwriting the
-    last (Dirichlet and contact never meet, which the mesh enforces).
+    boundary tags (its rule at the boundary-edge midpoints).  Neumann, then
+    contact, then Dirichlet, each tag overwrites the kinds of its edges' P2
+    nodes (``mesh.edge_node_triples``): a midpoint has its edge's tag, a
+    vertex the last of its edges' (the mesh keeps contact from Dirichlet).
     """
 
     mesh: msh.Mesh
@@ -157,8 +158,7 @@ class DofMap:
         m = self.mesh
         kind = np.full(m.num_nodes, "i", dtype="<U1")
         for tag in (msh.NEUMANN, msh.CONTACT, msh.DIRICHLET):
-            kind[m.boundary_edges[m.boundary_tags == tag]] = tag
-        kind[m.num_vertices + m.boundary_edge_ids] = m.boundary_tags
+            kind[m.edge_node_triples[m.boundary_edge_ids[m.boundary_tags == tag]]] = tag
         object.__setattr__(self, "kind", kind)
 
 
@@ -273,31 +273,26 @@ def assemble(dofmap, problem):
                          f"{d_nodes[bad[0]]} {tuple(d_xy[bad[0]].tolist())}")
     free = np.repeat(free_node, 2)
     lift.flags.writeable = free.flags.writeable = False
-    nt = mesh.num_triangles
     # data so large that K or F overflows is reported by the solver, which
     # checks that both are finite
     with np.errstate(over="ignore", invalid="ignore"):
         K = _stiffness_matrix(mesh, material)
 
         xy = barycentric_to_xy(mesh, TRI_QP)
-        fv = problem.f(xy.reshape(-1, 2)).reshape(nt, 6, 2)
+        fv = problem.f(xy.reshape(-1, 2)).reshape(xy.shape)
         # (nt, 6, 2) element loads sum_q w_q area f_c(x_q) N_a(x_q) at dof 2 a + c
         fe = (_LOAD_REF @ fv) * mesh.areas[:, None, None]
-        dofs = 2 * mesh.element_nodes[:, :, None] + np.arange(2)
-        F = np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=2 * mesh.num_nodes)
-        _add_neumann_load(mesh, F, problem.g)
+        ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
+        gv = problem.g(mesh.edge_points(ids, EDGE_QT).reshape(-1, 2))
+        # (ne, 3, 2) Neumann edge loads at the first end, midpoint and second end
+        ge = (_EDGE_LOAD_REF @ gv.reshape(ids.size, EDGE_QT.size, 2)) \
+            * mesh.edge_lengths[ids, None, None]
+        # element entries, then edge entries: first ends, midpoints, second ends
+        nodes = np.concatenate([mesh.element_nodes.ravel(), mesh.edge_node_triples[ids].T.ravel()])
+        loads = np.concatenate([fe.ravel(), ge.transpose(1, 0, 2).ravel()])
+        F = np.bincount((2 * nodes[:, None] + np.arange(2)).ravel(), weights=loads,
+                        minlength=2 * mesh.num_nodes)
     return SparseSystem(K, F, lift.ravel(), free, material)
-
-
-def _add_neumann_load(mesh, F, g):
-    ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
-    if ids.size == 0:
-        return
-    gv = g(mesh.edge_points(ids, EDGE_QT).reshape(-1, 2)).reshape(ids.size, EDGE_QT.size, 2)
-    contrib = (_EDGE_LOAD_REF @ gv) * mesh.edge_lengths[ids, None, None]   # (ne, 3, 2)
-    # (node kind, edge, component) order: first ends, midpoints, second ends
-    nodes = mesh.edge_node_triples[ids].T
-    np.add.at(F, 2 * nodes[:, :, None] + np.arange(2), contrib.transpose(1, 0, 2))
 
 
 # -- pointwise evaluation -----------------------------------------------------

@@ -21,8 +21,8 @@ Each iteration starts u from the Dirichlet lift of ``assemble`` and writes
 the active gaps into it, drops the active dofs from its free mask, factors
 the free block K[free][:, free] with SuperLU and solves for (F - K u)[free].
 K is assembled exactly symmetric with sorted indices (see ``fem``), so the
-CSR arrays of the free block are also its CSC arrays and go to ``splu``
-without a conversion.
+free block equals its transpose, scipy's CSC matrix over the block's own
+CSR arrays, which goes to ``splu`` without a conversion.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # active-set iterations before the solve gives up
@@ -78,10 +77,9 @@ def solve_vi(system, trace):
         free[con_dofs[active]] = False
         free_idx = np.flatnonzero(free)
         rhs = (system.F - system.K @ u)[free_idx]
-        Kff = system.K[free_idx][:, free_idx]
+        Kff = system.K[free_idx][:, free_idx].T
         try:
-            # Kff is symmetric, so its CSR arrays read as CSC give Kff itself
-            lu = spla.splu(sp.csc_matrix((Kff.data, Kff.indices, Kff.indptr), shape=Kff.shape))
+            lu = spla.splu(Kff)
             u[free_idx] = lu.solve(rhs)
         except RuntimeError as exc:
             raise SolverError(f"singular constrained system ({exc})") from exc

@@ -4,8 +4,9 @@ Its traced run wraps functions of the package by name: instrumenting in a
 fresh interpreter fails here, in the test suite, when a wrapped function or
 attribute is renamed or removed.  Every run timestamps each level when its
 ``LevelRecord`` is made and reports the record's checks and the final mesh.
-A traced ex71 run must pass the benchmark's gate, whose pinned solver and
-mesh counts a change to the solve or the refinement would move.
+A traced run of each benchmark workload must pass the benchmark's gate,
+whose pinned solver and mesh counts a change to the solve or the refinement
+would move.
 """
 
 import dataclasses
@@ -15,6 +16,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import signorini.adaptive as ad
 import signorini.problems as prb
@@ -76,22 +79,32 @@ def test_one_record_per_level_between_its_solve_and_its_marking(monkeypatch):
                     dataclasses.asdict(r.checks)])
 
 
-def test_traced_ex71_run_passes_the_gate(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["ex71-adapt", "slab-uniform-io"])
+def test_traced_run_passes_the_gate(tmp_path, monkeypatch, workload):
     # the worker as the benchmark starts it, traced, so the gate compares
-    # the exact counts of reference.json as well as the levels
+    # the exact counts of reference.json as well as the levels; the slab is
+    # the seed-1 problem file, solved through the CLI with its output
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import gate
     import run
+    import workloads as wl
 
     report_path = tmp_path / "report.json"
     env = {**os.environ, **run.WORKER_ENV, "PYTHONPATH": str(ROOT / "src")}
-    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "ex71-adapt",
+    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
            "--src", str(ROOT / "src"), "--report", str(report_path), "--trace",
            "--spawned-at", repr(time.monotonic())]
+    slab_inputs = None
+    if workload == wl.SLAB:
+        text, load, nu = wl.slab_problem(1)
+        slab_inputs = (load, nu)
+        problem_file = tmp_path / "problem.json"
+        problem_file.write_text(text)
+        cmd += ["--problem-file", str(problem_file), "--out-dir", str(tmp_path / "out")]
     proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(report_path.read_text())
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert "layers" in report
-    assert gate.problems("ex71-adapt", report, reference) == []
+    assert gate.problems(workload, report, reference, slab_inputs) == []

@@ -413,3 +413,54 @@ def test_stiffness_exactly_symmetric(bisected):
     assert np.array_equal(K.indptr, KT.indptr)
     assert np.array_equal(K.indices, KT.indices)
     assert np.array_equal(K.data, KT.data)
+
+
+# -- load vector against per-triangle and per-edge loops -------------------------
+
+def _poly_f(p):
+    x, y = p[:, 0], p[:, 1]
+    return np.column_stack([1.0 + x * x * y - 2.0 * y, x - y ** 3])
+
+
+def _poly_g(p):
+    x, y = p[:, 0], p[:, 1]
+    return np.column_stack([2.0 - x * y * y, 3.0 * y - x + y * y])
+
+
+def _loop_load(mesh, f, g, neumann_x):
+    """F by six-point quadrature of f phi_a on each triangle, plus three-point
+    Gauss of g phi_a on each boundary edge that lies on a line x = c, c in
+    ``neumann_x``, with phi_a the triangle's basis restricted to the edge."""
+    F = np.zeros(2 * mesh.num_nodes)
+    for t in range(mesh.num_triangles):
+        p = mesh.vertices[mesh.triangles[t]]
+        dofs = (2 * mesh.element_nodes[t][:, None] + np.arange(2)).ravel()
+        for q, lam_q in enumerate(fem.TRI_QP):
+            fx = f((lam_q @ p)[None])[0]
+            phi = fem.shape_values(lam_q)
+            F[dofs] += fem.TRI_QW[q] * mesh.areas[t] * np.outer(phi, fx).ravel()
+        for k in range(3):   # the edge opposite corner k, from corner i to corner j
+            i, j = (k + 1) % 3, (k + 2) % 3
+            if not any(p[i, 0] == c == p[j, 0] for c in neumann_x):
+                continue
+            length = abs(p[j, 1] - p[i, 1])
+            for s, w in zip(fem.EDGE_QT, fem.EDGE_QW):
+                lam = np.zeros(3)
+                lam[i], lam[j] = 1.0 - s, s
+                gx = g((lam @ p)[None])[0]
+                F[dofs] += w * length * np.outer(fem.shape_values(lam), gx).ravel()
+    return F
+
+
+@pytest.mark.parametrize("case", ["bottom_contact", "all_dirichlet"])
+def test_load_matches_quadrature_loop(bisected, case):
+    # Neumann on x = 0 and x = 1 under ex71's tags; with every edge Dirichlet
+    # F is the element part alone
+    mesh, _ = bisected
+    neumann_x = (0.0, 1.0)
+    if case == "all_dirichlet":
+        mesh, neumann_x = dataclasses.replace(mesh, tagging=tag_all_dirichlet), ()
+    problem = dataclasses.replace(prb.bottom_contact_benchmark(), f=_poly_f, g=_poly_g)
+    F = fem.assemble(fem.DofMap(mesh), problem).F
+    assert F.shape == (2 * mesh.num_nodes,)
+    assert _relative(F, _loop_load(mesh, _poly_f, _poly_g, neumann_x)) <= 1e-13

@@ -12,8 +12,10 @@ The patch of node p is the set of triangles whose six P2 nodes include p,
 and h_p is its diameter (``mesh.build_patches``).  A Neumann or contact
 edge lies on the patch of every node of its one triangle.  An interior edge
 lies only on the patches of its own three nodes, its ends and its midpoint,
-since two triangles share one edge at most.  Each patch value is a
-scatter-maximum of per-triangle or per-edge values over these incidences.
+since two triangles share one edge at most; the jump is taken on every
+edge, and is 0 on a boundary edge, whose two sides are its one triangle.
+Each patch value is a scatter-maximum of per-triangle or per-edge values
+over these incidences.
 
 The total combines the global maxima Psi = eta_1 + ... + eta_5 with the
 logarithmic factor l_h = 1 + |log h_min|^2 and two obstacle-consistency
@@ -72,15 +74,13 @@ def estimate(dofmap, problem, sol, density):
     n, h_p = mesh.num_nodes, msh.build_patches(mesh)
     sig = fem.corner_stress(mesh, problem.material, u)           # (nt, 3, 2, 2)
     S = _element_residual(mesh, problem, sig)
-    # sigma(u_h) at both ends of every edge, seen from both sides; side 1 of
-    # a boundary edge holds a corner of triangle -1, which no term reads
+    # sigma(u_h) at both ends of every edge, seen from both sides
     end_sig = sig[mesh.edge_tris[:, :, None], mesh.edge_corners]  # (ne, side, end, 2, 2)
 
     # each edge term is aligned with its own edge ids
-    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     con_ids = trace.edge_ids
-    J = _interior_jumps(mesh, end_sig, inner)
+    J = _interior_jumps(mesh, end_sig)
     R = _neumann_residual(mesh, end_sig, problem, neu_ids)
     Tn, Tt = _contact_tractions(end_sig, trace)
     pen, gap = _consistency_per_edge(mesh, problem, u, trace)
@@ -92,7 +92,7 @@ def estimate(dofmap, problem, sol, density):
     on_neu, on_con = (mesh.element_nodes[mesh.edge_tris[ids, 0]] for ids in (neu_ids, con_ids))
     eta_p = np.stack([
         h_p ** 2 * _patch_max(n, mesh.element_nodes, S),
-        h_p * _patch_max(n, mesh.edge_node_triples[inner], J),
+        h_p * _patch_max(n, mesh.edge_node_triples, J),
         h_p * _patch_max(n, on_neu, R),
         h_p * _patch_max(n, on_con, Tt),
         h_p * _patch_max(n, on_con, Tn),
@@ -141,10 +141,11 @@ def _element_residual(mesh, problem, sig):
     return np.abs(fv + div[:, None, :]).max(axis=(1, 2))
 
 
-def _interior_jumps(mesh, end_sig, inner):
-    """Sup of the traction jump per interior edge ``inner``, at both ends."""
-    side = end_sig[inner]                                                    # (k, 2, 2, 2, 2)
-    jump = np.einsum("keij,kj->kei", side[:, 0] - side[:, 1], mesh.outward_normals(inner))
+def _interior_jumps(mesh, end_sig):
+    """Sup of the traction jump per edge, at both ends; exactly 0 on a
+    boundary edge, whose two sides are one triangle."""
+    normals = mesh.outward_normals(np.arange(len(end_sig)))
+    jump = np.einsum("keij,kj->kei", end_sig[:, 0] - end_sig[:, 1], normals)
     return np.abs(jump).max(axis=(1, 2))
 
 

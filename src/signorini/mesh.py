@@ -57,6 +57,10 @@ class Mesh:
         if self.levels.shape != (self.num_triangles,):
             raise MeshError(f"levels has shape {self.levels.shape}, but the mesh has "
                             f"{self.num_triangles} triangles")
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise MeshError(f"vertex {bad} has non-finite coordinates {self.vertices[bad]}")
         if self.triangles.size and self.areas.min() <= 0.0:
             bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} has non-positive area {self.areas[bad]}")
@@ -85,7 +89,8 @@ class Mesh:
         """Edges, triangle-edge ids and edge-triangle adjacency from one
         stable sort of the triangle-edge keys.  Entry 3 t + j is the edge
         opposite corner j of triangle t; each run of equal keys is one edge,
-        and its 1 or 2 entries are its triangles in ascending order."""
+        and its 1 or 2 entries are its triangles in ascending order; the first
+        and the last entry of the run are its two sides."""
         pairs = np.sort(self.triangles[:, [1, 2, 2, 0, 0, 1]].reshape(-1, 2), axis=1)
         key = pairs[:, 0] * self.num_vertices + pairs[:, 1]
         order = np.argsort(key, kind="stable")
@@ -98,9 +103,7 @@ class Mesh:
             raise MeshError(f"edge {int(np.argmax(count))} shared by more than two triangles")
         tri_edges = np.empty(key.size, dtype=np.int64)
         tri_edges[order] = np.cumsum(first) - 1
-        outer = count == 1
-        edge_tris = order[np.column_stack([starts, starts + ~outer])] // 3
-        edge_tris[outer, 1] = -1
+        edge_tris = order[np.column_stack([starts, starts + count - 1])] // 3
         return pairs[order[starts]], tri_edges.reshape(-1, 3), edge_tris
 
     @property
@@ -115,24 +118,22 @@ class Mesh:
 
     @property
     def edge_tris(self):
-        """(ne, 2) adjacent triangles per edge, lower id first, -1 where the
-        edge is boundary."""
+        """(ne, 2) adjacent triangles per edge, lower id first; a boundary
+        edge lists its one triangle on both sides."""
         return self._edge_table[2]
 
     @cached_property
     def edge_corners(self):
         """(ne, 2 sides, 2 ends) local corner of ``edges[e, end]`` in triangle
-        ``edge_tris[e, side]``, found among that triangle's corners; -1 on the
-        missing side of a boundary edge.  The corner opposite the edge is 3
-        minus the sum of its two corners."""
-        found = (self.triangles[self.edge_tris][:, :, None, :]
-                 == self.edges[:, None, :, None]).argmax(-1)
-        return np.where(self.edge_tris[:, :, None] < 0, -1, found)
+        ``edge_tris[e, side]``, found among that triangle's corners.  The
+        corner opposite the edge is 3 minus the sum of its two corners."""
+        return (self.triangles[self.edge_tris][:, :, None, :]
+                == self.edges[:, None, :, None]).argmax(-1)
 
     @cached_property
     def boundary_edge_ids(self):
         """(nb,) ascending ids in ``edges`` of the edges with one triangle."""
-        return np.flatnonzero(self.edge_tris[:, 1] < 0)
+        return np.flatnonzero(self.edge_tris[:, 0] == self.edge_tris[:, 1])
 
     @property
     def boundary_edges(self):
@@ -281,31 +282,23 @@ def refine(mesh, marked):
     mid_of[split_ids] = mesh.num_vertices + np.arange(split_ids.size)
     new_vertices = np.vstack([mesh.vertices, mesh.node_coords[mesh.num_vertices + split_ids]])
 
-    # Children replace their parent in place, in the order of one bisection
-    # of the refinement edge e0: child (m0, c, a) with refinement edge e1,
-    # then (m0, a, b) with e2; a child whose refinement edge is split is
-    # bisected once more into (m, r, p), (m, p, q).  That order sets the
-    # numbering of the next mesh, and with it the fill of its LU factors.
-    a, b, c = mesh.triangles.T
-    s0, s1, s2 = split[tri_edges].T
-    m0, m1, m2 = mid_of[tri_edges].T
-    count = np.where(s0, 2 + s1 + s2, 1)
-    first = np.cumsum(count) - count
-    new_tris = np.empty((count.sum(), 3), dtype=np.int64)
-    new_levels = np.empty(count.sum(), dtype=np.int64)
-    keep = ~s0
-    new_tris[first[keep]] = mesh.triangles[keep]
-    new_levels[first[keep]] = mesh.levels[keep]
-    for start, s_child, (p, q, r), m in ((first, s1, (m0, c, a), m1),
-                                         (first + 1 + s1, s2, (m0, a, b), m2)):
-        once, twice = s0 & ~s_child, s0 & s_child
-        new_tris[start[once]] = np.column_stack([p, q, r])[once]
-        new_levels[start[once]] = mesh.levels[once] + 1
-        new_tris[start[twice]] = np.column_stack([m, r, p])[twice]
-        new_tris[start[twice] + 1] = np.column_stack([m, p, q])[twice]
-        new_levels[start[twice]] = new_levels[start[twice] + 1] = mesh.levels[twice] + 2
-
-    return Mesh(new_vertices, new_tris, mesh.tagging, new_levels)
+    # A row (p, q, r, mp, mq, mr) is a triangle and the midpoints of the edges
+    # opposite its corners, -1 where the edge is not split.  Bisecting (p, q, r)
+    # at mp gives (mp, r, p), then (mp, p, q), in the parent's place; no edge a
+    # bisection makes is split, and each child's refinement edge is one of the
+    # parent's.  Pass 1 cuts every triangle whose refinement edge is split, pass
+    # 2 every child whose is.  That order sets the numbering of the next mesh,
+    # and with it the fill of its LU factors.
+    rows, levels = np.hstack([mesh.triangles, mid_of[tri_edges]]), mesh.levels
+    for _ in range(2):
+        cut = rows[:, 3] >= 0
+        p, q, r, mp, mq, mr = rows[cut].T
+        none = np.full_like(mp, -1)
+        at = np.cumsum(1 + cut)[cut] - 2                   # the first child's row
+        rows, levels = np.repeat(rows, 1 + cut, axis=0), np.repeat(levels + cut, 1 + cut)
+        rows[at] = np.column_stack([mp, r, p, mq, none, none])
+        rows[at + 1] = np.column_stack([mp, p, q, mr, none, none])
+    return Mesh(new_vertices, rows[:, :3], mesh.tagging, levels)
 
 
 # -- patches ------------------------------------------------------------------
@@ -316,9 +309,9 @@ def build_patches(mesh):
     whose six P2 nodes include p.
 
     The corners of a vertex patch are the vertex and its edge neighbours;
-    those of a midpoint patch are the corners of the edge's triangles, where
-    the missing side of a boundary edge repeats side 0.  Rows are padded with
-    a repeated corner, which adds only a zero or a repeated distance.
+    those of a midpoint patch are the corners of the edge's two sides, one
+    triangle twice on a boundary edge.  Rows are padded with a repeated
+    corner, which adds only a zero or a repeated distance.
     """
     nv = mesh.num_vertices
     src = mesh.edges.ravel()
@@ -329,8 +322,7 @@ def build_patches(mesh):
     v_corners = np.repeat(np.arange(nv)[:, None], counts.max() + 1, axis=1)
     v_corners[src[order], 1 + rank] = dst[order]
 
-    adj = np.where(mesh.edge_tris < 0, mesh.edge_tris[:, :1], mesh.edge_tris)
-    e_corners = mesh.triangles[adj].reshape(-1, 6)
+    e_corners = mesh.triangles[mesh.edge_tris].reshape(-1, 6)
 
     diam = []
     for corners in (v_corners, e_corners):

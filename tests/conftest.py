@@ -24,8 +24,14 @@ def interpolate(mesh, func):
 
 def edge_end_stress(mesh, sig):
     """The estimator's table of sigma(u_h) at both ends of every edge, from
-    both sides: (ne, side, end, 2, 2) from corner stresses ``sig``."""
+    both sides: (ne, side, end, 2, 2) from corner stresses ``sig``.  A
+    boundary edge's two sides are its one triangle, so they hold equal rows."""
     return sig[mesh.edge_tris[:, :, None], mesh.edge_corners]
+
+
+def interior_edges(mesh):
+    """Ascending ids of the edges with two distinct triangles."""
+    return np.flatnonzero(mesh.edge_tris[:, 0] != mesh.edge_tris[:, 1])
 
 
 def tag_all_dirichlet(pts):

@@ -240,9 +240,8 @@ def test_density_against_independent_quadrature():
         total = 0.0
         nv = mesh.num_vertices
         if node >= nv:
-            for t in mesh.edge_tris[node - nv]:
-                if t >= 0:
-                    total += fconst[comp] * mesh.areas[t] / 3.0
+            for t in np.unique(mesh.edge_tris[node - nv]):
+                total += fconst[comp] * mesh.areas[t] / 3.0
         for eid, tag in zip(mesh.boundary_edge_ids, mesh.boundary_tags):
             if tag != msh.NEUMANN:
                 continue

@@ -12,7 +12,7 @@ import signorini.mesh as msh
 import signorini.problems as prb
 import signorini.vi as vi
 
-from conftest import WEDGE_SCALES, SolvedState, edge_end_stress, interpolate
+from conftest import WEDGE_SCALES, SolvedState, edge_end_stress, interior_edges, interpolate
 import quasi_density as qd
 
 
@@ -76,7 +76,7 @@ def test_eta2_hand_built_jump():
     u = interpolate(mesh, lambda p: np.column_stack(
         [alpha * np.maximum(p[:, 1] - p[:, 0], 0.0), np.zeros(len(p))]))
     report = report_for(problem, mesh, u)
-    diag = int(np.flatnonzero(mesh.edge_tris[:, 1] >= 0)[0])
+    diag = int(interior_edges(mesh)[0])
     p_mid = mesh.num_vertices + diag
     assert np.isclose(msh.build_patches(mesh)[p_mid], np.sqrt(2.0))
     assert np.isclose(report.eta_p[1, p_mid], 4.0 * alpha, atol=1e-13)
@@ -249,11 +249,11 @@ def test_patch_maxima_match_per_node_oracle():
     S = est._element_residual(mesh, problem, sig)
     end_sig = edge_end_stress(mesh, sig)
     # per-edge values keyed by mesh edge id, from the arrays aligned with
-    # the interior, Neumann and contact edge ids
-    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    # all, the Neumann and the contact edge ids
     neu_ids = mesh.boundary_edge_ids[mesh.boundary_tags == msh.NEUMANN]
     con_ids = trace.edge_ids
-    J = dict(zip(inner, est._interior_jumps(mesh, end_sig, inner)))
+    J = dict(enumerate(est._interior_jumps(mesh, end_sig)))
+    assert all(J[e] == 0.0 for e in mesh.boundary_edge_ids)
     R = dict(zip(neu_ids, est._neumann_residual(mesh, end_sig, problem, neu_ids)))
     Tn, Tt = (dict(zip(con_ids, v)) for v in est._contact_tractions(end_sig, trace))
     pen, gap = (dict(zip(con_ids, v))
@@ -269,14 +269,14 @@ def test_patch_maxima_match_per_node_oracle():
         if p < nv:
             tris = np.flatnonzero((mesh.triangles == p).any(axis=1))
         else:
-            tris = mesh.edge_tris[p - nv][mesh.edge_tris[p - nv] >= 0]
+            tris = np.unique(mesh.edge_tris[p - nv])
         assert np.array_equal(np.flatnonzero((mesh.element_nodes == p).any(axis=1)), tris)
-        interior_edges, neumann_edges, contact_edges = [], [], []
+        inner_edges, neumann_edges, contact_edges = [], [], []
         for e in np.unique(mesh.tri_edges[tris]):
             t0, t1 = mesh.edge_tris[e]
-            if t1 >= 0:
+            if t0 != t1:
                 if t0 in tris and t1 in tris:
-                    interior_edges.append(e)
+                    inner_edges.append(e)
             elif tag[e] == msh.NEUMANN:
                 neumann_edges.append(e)
             elif tag[e] == msh.CONTACT:
@@ -285,7 +285,7 @@ def test_patch_maxima_match_per_node_oracle():
         pts = mesh.vertices[np.unique(mesh.triangles[tris])]
         h = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max())
         diameter[p] = h
-        eta_p[:, p] = (h ** 2 * S[tris].max(), h * sup(J, interior_edges),
+        eta_p[:, p] = (h ** 2 * S[tris].max(), h * sup(J, inner_edges),
                        h * sup(R, neumann_edges), h * sup(Tt, contact_edges),
                        h * sup(Tn, contact_edges))
         cons_p[p] = sup(pen, contact_edges) + sup(gap, lam)

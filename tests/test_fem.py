@@ -11,7 +11,8 @@ import signorini.fem as fem
 import signorini.mesh as msh
 import signorini.problems as prb
 
-from conftest import edge_end_stress, interpolate, linear_solve, prescribed, tag_all_dirichlet
+from conftest import (edge_end_stress, interior_edges, interpolate, linear_solve, prescribed,
+                      tag_all_dirichlet)
 
 
 def test_lame_from_young_poisson():
@@ -205,8 +206,7 @@ def test_traction_rigid_motion_zero():
                                                      np.full(len(p), -1.0)]))
     end_sig = edge_end_stress(mesh, fem.corner_stress(mesh, problem.material, u))
     assert np.abs(end_sig[mesh.boundary_edge_ids, 0]).max() < 1e-13
-    jumps = est._interior_jumps(mesh, end_sig, np.flatnonzero(mesh.edge_tris[:, 1] >= 0))
-    assert jumps.max() < 1e-13
+    assert est._interior_jumps(mesh, end_sig).max() < 1e-13
 
 
 def test_traction_two_sided_consistency():
@@ -217,11 +217,12 @@ def test_traction_two_sided_consistency():
     u = interpolate(mesh, lambda p: np.column_stack(
         [p[:, 0] ** 2 + p[:, 1], p[:, 0] * p[:, 1]]))
     sig = fem.corner_stress(mesh, problem.material, u)
-    inner = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    jumps = est._interior_jumps(mesh, edge_end_stress(mesh, sig), inner)
-    assert jumps.shape == inner.shape
+    jumps = est._interior_jumps(mesh, edge_end_stress(mesh, sig))
+    assert jumps.shape == (mesh.edges.shape[0],)
     assert np.abs(sig).max() > 1.0
-    assert jumps.max() < 1e-12
+    assert jumps[interior_edges(mesh)].max() < 1e-12
+    # both sides of a boundary edge are its one triangle: no jump at all
+    assert (jumps[mesh.boundary_edge_ids] == 0.0).all()
 
 
 def test_element_residual_known_hessian():

@@ -8,6 +8,7 @@ import signorini.estimator as est
 import signorini.fem as fem
 import signorini.mesh as msh
 
+from conftest import interior_edges
 from test_estimator import report_for, zero_problem
 
 
@@ -221,21 +222,29 @@ def _loop_refine_children(mesh, marked):
     return np.array(new_tris), np.array(new_levels), tags
 
 
-@pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
-def test_refine_keeps_loop_order(tagging):
+@pytest.mark.parametrize("tagging, uniform", [
+    pytest.param(msh.tag_bottom_contact, False, id="tag_bottom_contact"),
+    pytest.param(msh.tag_right_contact, False, id="tag_right_contact"),
+    pytest.param(msh.tag_bottom_contact, True, id="uniform")])
+def test_refine_keeps_loop_order(tagging, uniform):
     m = msh.generate_unit_square(3, tagging)
     rng = np.random.default_rng(11)
     for k in range(8):
-        # mixed marking: a random fifth, every third, or a single triangle
-        marked = (rng.choice(m.num_triangles, m.num_triangles // 5, replace=False),
-                  np.arange(k % 3, m.num_triangles, 3),
-                  [m.num_triangles - 1])[k % 3]
+        # uniform marking, the path of ``--uniform``, or mixed marking: a
+        # random fifth, every third, or a single triangle
+        marked = np.arange(m.num_triangles) if uniform else (
+            rng.choice(m.num_triangles, m.num_triangles // 5, replace=False),
+            np.arange(k % 3, m.num_triangles, 3),
+            [m.num_triangles - 1])[k % 3]
         tris, levels, tags = _loop_refine_children(m, marked)
         m = msh.refine(m, marked)
         assert np.array_equal(m.triangles, tris)
         assert np.array_equal(m.levels, levels)
         assert edge_tags(m) == tags
     assert m.levels.max() >= 6
+    # refinement edges pair up here, so uniform marking splits only them and
+    # bisects every triangle once per round
+    assert not uniform or (m.levels == 8).all()
 
 
 def mixed_mesh(tagging):
@@ -284,11 +293,12 @@ def test_outward_normals_of_boundary_edges(tagging):
 def test_edge_corners_hold_the_edge_ends(tagging):
     m = mixed_mesh(tagging)
     for side in (0, 1):
-        has = m.edge_tris[:, side] >= 0
-        tris = m.edge_tris[has, side, None]
-        assert np.array_equal(m.triangles[tris, m.edge_corners[has, side]], m.edges[has])
-    assert np.array_equal(m.edge_corners[m.boundary_edge_ids, 1],
-                          np.full((m.boundary_edge_ids.size, 2), -1))
+        tris = m.edge_tris[:, side, None]
+        assert np.array_equal(m.triangles[tris, m.edge_corners[:, side]], m.edges)
+    # a boundary edge lists its one triangle on both sides
+    ids = m.boundary_edge_ids
+    assert ids.size and np.array_equal(m.edge_tris[ids, 0], m.edge_tris[ids, 1])
+    assert np.array_equal(m.edge_corners[ids, 0], m.edge_corners[ids, 1])
 
 
 @pytest.mark.parametrize("tagging", [msh.tag_bottom_contact, msh.tag_right_contact])
@@ -343,16 +353,19 @@ def test_refinement_keeps_invariants_under_random_marks(marks, rounds):
     mids = m.vertices[m.boundary_edges].mean(axis=1)
     assert all(tag == ("C" if my < 1e-9 else "D" if my > 1 - 1e-9 else "N")
                for (mx, my), tag in zip(mids, m.boundary_tags))
-    # each edge's ends sit at its corners in both triangles, -1 on a missing side
+    # the boundary is the edges of one triangle, and exactly there the two
+    # sides of the edge table are equal
+    one = np.flatnonzero(np.bincount(m.tri_edges.ravel()) == 1)
+    assert np.array_equal(m.boundary_edge_ids, one) and m.edge_tris.min() >= 0
+    assert np.array_equal(np.flatnonzero(m.edge_tris[:, 0] == m.edge_tris[:, 1]), one)
+    # each edge's ends sit at its corners on both sides
     for side in (0, 1):
-        has = m.edge_tris[:, side] >= 0
-        assert np.array_equal(m.triangles[m.edge_tris[has, side, None],
-                                          m.edge_corners[has, side]], m.edges[has])
-        assert (m.edge_corners[~has, side] == -1).all()
+        assert np.array_equal(m.triangles[m.edge_tris[:, side, None],
+                                          m.edge_corners[:, side]], m.edges)
     # a midpoint's patch diameter spans the corners of its edge's triangles
     diameter = msh.build_patches(m)
     for e, tris in enumerate(m.edge_tris):
-        pts = m.vertices[m.triangles[tris[tris >= 0]]].reshape(-1, 2).tolist()
+        pts = m.vertices[m.triangles[tris]].reshape(-1, 2).tolist()
         brute = max(math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
                     for ax, ay in pts for bx, by in pts)
         assert diameter[m.num_vertices + e] == brute, e
@@ -440,6 +453,18 @@ def test_mesh_rejects_bad_shape_or_vertex_id(case):
         _with(m, name, make(m))
 
 
+@pytest.mark.parametrize("vertex, value", [(4, np.nan), (3, np.inf)])
+def test_mesh_rejects_non_finite_vertex(vertex, value):
+    """A NaN centre gives NaN areas, which pass ``areas.min() <= 0``; the
+    left side's middle vertex at y = inf makes the tag rule put Dirichlet
+    next to contact, an error that names no vertex."""
+    m = msh.generate_unit_square(2, msh.tag_bottom_contact)
+    vertices = m.vertices.copy()
+    vertices[vertex, 1] = value
+    with pytest.raises(msh.MeshError, match=rf"^vertex {vertex} has non-finite coordinates"):
+        _with(m, "vertices", vertices)
+
+
 @pytest.mark.parametrize("field, what", [("levels", "8 triangles"),
                                          ("boundary_tags", "8 boundary edges")])
 def test_mesh_rejects_per_item_array_of_wrong_length(field, what):
@@ -467,12 +492,13 @@ def patch_edges(m, p, ids):
     estimator's residual of their kind is 1 on that edge and 0 on the
     others; the edge lies on the patch when p's term of that kind, eta_2 or
     eta_5, is positive."""
-    interior = bool((m.edge_tris[ids, 1] >= 0).all())
+    interior = bool(np.isin(ids, interior_edges(m)).all())
     on_patch = []
     for e in ids:
         with pytest.MonkeyPatch.context() as mp:
             if interior:
-                mp.setattr(est, "_interior_jumps", lambda mesh, end_sig, inner: (inner == e) * 1.0)
+                mp.setattr(est, "_interior_jumps",
+                           lambda mesh, end_sig: (np.arange(len(end_sig)) == e) * 1.0)
             else:
                 mp.setattr(est, "_contact_tractions",
                            lambda end_sig, trace: ((trace.edge_ids == e) * 1.0,) * 2)
@@ -492,7 +518,7 @@ def test_patch_interior_vertex_valence_six():
 
 def test_patch_interior_edge_midpoint():
     m = bottom_mesh(2)
-    inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
+    inner = interior_edges(m)
     p = m.num_vertices + inner[0]
     assert patch_size(m, p) == 2
     assert patch_edges(m, p, inner) == [inner[0]]
@@ -505,7 +531,7 @@ def test_patch_contact_edge_midpoint():
     assert patch_edges(m, p, con) == [con[0]]
     assert patch_size(m, p) == 1
     # edges of a one-triangle patch all lie on the patch boundary
-    inner = np.flatnonzero(m.edge_tris[:, 1] >= 0)
+    inner = interior_edges(m)
     assert patch_edges(m, p, inner) == []
 
 
@@ -521,7 +547,7 @@ def test_patch_diameter_positive_and_consistent():
     # every ordered pair of corners of the patch's triangles, one at a time
     for p in range(nv + m.edges.shape[0]):
         tris = (np.flatnonzero((m.triangles == p).any(axis=1)) if p < nv
-                else m.edge_tris[p - nv][m.edge_tris[p - nv] >= 0])
+                else np.unique(m.edge_tris[p - nv]))
         pts = m.vertices[np.unique(m.triangles[tris])].tolist()
         brute = max(math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
                     for ax, ay in pts for bx, by in pts)

@@ -14,7 +14,8 @@ the SHA-256 of one part of it:
 
     mesh      the node kinds (``DofMap.kind``), the boundary edge ids in
               ascending order with their tags, the node coordinates
-              (``Mesh.node_coords``) and the triangles
+              (``Mesh.node_coords``), the triangles and their bisection
+              generations (``Mesh.levels``)
     solve     every input ``splu`` factors (shape, data, indices, indptr),
               the solution (u, active set, PDAS history, residual), the
               contact density and its record
@@ -127,7 +128,8 @@ def level_digests(src, problem_key, levels, theta, n0, uniform):
             # another order hashes the same
             order = np.argsort(mesh.boundary_edge_ids)
             h.add("mesh", [fem.DofMap(mesh).kind, mesh.boundary_edge_ids[order],
-                           mesh.boundary_tags[order], mesh.node_coords, mesh.triangles])
+                           mesh.boundary_tags[order], mesh.node_coords, mesh.triangles,
+                           mesh.levels])
             h.add("solve", [lvl.solution, lvl.density])
             h.add("estimate", [lvl.report, rec.checks])
             h.add("estimate", [getattr(rec, f.name) for f in dataclasses.fields(rec)
